@@ -7,9 +7,11 @@ level-partitioned delivery on the same placement, and prints the gap. The
 batch placement rows show the bound tight to exactly 1/F.
 
 Usage: python scripts/converse_experiment.py [--n 3 --k 4 --m 1 --f 120 --placements 20]
+Exits 1 when an achieved rate falls below the bound, 0 otherwise.
 """
 
 import argparse
+import sys
 from collections import defaultdict
 from fractions import Fraction
 
@@ -35,14 +37,14 @@ def per_type_rates(db, placement, N, K, F):
     return {counts: sum(rs, Fraction(0)) / len(rs) for counts, rs in acc.items()}
 
 
-def main():
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=3)
     parser.add_argument("--k", type=int, default=4)
     parser.add_argument("--m", type=Fraction, default=Fraction(1))
     parser.add_argument("--f", type=int, default=120)
     parser.add_argument("--placements", type=int, default=20)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     N, K, F, M = args.n, args.k, args.f, args.m
     types = enumerate_types(N, K)
     db = make_database(N, F, seed=0)
@@ -74,7 +76,8 @@ def main():
     for stats in types:
         print(f"  type {stats.counts}: worst achieved-bound gap {float(worst_gap[stats.counts]):.6f}")
     print(f"bound violations: {violations}")
+    return 1 if violations else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -7,6 +7,7 @@ from .combinatorics import (
     binomial,
     enumerate_subsets,
     lower_convex_envelope,
+    lower_convex_envelope_many,
     subset_rank,
     subset_unrank,
     surjection_count,
@@ -23,6 +24,7 @@ from .model import (
     load_placement,
     make_database,
     ne_distribution,
+    ne_weights,
     save_placement,
     type_size,
 )

@@ -35,6 +35,7 @@ from .model import (
     validate_demand,
 )
 from .rate_analysis import (
+    SCHEMES,
     CacheProfile,
     converse_bound,
     dec_rate_for_distinct,
@@ -49,6 +50,9 @@ EXHAUSTION_GUARD = 10**6
 # bit-checks one representative per demand type plus a random sample.
 FULL_WORK_LIMIT = 4 * 10**7
 DEFAULT_SAMPLE = 200
+# Largest M grid `rates` and `compare` evaluate; every point costs exact
+# rational work per scheme, so a larger grid is refused, not built.
+MAX_GRID_POINTS = 10**5
 
 
 class UsageError(ValueError):
@@ -81,12 +85,29 @@ def parse_grid(spec: str) -> list[Fraction]:
     start, stop, step = parts
     if step <= 0 or stop < start:
         raise UsageError(f"bad grid {spec!r}; need step > 0 and stop >= start")
-    values = []
-    v = start
-    while v <= stop:
-        values.append(v)
-        v += step
-    return values
+    count = (stop - start) // step + 1
+    if count > MAX_GRID_POINTS:
+        raise UsageError(f"grid {spec!r} has {count} points, more than the limit of {MAX_GRID_POINTS}")
+    return [start + i * step for i in range(count)]
+
+
+def _grid(args) -> list[Fraction]:
+    """The --grid of `rates`/`compare` (default 0:N:1), every M within [0, N]."""
+    grid = parse_grid(args.grid if args.grid else f"0:{args.n}:1")
+    if grid[0] < 0 or grid[-1] > args.n:
+        raise UsageError(f"grid M values must be in [0, {args.n}], got {grid[0]}..{grid[-1]}")
+    return grid
+
+
+def parse_m(spec: str, N: int) -> Fraction:
+    """A --m cache size: a number or fraction within [0, N]."""
+    try:
+        M = Fraction(spec)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"bad cache size {spec!r}; expected a number or fraction") from None
+    if not 0 <= M <= N:
+        raise UsageError(f"M must be in [0, {N}], got {M}")
+    return M
 
 
 def parse_schemes(spec: str | None, default: list[str]) -> list[str]:
@@ -95,6 +116,14 @@ def parse_schemes(spec: str | None, default: list[str]) -> list[str]:
     labels = [s for s in (part.strip() for part in spec.split(",")) if s]
     if not labels:
         raise UsageError("empty scheme list")
+    return labels
+
+
+def _rate_schemes(spec: str | None, default: list[str]) -> list[str]:
+    labels = parse_schemes(spec, default)
+    for label in labels:
+        if label not in SCHEMES:
+            raise UsageError(f"unknown scheme {label!r}; known: {', '.join(sorted(SCHEMES))}")
     return labels
 
 
@@ -117,21 +146,38 @@ def _resolve_t(args, N: int, K: int) -> int:
             raise UsageError(f"t must be in 0..{K}")
         return args.t
     if args.m is not None:
-        t = Fraction(K) * Fraction(args.m) / N
+        t = Fraction(K) * parse_m(args.m, N) / N
         if t.denominator != 1 or not 0 <= t <= K:
             raise UsageError(f"M={args.m} gives non-integer t={t}; pass --t or an integer-t M")
         return int(t)
     raise UsageError("need --t or --m")
 
 
+def _batch_file_size(args, K: int, t: int) -> int:
+    """--f for a batch placement (default 2*C(K,t)); it must split into C(K,t) subfiles."""
+    pieces = binomial(K, t)
+    F = args.f if args.f is not None else 2 * pieces
+    if F % pieces:
+        raise UsageError(f"F must be a multiple of C({K},{t}) = {pieces}, got F={F}")
+    return F
+
+
+def _check_sizes(args) -> None:
+    """--n, --k and --f, where given, must be positive."""
+    for flag in ("n", "k", "f"):
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise UsageError(f"--{flag} must be at least 1, got {value}")
+
+
 # --- rates / compare ---------------------------------------------------------
 
 
 def cmd_rates(args) -> int:
-    labels = parse_schemes(args.schemes, default=[])
+    labels = _rate_schemes(args.schemes, default=[])
     if not labels:
         raise UsageError("rates requires --schemes")
-    grid = parse_grid(args.grid if args.grid else f"0:{args.n}:1")
+    grid = _grid(args)
     curves = [rate_curve(label, args.n, args.k, grid) for label in labels]
     if args.out:
         with open(args.out, "w") as fh:
@@ -149,8 +195,8 @@ def cmd_rates(args) -> int:
 
 def cmd_compare(args) -> int:
     default = ["optimal-avg", "man-avg", "optimal-peak", "dec-avg", "man-dec-avg", "dec-peak"]
-    labels = parse_schemes(args.schemes, default)
-    grid = parse_grid(args.grid if args.grid else f"0:{args.n}:1")
+    labels = _rate_schemes(args.schemes, default)
+    grid = _grid(args)
     curves = [rate_curve(label, args.n, args.k, grid) for label in labels]
     header = "M," + ",".join(labels)
     lines = [header]
@@ -187,17 +233,16 @@ def _check_demand(db, placement, d, leaders, t) -> tuple[bool, str]:
 def cmd_verify(args) -> int:
     N, K = args.n, args.k
     t = _resolve_t(args, N, K)
-    F = args.f if args.f else 2 * binomial(K, t)
+    F = _batch_file_size(args, K, t)
     total = N**K
     if total > EXHAUSTION_GUARD:
         raise UsageError(
             f"N^K = {total} exceeds the exhaustion guard {EXHAUSTION_GUARD}; "
             "choose smaller N or K"
         )
-    try:
-        placement = batch_placement(N, K, t, F)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    if args.sample < 0:
+        raise UsageError(f"--sample must be non-negative, got {args.sample}")
+    placement = batch_placement(N, K, t, F)
     seed = resolve_seed(args.seed)
     db_seed, sample_seed = child_seeds(seed, 2)
     db = make_database(N, F, db_seed)
@@ -276,11 +321,8 @@ def cmd_simulate(args) -> int:
 
     if scheme == "centralized":
         t = _resolve_t(args, N, K)
-        F = args.f if args.f else 2 * binomial(K, t)
-        try:
-            placement = batch_placement(N, K, t, F)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        F = _batch_file_size(args, K, t)
+        placement = batch_placement(N, K, t, F)
         db = make_database(N, F, db_seed)
         d = (
             parse_demand(args.demand, N, K)
@@ -308,8 +350,10 @@ def cmd_simulate(args) -> int:
 
     if args.m is None:
         raise UsageError("decentralized simulate requires --m")
-    F = args.f if args.f else 10_000
-    M = Fraction(args.m)
+    if K > decentralized.MAX_USERS:
+        raise UsageError(f"decentralized delivery supports K <= {decentralized.MAX_USERS} users, got K={K}")
+    F = args.f if args.f is not None else 10_000
+    M = parse_m(args.m, N)
     db = make_database(N, F, db_seed)
     placement = decentralized.random_placement(N, K, M, F, place_seed)
     partition = decentralized.level_partition(placement, N, F)
@@ -367,12 +411,12 @@ def cmd_bound(args) -> int:
     try:
         placement, N, F, M = load_placement(args.placement)
     except PlacementParseError as exc:
-        print(f"error parsing {args.placement}: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"cannot parse {args.placement}: {exc}") from None
     except OSError as exc:
-        print(f"cannot read {args.placement}: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"cannot read {args.placement}: {exc}") from None
     K = placement.K
+    if K > decentralized.MAX_USERS:
+        raise UsageError(f"bound supports K <= {decentralized.MAX_USERS} users, got K={K}")
     profile = CacheProfile.from_placement(placement)
     partition = decentralized.level_partition(placement, N, F)
     print(f"placement: K={K} N={N} F={F} M={M}")
@@ -447,11 +491,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_sizes(args)
         return args.fn(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

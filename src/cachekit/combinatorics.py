@@ -8,6 +8,7 @@ a tie to rounding.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -22,19 +23,28 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def surjection_count(universe: int, onto: int) -> int:
-    """Number of functions from a `universe`-set onto an `onto`-set.
+def surjection_counts(universe: int, max_onto: int) -> list[int]:
+    """Numbers of functions from a `universe`-set onto an e-set, e = 0..max_onto.
 
-    Inclusion-exclusion: sum_i (-1)^i C(e, i) (e - i)^K.
+    Inclusion-exclusion: sum_i (-1)^i C(e, i) (e - i)^universe, with the
+    powers computed once for all e.
     """
+    if max_onto < 0 or universe < 0:
+        raise ValueError("surjection_counts requires non-negative arguments")
+    powers = [j**universe for j in range(max_onto + 1)]
+    return [
+        sum((-1) ** i * binomial(e, i) * powers[e - i] for i in range(e + 1))
+        for e in range(max_onto + 1)
+    ]
+
+
+def surjection_count(universe: int, onto: int) -> int:
+    """Number of functions from a `universe`-set onto an `onto`-set."""
     if onto < 0 or universe < 0:
         raise ValueError("surjection_count requires non-negative arguments")
     if onto > universe:
         return 0
-    return sum(
-        (-1) ** i * binomial(onto, i) * (onto - i) ** universe
-        for i in range(onto + 1)
-    )
+    return surjection_counts(universe, onto)[onto]
 
 
 @dataclass(frozen=True)
@@ -143,24 +153,38 @@ def _exact_ratio(num: Number, den: Number) -> Number:
     return Fraction(num) / Fraction(den)
 
 
+def lower_convex_envelope_many(
+    pts: EnvelopePoints | Sequence[tuple[Number, Number]], xs: Iterable[Number]
+) -> list[Number]:
+    """Values at each of `xs` of the lower convex envelope of the given points.
+
+    The hull is built once; each x finds its segment by bisection, so `xs`
+    may come in any order. Every x must lie within [min t, max t]. Exact when
+    points and xs are rational.
+    """
+    points = pts.points if isinstance(pts, EnvelopePoints) else tuple(pts)
+    if not points:
+        raise ValueError("no points to envelope")
+    lo, hi = points[0][0], points[-1][0]
+    hull = lower_hull(points)  # keeps both end points, so it spans [lo, hi]
+    hull_ts = [t for t, _ in hull]
+    values = []
+    for x in xs:
+        if not lo <= x <= hi:
+            raise ValueError(f"x={x} outside envelope domain [{lo}, {hi}]")
+        i = bisect.bisect_left(hull_ts, x)
+        t1, v1 = hull[i]
+        if x == t1:
+            values.append(v1)
+            continue
+        t0, v0 = hull[i - 1]
+        values.append(v0 + (v1 - v0) * _exact_ratio(x - t0, t1 - t0))
+    return values
+
+
 def lower_convex_envelope(pts: EnvelopePoints | Sequence[tuple[Number, Number]], x: Number) -> Number:
     """Value at `x` of the lower convex envelope of the given points.
 
     `x` must lie within [min t, max t]. Exact when points and x are rational.
     """
-    points = pts.points if isinstance(pts, EnvelopePoints) else tuple(pts)
-    if not points:
-        raise ValueError("no points to envelope")
-    if not points[0][0] <= x <= points[-1][0]:
-        raise ValueError(f"x={x} outside envelope domain [{points[0][0]}, {points[-1][0]}]")
-    hull = lower_hull(points)
-    if len(hull) == 1:
-        return hull[0][1]
-    for (t0, v0), (t1, v1) in zip(hull, hull[1:]):
-        if t0 <= x <= t1:
-            if x == t0:
-                return v0
-            if x == t1:
-                return v1
-            return v0 + (v1 - v0) * _exact_ratio(x - t0, t1 - t0)
-    raise AssertionError("unreachable: x inside domain but no segment found")
+    return lower_convex_envelope_many(pts, [x])[0]

@@ -23,6 +23,8 @@ from .combinatorics import enumerate_subsets
 from .model import Database, Demand, Placement, validate_demand
 
 _EMPTY = np.empty(0, dtype=np.int64)
+# level_partition packs each bit's caching set into one int64, one bit per user.
+MAX_USERS = 64
 
 
 def random_placement(N: int, K: int, M, F: int, seed: int) -> Placement:
@@ -69,6 +71,8 @@ class LevelPartition:
 def level_partition(placement: Placement, N: int, F: int) -> LevelPartition:
     """Exact partition of all (file, bit) positions by caching set."""
     K = placement.K
+    if K > MAX_USERS:
+        raise ValueError(f"level_partition supports K <= {MAX_USERS} users, got K={K}")
     codes = np.zeros((N, F), dtype=np.int64)
     for k in range(K):
         codes[placement.mask[k]] += np.int64(1) << k

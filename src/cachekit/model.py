@@ -11,7 +11,6 @@ Conventions used across the package:
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .combinatorics import binomial, surjection_count
+from .combinatorics import binomial, surjection_counts
 
 Demand = Sequence[int]
 
@@ -187,22 +186,25 @@ class NeDistribution:
         return sum((p * fn(e) for e, p in self.entries), Fraction(0))
 
 
-@functools.lru_cache(maxsize=None)
-def ne_distribution(N: int, K: int) -> NeDistribution:
-    """P(distinct = e) = C(N,e) * surjections(K -> e) / N^K, exact."""
+def ne_weights(N: int, K: int) -> tuple[tuple[int, int], ...]:
+    """(e, C(N,e) * surjections(K -> e)) for e in 1..min(N, K): the number of
+    demands in {1..N}^K with exactly e distinct files. The counts sum to N^K."""
     if N < 1 or K < 1:
         raise ValueError("need N >= 1 and K >= 1")
+    E = min(N, K)
+    onto = surjection_counts(K, E)
+    return tuple((e, binomial(N, e) * onto[e]) for e in range(1, E + 1))
+
+
+def ne_distribution(N: int, K: int) -> NeDistribution:
+    """P(distinct = e) = C(N,e) * surjections(K -> e) / N^K, exact."""
     total = N**K
-    entries = tuple(
-        (e, Fraction(binomial(N, e) * surjection_count(K, e), total))
-        for e in range(1, min(N, K) + 1)
-    )
-    return NeDistribution(entries)
+    return NeDistribution(tuple((e, Fraction(w, total)) for e, w in ne_weights(N, K)))
 
 
 def expected_distinct(N: int, K: int) -> Fraction:
     """E[number of distinct requested files] under a uniform demand."""
-    return ne_distribution(N, K).mean()
+    return Fraction(sum(e * w for e, w in ne_weights(N, K)), N**K)
 
 
 # --- placement file format -------------------------------------------------
@@ -240,7 +242,7 @@ def load_placement(path) -> tuple[Placement, int, int, Fraction]:
     try:
         K, N, F = (int(x) for x in header[:3])
         M = Fraction(header[3])
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise PlacementParseError(1, str(exc)) from None
     if K < 1 or N < 1 or F < 1 or not 0 <= M <= N:
         raise PlacementParseError(1, f"invalid parameters K={K} N={N} F={F} M={M}")
@@ -269,4 +271,7 @@ def load_placement(path) -> tuple[Placement, int, int, Fraction]:
             mask[k - 1, i - 1, j] = True
         if int(mask[k - 1].sum()) > budget:
             raise PlacementParseError(offset, f"user {k} caches more than M*F = {budget} bits")
+    for line_no, line in enumerate(lines[1 + K :], start=2 + K):
+        if line.strip():
+            raise PlacementParseError(line_no, f"unexpected line after the {K} user lines")
     return Placement(K, mask), N, F, M

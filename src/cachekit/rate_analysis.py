@@ -8,14 +8,15 @@ envelope over the integer operating points (memory sharing).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .combinatorics import binomial, lower_convex_envelope
-from .model import DemandStats, Placement, expected_distinct, ne_distribution
+from .combinatorics import binomial, lower_convex_envelope_many
+from .model import DemandStats, Placement, expected_distinct, ne_weights
 
 
 def delivery_rate_value(K: int, t: int, n_distinct: int) -> Fraction:
@@ -31,55 +32,9 @@ def _as_fraction(M, N: int) -> Fraction:
     return M
 
 
-def _cache_parameter(N: int, K: int, M) -> Fraction:
-    return Fraction(K) * _as_fraction(M, N) / N
-
-
-def optimal_avg_points(N: int, K: int) -> list[tuple[int, Fraction]]:
-    """Integer operating points of the average-rate tradeoff."""
-    dist = ne_distribution(N, K)
-    return [(t, dist.expect(lambda e: delivery_rate_value(K, t, e))) for t in range(K + 1)]
-
-
-def optimal_peak_points(N: int, K: int) -> list[tuple[int, Fraction]]:
-    worst = min(N, K)
-    return [(t, delivery_rate_value(K, t, worst)) for t in range(K + 1)]
-
-
-def avg_rate_optimal(N: int, K: int, M) -> Fraction:
-    """Minimum average rate over uniform demands at cache size M."""
-    return lower_convex_envelope(optimal_avg_points(N, K), _cache_parameter(N, K, M))
-
-
-def peak_rate_optimal(N: int, K: int, M) -> Fraction:
-    """Minimum worst-demand rate at cache size M."""
-    return lower_convex_envelope(optimal_peak_points(N, K), _cache_parameter(N, K, M))
-
-
-def baseline_centralized_avg(N: int, K: int, M, method: str = "envelope-of-min") -> Fraction:
-    """Prior-art centralized average rate.
-
-    The construction admits two interpolations, depending on where the
-    envelope is taken; both are provided:
-
-    * "envelope-of-min": lower convex envelope of the per-integer-t values
-      min{(K-t)/(t+1), E[distinct]*(1-t/K)}  (default);
-    * "min-of-envelopes": pointwise min of the two terms' own envelopes.
-    """
-    x = _cache_parameter(N, K, M)
-    mean = expected_distinct(N, K)
-    coded = [(t, Fraction(K - t, t + 1)) for t in range(K + 1)]
-    uncoded = [(t, mean * (1 - Fraction(t, K))) for t in range(K + 1)]
-    if method == "envelope-of-min":
-        pts = [(t, min(a[1], b[1])) for t, (a, b) in enumerate(zip(coded, uncoded))]
-        return lower_convex_envelope(pts, x)
-    if method == "min-of-envelopes":
-        return min(lower_convex_envelope(coded, x), lower_convex_envelope(uncoded, x))
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _dec_integrand(N: int, M: Fraction, e: int) -> Fraction:
-    return Fraction(N - M, M) * (1 - (Fraction(N - M, N)) ** e)
+def _cache_parameters(N: int, K: int, Ms: Iterable) -> list[Fraction]:
+    """t = K*M/N for each cache size M, each checked to lie in [0, N]."""
+    return [Fraction(K) * _as_fraction(M, N) / N for M in Ms]
 
 
 def dec_rate_for_distinct(N: int, M, n_distinct: int) -> Fraction:
@@ -88,36 +43,151 @@ def dec_rate_for_distinct(N: int, M, n_distinct: int) -> Fraction:
     M = _as_fraction(M, N)
     if M == 0:
         return Fraction(n_distinct)
-    return _dec_integrand(N, M, n_distinct)
+    return Fraction(N - M, M) * (1 - Fraction(N - M, N) ** n_distinct)
+
+
+def optimal_avg_points(N: int, K: int) -> list[tuple[int, Fraction]]:
+    """Integer operating points of the average-rate tradeoff.
+
+    The rate at t is E[delivery_rate_value(K, t, distinct)] over uniform
+    demands, summed exactly as one integer numerator
+    sum_e w_e * (C(K,t+1) - C(K-e,t+1)) over N^K * C(K,t), where w_e counts
+    the demands with e distinct files.
+    """
+    weights = ne_weights(N, K)
+    total = N**K
+    points = []
+    for t in range(K + 1):
+        served = binomial(K, t + 1)
+        num = sum(w * (served - binomial(K - e, t + 1)) for e, w in weights)
+        points.append((t, Fraction(num, total * binomial(K, t))))
+    return points
+
+
+def optimal_peak_points(N: int, K: int) -> list[tuple[int, Fraction]]:
+    worst = min(N, K)
+    return [(t, delivery_rate_value(K, t, worst)) for t in range(K + 1)]
+
+
+# --- curves: each takes (N, K, Ms) and returns the rates at every M ----------
+#
+# Per-curve work (operating points, hulls, the N_e weights) is done once per
+# call, then every M is evaluated from it.
+
+
+def optimal_avg_curve(N: int, K: int, Ms: Iterable) -> list[Fraction]:
+    """Minimum average rate over uniform demands at each cache size M."""
+    xs = _cache_parameters(N, K, Ms)
+    return lower_convex_envelope_many(optimal_avg_points(N, K), xs)
+
+
+def optimal_peak_curve(N: int, K: int, Ms: Iterable) -> list[Fraction]:
+    """Minimum worst-demand rate at each cache size M."""
+    xs = _cache_parameters(N, K, Ms)
+    return lower_convex_envelope_many(optimal_peak_points(N, K), xs)
+
+
+def man_avg_curve(N: int, K: int, Ms: Iterable, method: str = "envelope-of-min") -> list[Fraction]:
+    """Prior-art centralized average rate at each cache size M.
+
+    The construction admits two interpolations, depending on where the
+    envelope is taken; both are provided:
+
+    * "envelope-of-min": lower convex envelope of the per-integer-t values
+      min{(K-t)/(t+1), E[distinct]*(1-t/K)}  (default);
+    * "min-of-envelopes": pointwise min of the two terms' own envelopes.
+    """
+    xs = _cache_parameters(N, K, Ms)
+    mean = expected_distinct(N, K)
+    coded = [(t, Fraction(K - t, t + 1)) for t in range(K + 1)]
+    uncoded = [(t, mean * (1 - Fraction(t, K))) for t in range(K + 1)]
+    if method == "envelope-of-min":
+        pts = [(t, min(a[1], b[1])) for t, (a, b) in enumerate(zip(coded, uncoded))]
+        return lower_convex_envelope_many(pts, xs)
+    if method == "min-of-envelopes":
+        return [
+            min(a, b)
+            for a, b in zip(lower_convex_envelope_many(coded, xs), lower_convex_envelope_many(uncoded, xs))
+        ]
+    raise ValueError(f"unknown method {method!r}")
+
+
+def dec_avg_curve(N: int, K: int, Ms: Iterable) -> list[Fraction]:
+    """Decentralized minimum average rate at each cache size M.
+
+    With q = (N-M)/N = a/b and E = min(N, K), E[q^distinct] is one integer
+    sum_e w_e * a^e * b^(E-e) over N^K * b^E. M = 0 degenerates to unicast
+    of each distinct request.
+    """
+    Ms = [_as_fraction(M, N) for M in Ms]
+    weights = ne_weights(N, K)
+    total = N**K
+    E = min(N, K)
+    rates = []
+    for M in Ms:
+        if M == 0:
+            rates.append(Fraction(sum(e * w for e, w in weights), total))
+            continue
+        q = Fraction(N - M, N)
+        a, b = q.numerator, q.denominator
+        den = total * b**E
+        num = sum(w * a**e * b ** (E - e) for e, w in weights)
+        rates.append(Fraction(N - M, M) * Fraction(den - num, den))
+    return rates
+
+
+def dec_peak_curve(N: int, K: int, Ms: Iterable) -> list[Fraction]:
+    """Decentralized minimum peak rate at each cache size M."""
+    return [dec_rate_for_distinct(N, M, min(N, K)) for M in Ms]
+
+
+def man_dec_avg_curve(N: int, K: int, Ms: Iterable) -> list[Fraction]:
+    """Prior-art decentralized average rate at each cache size M: the better
+    of coded delivery and plain multicast of distinct requests, scaled by the
+    uncached share."""
+    Ms = [_as_fraction(M, N) for M in Ms]
+    mean = expected_distinct(N, K)
+    rates = []
+    for M in Ms:
+        if M == 0:
+            rates.append(min(Fraction(K), mean))
+            continue
+        coded = Fraction(N, M) * (1 - (1 - Fraction(M, N)) ** K)
+        rates.append(Fraction(N - M, N) * min(coded, mean))
+    return rates
+
+
+def avg_rate_optimal(N: int, K: int, M) -> Fraction:
+    """Minimum average rate over uniform demands at cache size M."""
+    return optimal_avg_curve(N, K, [M])[0]
+
+
+def peak_rate_optimal(N: int, K: int, M) -> Fraction:
+    """Minimum worst-demand rate at cache size M."""
+    return optimal_peak_curve(N, K, [M])[0]
+
+
+def baseline_centralized_avg(N: int, K: int, M, method: str = "envelope-of-min") -> Fraction:
+    """Prior-art centralized average rate at cache size M (see man_avg_curve
+    for the two interpolation methods)."""
+    return man_avg_curve(N, K, [M], method)[0]
 
 
 def dec_avg_rate(N: int, M, K: int) -> Fraction:
     """Decentralized minimum average rate; M = 0 degenerates to unicast of
     each distinct request."""
-    M = _as_fraction(M, N)
-    dist = ne_distribution(N, K)
-    if M == 0:
-        return dist.mean()
-    return dist.expect(lambda e: _dec_integrand(N, M, e))
+    return dec_avg_curve(N, K, [M])[0]
 
 
 def dec_peak_rate(N: int, M, K: int) -> Fraction:
     """Decentralized minimum peak rate."""
-    M = _as_fraction(M, N)
-    if M == 0:
-        return Fraction(min(N, K))
-    return _dec_integrand(N, M, min(N, K))
+    return dec_peak_curve(N, K, [M])[0]
 
 
 def baseline_decentralized_avg(N: int, M, K: int) -> Fraction:
     """Prior-art decentralized average rate: the better of coded delivery
     and plain multicast of distinct requests, scaled by the uncached share."""
-    M = _as_fraction(M, N)
-    mean = expected_distinct(N, K)
-    if M == 0:
-        return min(Fraction(K), mean)
-    coded = Fraction(N, M) * (1 - (1 - Fraction(M, N)) ** K)
-    return Fraction(N - M, N) * min(coded, mean)
+    return man_dec_avg_curve(N, K, [M])[0]
 
 
 @dataclass(frozen=True)
@@ -168,14 +238,14 @@ class RateCurve:
             raise ValueError("M values must be strictly increasing")
 
 
-SCHEMES: dict[str, Callable[[int, int, Fraction], Fraction]] = {
-    "optimal-avg": lambda N, K, M: avg_rate_optimal(N, K, M),
-    "optimal-peak": lambda N, K, M: peak_rate_optimal(N, K, M),
-    "man-avg": lambda N, K, M: baseline_centralized_avg(N, K, M),
-    "man-avg-minconv": lambda N, K, M: baseline_centralized_avg(N, K, M, method="min-of-envelopes"),
-    "dec-avg": lambda N, K, M: dec_avg_rate(N, M, K),
-    "dec-peak": lambda N, K, M: dec_peak_rate(N, M, K),
-    "man-dec-avg": lambda N, K, M: baseline_decentralized_avg(N, M, K),
+SCHEMES: dict[str, Callable[[int, int, Sequence[Fraction]], list[Fraction]]] = {
+    "optimal-avg": optimal_avg_curve,
+    "optimal-peak": optimal_peak_curve,
+    "man-avg": man_avg_curve,
+    "man-avg-minconv": functools.partial(man_avg_curve, method="min-of-envelopes"),
+    "dec-avg": dec_avg_curve,
+    "dec-peak": dec_peak_curve,
+    "man-dec-avg": man_dec_avg_curve,
 }
 
 
@@ -184,8 +254,8 @@ def rate_curve(scheme: str, N: int, K: int, grid: Sequence) -> RateCurve:
     fn = SCHEMES.get(scheme)
     if fn is None:
         raise ValueError(f"unknown scheme {scheme!r}; known: {', '.join(sorted(SCHEMES))}")
-    pts = tuple((Fraction(M), fn(N, K, Fraction(M))) for M in grid)
-    return RateCurve(scheme, N, K, pts)
+    Ms = [Fraction(M) for M in grid]
+    return RateCurve(scheme, N, K, tuple(zip(Ms, fn(N, K, Ms))))
 
 
 def write_curves_csv(curves: Sequence[RateCurve], fh) -> None:

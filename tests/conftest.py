@@ -13,6 +13,10 @@ CANONICAL_DEMAND = (1, 1, 2, 2, 3, 3)
 CANONICAL_N, CANONICAL_K, CANONICAL_T = 3, 6, 2
 FILE_LETTERS = {1: "A", 2: "B", 3: "C"}
 
+# (N, K) instances on which the rate curves are checked, each on the grid
+# M = j*N/(2K), j = 0..2K
+CURVE_CASES = [(2, 2), (2, 3), (3, 3), (4, 6), (6, 4), (20, 40), (40, 20), (30, 30), (40, 40)]
+
 SIX_USER_TABLE = {
     (1, 2, 3): {("B", (1, 2)), ("A", (1, 3)), ("A", (2, 3))},
     (1, 2, 4): {("B", (1, 2)), ("A", (1, 4)), ("A", (2, 4))},

@@ -39,7 +39,7 @@ from cachekit import (
 )
 from cachekit import decentralized
 
-from conftest import FILE_LETTERS, SIX_USER_TABLE
+from conftest import CURVE_CASES, FILE_LETTERS, SIX_USER_TABLE
 
 SWEEP_RANGE = [
     (N, K, t) for N in range(1, 5) for K in range(1, 6) for t in range(K + 1)
@@ -247,7 +247,6 @@ def test_criterion_7_decentralized_concentration():
     )
 
 
-CURVE_CASES = [(2, 2), (2, 3), (3, 3), (4, 6), (6, 4), (20, 40), (40, 20), (30, 30), (40, 40)]
 CONVEX_SCHEMES = ["optimal-avg", "optimal-peak", "man-avg", "dec-avg", "dec-peak"]
 
 

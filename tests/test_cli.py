@@ -1,12 +1,14 @@
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 from cachekit import batch_placement, save_placement
-from cachekit.cli import main, parse_grid
+from cachekit import cli
+from cachekit.cli import MAX_GRID_POINTS, main, parse_grid
 from cachekit.cli import UsageError
 
 
@@ -30,6 +32,26 @@ class TestGrid:
         for bad in ["0:2", "a:b:c", "0:2:0", "3:1:1"]:
             with pytest.raises(UsageError):
                 parse_grid(bad)
+
+    def test_point_limit(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 5)
+        assert len(parse_grid("0:1:1/4")) == 5
+        with pytest.raises(UsageError, match="limit of 5"):
+            parse_grid("0:1:1/5")
+
+    def test_huge_grid_refused_fast(self, capsys):
+        started = time.perf_counter()
+        code, _, err = run_cli(capsys, "rates", "--n", "2", "--k", "2",
+                               "--schemes", "optimal-avg", "--grid", "0:2:1/100000000")
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        assert str(MAX_GRID_POINTS) in err
+
+    def test_grid_outside_cache_range(self, capsys):
+        for grid in ("0:3:1", "-1:2:1"):
+            code, _, err = run_cli(capsys, "compare", "--n", "2", "--k", "2", f"--grid={grid}")
+            assert code == 2
+            assert "[0, 2]" in err
 
 
 class TestRates:
@@ -82,6 +104,32 @@ class TestRates:
             run_cli(capsys, "rates", "--n", "4", "--k", "6", "--schemes", "dec-avg,dec-peak",
                     "--grid", "0:4:0.5", "--out", str(path))
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["rates", "--n", "0", "--k", "2", "--schemes", "optimal-avg"],
+        ["compare", "--n", "2", "--k", "0"],
+        ["verify", "--n", "2", "--k", "3", "--t", "1", "--f", "0"],
+        ["verify", "--n", "2", "--k", "3", "--t", "1", "--sample", "-1"],
+        ["verify", "--n", "3", "--k", "4", "--m", "abc"],
+        ["verify", "--n", "3", "--k", "3", "--m", "6"],
+        ["simulate", "--n", "2", "--k", "2", "--m", "3", "--schemes", "decentralized"],
+        ["simulate", "--n", "2", "--k", "2", "--m", "1/0", "--schemes", "decentralized"],
+        ["simulate", "--n", "2", "--k", "65", "--m", "1", "--f", "4", "--schemes", "decentralized"],
+    ])
+    def test_bad_input_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ")
+
+    def test_internal_value_error_is_not_a_usage_error(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(cli, "rate_curve", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["rates", "--n", "2", "--k", "2", "--schemes", "optimal-avg"])
 
 
 class TestVerify:
@@ -200,6 +248,13 @@ class TestBound:
         code, _, err = run_cli(capsys, "bound", str(path))
         assert code == 2
         assert "line 3" in err
+
+    def test_lines_after_users_report_line(self, capsys, tmp_path):
+        path = tmp_path / "long.placement"
+        path.write_text("2 2 4 1\n1 1:0\n2\n3 1:1\n")
+        code, _, err = run_cli(capsys, "bound", str(path))
+        assert code == 2
+        assert "line 4" in err
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "bound", str(tmp_path / "nope"))

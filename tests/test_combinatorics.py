@@ -10,6 +10,7 @@ from cachekit.combinatorics import (
     binomial,
     enumerate_subsets,
     lower_convex_envelope,
+    lower_convex_envelope_many,
     subset_rank,
     subset_unrank,
     surjection_count,
@@ -171,6 +172,17 @@ def envelope_instances(draw):
 def test_envelope_matches_chord_oracle(case):
     points, x = case
     assert lower_convex_envelope(points, x) == chord_envelope(points, x)
+
+
+@settings(max_examples=25)
+@given(envelope_instances(), st.lists(st.fractions(0, 1), max_size=10))
+def test_envelope_many_any_order_matches_chord_oracle(case, lams):
+    points, x = case
+    lo, hi = points[0][0], points[-1][0]
+    xs = [x, hi, lo] + [lo + lam * (hi - lo) for lam in lams]
+    assert lower_convex_envelope_many(points, xs) == [chord_envelope(points, v) for v in xs]
+    with pytest.raises(ValueError):
+        lower_convex_envelope_many(points, [x, hi + 1])
 
 
 def test_batch_rate_sequence_convex_and_touching():

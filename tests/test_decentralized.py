@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cachekit import (
+    CacheProfile,
     all_demands,
     batch_placement,
     binomial,
@@ -83,6 +84,16 @@ class TestLevelPartition:
             p = binomial(K, j) * 0.5**K  # per-file quota is exactly half of F
             mean, sigma = N * F * p, math.sqrt(N * F * p * (1 - p))
             assert abs(sizes[j] - mean) <= 3 * sigma
+
+    def test_user_limit(self):
+        # one int64 bit per user: K=64 still agrees with the coverage profile,
+        # K=65 would overflow the codes, so it is refused
+        at_limit = decentralized.random_placement(1, 64, "1/2", 40, seed=3)
+        part = decentralized.level_partition(at_limit, 1, 40)
+        assert part.level_sizes() == list(CacheProfile.from_placement(at_limit).coverage)
+        past_limit = decentralized.random_placement(1, 65, "1/2", 40, seed=3)
+        with pytest.raises(ValueError, match="K <= 64"):
+            decentralized.level_partition(past_limit, 1, 40)
 
 
 class TestEncodeDecode:

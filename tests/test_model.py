@@ -155,12 +155,22 @@ class TestPlacementFile:
             load_placement(path)
         assert "more than" in str(err.value)
 
-    def test_bad_header(self, tmp_path):
-        path = tmp_path / "short.placement"
-        path.write_text("3 2\n")
+    def test_lines_after_users_rejected(self, tmp_path):
+        path = tmp_path / "long.placement"
+        path.write_text("2 2 4 1\n1 1:0\n2\n\n3 1:1\n")
         with pytest.raises(PlacementParseError) as err:
             load_placement(path)
-        assert "line 1" in str(err.value)
+        assert "line 5" in str(err.value)
+        path.write_text("2 2 4 1\n1 1:0\n2\n\n  \n")  # trailing blank lines are fine
+        assert load_placement(path)[0].cached_bits(1) == 1
+
+    def test_bad_header(self, tmp_path):
+        path = tmp_path / "short.placement"
+        for header in ("3 2\n", "2 2 4 1/0\n"):
+            path.write_text(header)
+            with pytest.raises(PlacementParseError) as err:
+                load_placement(path)
+            assert "line 1" in str(err.value)
 
 
 def test_cached_pairs_sorted_and_consistent():

@@ -186,7 +186,7 @@ def decode_user(
         raise ValueError("placement has no batch view; batch placement required")
     if leaders is None:
         leaders = select_leaders(d)
-    cache = np.where(placement.mask[k - 1], db.bits, 0).astype(np.uint8)
+    cache = db.bits & placement.mask[k - 1]
     wanted = d[k - 1]
     if placement.t == placement.K:
         return cache[wanted - 1].copy()

@@ -73,12 +73,11 @@ def subset_rank(members: Sequence[int], k_users: int) -> int:
         raise ValueError(f"subset members must be strictly increasing: {members}")
     if members and (members[0] < 1 or members[-1] > k_users):
         raise ValueError(f"members {members} not within 1..{k_users}")
-    rank = 0
-    prev = 0
+    # the subsets after this one are those whose first difference from it
+    # replaces members[i] by a larger user: C(k_users - members[i], size - i)
+    rank = math.comb(k_users, size) - 1
     for i, c in enumerate(members):
-        for skipped in range(prev + 1, c):
-            rank += binomial(k_users - skipped, size - i - 1)
-        prev = c
+        rank -= math.comb(k_users - c, size - i)
     return rank
 
 

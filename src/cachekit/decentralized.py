@@ -19,11 +19,11 @@ from typing import Sequence
 import numpy as np
 
 from .centralized import BroadcastMessage, DecodeError, _payload_map, _requester_groups, select_leaders
-from .combinatorics import enumerate_subsets
+from .combinatorics import SubsetId, subset_rank
 from .model import Database, Demand, Placement, validate_demand
 
 _EMPTY = np.empty(0, dtype=np.int64)
-# level_partition packs each bit's caching set into one int64, one bit per user.
+# level_partition packs each bit's caching set into one unsigned word, one bit per user.
 MAX_USERS = 64
 
 
@@ -46,9 +46,9 @@ def random_placement(N: int, K: int, M, F: int, seed: int) -> Placement:
 class LevelPartition:
     """Database bit positions grouped by the exact set of users caching them.
 
-    `groups[members][i-1]` holds the (ascending) bit positions of file i that
-    are cached by precisely the users in `members`. Absent keys mean empty
-    groups; together the groups partition all N*F positions.
+    `groups[members][i-1]` holds the (ascending, read-only) bit positions of
+    file i that are cached by precisely the users in `members`. Absent keys
+    mean empty groups; together the groups partition all N*F positions.
     """
 
     K: int
@@ -69,17 +69,30 @@ class LevelPartition:
 
 
 def level_partition(placement: Placement, N: int, F: int) -> LevelPartition:
-    """Exact partition of all (file, bit) positions by caching set."""
+    """Exact partition of all (file, bit) positions by caching set.
+
+    Each bit's caching set is a K-bit code; one stable sort per file puts
+    equal codes next to each other with their positions ascending, and each
+    group is its run's slice of the (read-only) sort order.
+    """
     K = placement.K
     if K > MAX_USERS:
         raise ValueError(f"level_partition supports K <= {MAX_USERS} users, got K={K}")
-    codes = np.zeros((N, F), dtype=np.int64)
+    dtype = np.min_scalar_type((1 << K) - 1)
+    codes = np.zeros((N, F), dtype=dtype)
     for k in range(K):
-        codes[placement.mask[k]] += np.int64(1) << k
+        codes |= placement.mask[k].astype(dtype) << dtype.type(k)
+    order = np.argsort(codes, axis=1, kind="stable")
+    order.setflags(write=False)
+    ranked = np.take_along_axis(codes, order, axis=1)
+    heads = np.ones((N, F), dtype=bool)
+    heads[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    present = np.unique(ranked[heads])
+    starts = [np.searchsorted(row, present, side="left").tolist() for row in ranked]
+    stops = [np.searchsorted(row, present, side="right").tolist() for row in ranked]
     groups: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
-    for code in np.unique(codes):
-        members = tuple(k + 1 for k in range(K) if (int(code) >> k) & 1)
-        groups[members] = tuple(np.flatnonzero(codes[i] == code) for i in range(N))
+    for c, code in enumerate(present.tolist()):
+        groups[_members(code, K)] = tuple(order[i, starts[i][c] : stops[i][c]] for i in range(N))
     return LevelPartition(K, N, F, groups)
 
 
@@ -99,32 +112,48 @@ def encode_delivery(
     leaders: frozenset[int] | None = None,
 ) -> list[BroadcastMessage]:
     """Per-level leader-based delivery; chunks zero-padded to the longest
-    chunk in each subset. Messages that would be empty are not sent."""
+    chunk in each subset. Messages that would be empty are not sent.
+
+    Only the subsets S + {x} of a non-empty group S whose chunk for file d_x
+    is non-empty can carry data, so those are the only ones built; they are
+    sent by size, then in lexicographic order.
+    """
     d = validate_demand(d, db.N)
     K = partition.K
     if len(d) != K:
         raise ValueError(f"demand length {len(d)} != K={K}")
     if leaders is None:
         leaders = select_leaders(d)
+    lead_mask = _bitmask(leaders)
+    chunks: dict[int, list[np.ndarray]] = {}  # user-set bitmask -> its non-empty chunks
+    for members, per_file in partition.groups.items():
+        s = _bitmask(members)
+        gathered: dict[int, np.ndarray] = {}  # one gather per file, shared by its requesters
+        for x, f in enumerate(d):  # user x + 1 wants file f
+            target = s | 1 << x
+            if target != s and target & lead_mask and len(per_file[f - 1]):
+                if f not in gathered:
+                    gathered[f] = db.bits[f - 1, per_file[f - 1]]
+                chunks.setdefault(target, []).append(gathered[f])
+    subsets = sorted(((_members(t, K), parts) for t, parts in chunks.items()), key=lambda e: (len(e[0]), e[0]))
     messages = []
-    for level in range(K):  # bits cached by all K users need no delivery
-        for sid in enumerate_subsets(K, level + 1):
-            if leaders.isdisjoint(sid.members):
-                continue
-            members = sid.members
-            chunks = []
-            for idx, x in enumerate(members):
-                rest = members[:idx] + members[idx + 1 :]
-                pos = partition.positions(rest, d[x - 1])
-                if len(pos):
-                    chunks.append(db.bits[d[x - 1] - 1, pos])
-            if not chunks:
-                continue
-            payload = np.zeros(max(len(c) for c in chunks), dtype=np.uint8)
-            for c in chunks:
-                payload[: len(c)] ^= c
-            messages.append(BroadcastMessage(sid, payload))
+    for members, parts in subsets:
+        parts.sort(key=len, reverse=True)
+        payload = parts[0].copy()
+        for c in parts[1:]:
+            payload[: len(c)] ^= c
+        messages.append(BroadcastMessage(SubsetId(members, subset_rank(members, K)), payload))
     return messages
+
+
+def _bitmask(users) -> int:
+    """Bit k-1 set for each 1-based user k."""
+    return sum(1 << (k - 1) for k in users)
+
+
+def _members(mask: int, K: int) -> tuple[int, ...]:
+    """The 1-based users whose bits are set in `mask`, ascending."""
+    return tuple(k + 1 for k in range(K) if mask >> k & 1)
 
 
 def _xor_padded(acc: np.ndarray | None, arr: np.ndarray) -> np.ndarray:
@@ -185,31 +214,26 @@ def decode_user(
     d = validate_demand(d, db.N)
     if leaders is None:
         leaders = select_leaders(d)
-    cache = np.where(placement.mask[k - 1], db.bits, 0).astype(np.uint8)
+    cache = db.bits & placement.mask[k - 1]
     payloads = _payload_map(messages)
     wanted = d[k - 1]
-    out = np.empty(db.F, dtype=np.uint8)
-    for level in range(partition.K + 1):
-        for sid in enumerate_subsets(partition.K, level):
-            S = sid.members
-            pos = partition.positions(S, wanted)
-            if len(pos) == 0:
-                continue
-            if k in S:
-                out[pos] = cache[wanted - 1, pos]
-                continue
-            group = tuple(sorted(S + (k,)))
-            y = _fetch_message(payloads, partition, d, leaders, group)
-            if y.size < len(pos):
-                y = np.pad(y, (0, len(pos) - y.size))
-            acc = y.copy()
-            for x in S:
-                rest = tuple(v for v in group if v != x)
-                ppos = partition.positions(rest, d[x - 1])
-                if len(ppos):
-                    chunk = cache[d[x - 1] - 1, ppos]
-                    acc[: len(chunk)] ^= chunk
-            out[pos] = acc[: len(pos)]
+    out = cache[wanted - 1].copy()  # every bit user k cached; the groups without k fill the rest
+    for S, per_file in partition.groups.items():
+        pos = per_file[wanted - 1]
+        if len(pos) == 0 or k in S:
+            continue
+        group = tuple(sorted(S + (k,)))
+        y = _fetch_message(payloads, partition, d, leaders, group)
+        if y.size < len(pos):
+            y = np.pad(y, (0, len(pos) - y.size))
+        acc = y.copy()
+        for x in S:
+            rest = tuple(v for v in group if v != x)
+            ppos = partition.positions(rest, d[x - 1])
+            if len(ppos):
+                chunk = cache[d[x - 1] - 1, ppos]
+                acc[: len(chunk)] ^= chunk
+        out[pos] = acc[: len(pos)]
     return out
 
 

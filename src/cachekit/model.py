@@ -69,7 +69,7 @@ class Placement:
     def cached_pairs(self, user: int) -> list[tuple[int, int]]:
         """Sorted (file, bit) pairs cached by `user`; file 1-based, bit 0-based."""
         rows, cols = np.nonzero(self.mask[user - 1])
-        return [(int(i) + 1, int(j)) for i, j in zip(rows, cols)]
+        return list(zip((rows + 1).tolist(), cols.tolist()))
 
 
 def validate_demand(d: Demand, N: int) -> tuple[int, ...]:

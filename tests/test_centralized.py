@@ -21,7 +21,7 @@ from cachekit import (
     verify_message_cancellation,
 )
 from cachekit import centralized
-from cachekit.model import Database
+from cachekit.model import Database, Placement
 
 from conftest import FILE_LETTERS, SIX_USER_TABLE
 
@@ -209,6 +209,19 @@ class TestDecode:
         d = (2, 1, 2)
         for k in (1, 2, 3):
             assert np.array_equal(decode_user(k, db, placement, [], d), db.file(d[k - 1]))
+
+    def test_reads_only_cached_bits(self, canonical_instance):
+        # clear one cached 1-bit of user 1's wanted file: it decodes wrong,
+        # so the decoder reads that bit through the cache and nowhere else
+        db, placement, d = canonical_instance
+        messages = encode_delivery(db, placement, d)
+        wanted = d[0] - 1
+        j = int(np.flatnonzero(placement.mask[0, wanted] & (db.bits[wanted] == 1))[0])
+        mask = placement.mask.copy()
+        mask[0, wanted, j] = False
+        forgetful = Placement(placement.K, mask, placement.batch_view, placement.t)
+        decoded = decode_user(1, db, forgetful, messages, d)
+        assert decoded[j] != db.file(d[0])[j]
 
     def test_missing_message_identifies_subset(self, canonical_instance):
         db, placement, d = canonical_instance

@@ -204,6 +204,17 @@ class TestSimulate:
         rel = float(re.search(r"relative error: ([0-9.]+)%", out).group(1))
         assert rel < 5.0
 
+    def test_decentralized_large_k_small_f(self, capsys):
+        # 2^40 user subsets, but only the few non-empty groups of 2*64 bits
+        # are walked by encode and decode
+        code, out, _ = run_cli(
+            capsys,
+            "simulate", "--schemes", "decentralized", "--n", "2", "--k", "40",
+            "--m", "1/2", "--f", "64", "--seed", "1",
+        )
+        assert code == 0
+        assert "decode: all users OK" in out
+
     def test_decentralized_requires_m(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--n", "2", "--k", "2",
                                "--schemes", "decentralized")

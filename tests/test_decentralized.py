@@ -86,7 +86,7 @@ class TestLevelPartition:
             assert abs(sizes[j] - mean) <= 3 * sigma
 
     def test_user_limit(self):
-        # one int64 bit per user: K=64 still agrees with the coverage profile,
+        # one code bit per user, at most 64: K=64 still agrees with the coverage profile,
         # K=65 would overflow the codes, so it is refused
         at_limit = decentralized.random_placement(1, 64, "1/2", 40, seed=3)
         part = decentralized.level_partition(at_limit, 1, 40)
@@ -118,6 +118,22 @@ class TestEncodeDecode:
             b = central_decode(k, db, placement, messages, d)
             assert np.array_equal(a, b)
             assert np.array_equal(a, db.file(d[k - 1]))
+
+    def test_reads_only_cached_bits(self):
+        # clear one cached 1-bit of user 2's wanted file after delivery: it
+        # decodes wrong, so the decoder reads that bit only through the cache
+        N, K, F = 2, 3, 200
+        db = make_database(N, F, seed=15)
+        placement = decentralized.random_placement(N, K, M=1, F=F, seed=16)
+        part = decentralized.level_partition(placement, N, F)
+        d = (1, 2, 1)
+        messages = decentralized.encode_delivery(db, part, d)
+        wanted = d[1] - 1
+        j = int(np.flatnonzero(placement.mask[1, wanted] & (db.bits[wanted] == 1))[0])
+        mask = placement.mask.copy()
+        mask[1, wanted, j] = False
+        decoded = decentralized.decode_user(2, db, Placement(K, mask), part, messages, d)
+        assert decoded[j] != db.file(d[1])[j]
 
     def test_fully_cached_no_messages(self):
         db = make_database(2, 10, seed=6)

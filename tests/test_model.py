@@ -179,5 +179,7 @@ def test_cached_pairs_sorted_and_consistent():
         pairs = placement.cached_pairs(k)
         assert pairs == sorted(pairs)
         assert len(pairs) == placement.cached_bits(k)
+        assert all(type(p) is tuple and len(p) == 2 for p in pairs)
+        assert all(type(i) is int and type(j) is int for i, j in pairs)
         for i, j in pairs:
             assert placement.mask[k - 1, i - 1, j]

@@ -33,7 +33,7 @@ def per_type_rates(db, placement, N, K, F):
     acc = defaultdict(list)
     for d in all_demands(N, K):
         messages = decentralized.encode_delivery(db, partition, d)
-        acc[demand_stats(d, N).counts].append(decentralized.empirical_rate(messages, F))
+        acc[demand_stats(d, N).counts].append(decentralized.delivered_rate(messages, F))
     return {counts: sum(rs, Fraction(0)) / len(rs) for counts, rs in acc.items()}
 
 

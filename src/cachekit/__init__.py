@@ -28,16 +28,17 @@ from .model import (
     save_placement,
     type_size,
 )
-from .centralized import (
+from .decentralized import (
     BroadcastMessage,
     DecodeError,
-    batch_placement,
-    decode_user,
     delivered_rate,
-    encode_delivery,
-    message_payload,
     reconstruct_message,
     select_leaders,
+)
+from .centralized import (
+    batch_placement,
+    decode_user,
+    encode_delivery,
     verify_message_cancellation,
 )
 from .rate_analysis import (

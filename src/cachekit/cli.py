@@ -17,14 +17,14 @@ import numpy as np
 
 from . import decentralized
 from .centralized import (
+    batch_partition,
     batch_placement,
     decode_user,
-    delivered_rate,
     encode_delivery,
-    select_leaders,
     verify_message_cancellation,
 )
 from .combinatorics import binomial
+from .decentralized import delivered_rate, select_leaders
 from .model import (
     PlacementParseError,
     all_demands,
@@ -302,14 +302,6 @@ def cmd_verify(args) -> int:
 # --- simulate ------------------------------------------------------------------
 
 
-def _report_decode(db, decode_fn, K, d) -> list[int]:
-    bad = []
-    for k in range(1, K + 1):
-        if not np.array_equal(decode_fn(k), db.file(d[k - 1])):
-            bad.append(k)
-    return bad
-
-
 def cmd_simulate(args) -> int:
     N, K = args.n, args.k
     labels = parse_schemes(args.schemes, default=["centralized"])
@@ -323,40 +315,19 @@ def cmd_simulate(args) -> int:
         t = _resolve_t(args, N, K)
         F = _batch_file_size(args, K, t)
         placement = batch_placement(N, K, t, F)
-        db = make_database(N, F, db_seed)
-        d = (
-            parse_demand(args.demand, N, K)
-            if args.demand
-            else tuple(np.random.default_rng(demand_seed).integers(1, N + 1, size=K).tolist())
-        )
-        leaders = select_leaders(d)
-        stats = demand_stats(d, N)
-        messages = encode_delivery(db, placement, d, leaders)
-        rate = delivered_rate(messages, F)
-        predicted = delivery_rate_value(K, t, stats.distinct)
-        bad = _report_decode(db, lambda k: decode_user(k, db, placement, messages, d, leaders), K, d)
-        print(f"centralized simulate: N={N} K={K} t={t} F={F} seed={seed}")
-        print(f"demand: {','.join(map(str, d))} ({stats.distinct} distinct), leaders: {sorted(leaders)}")
-        print(f"messages: {len(messages)}, rate: {rate} = {_fmt(rate)}, predicted: {predicted}")
-        print("decode: all users OK" if not bad else f"decode: FAILED for users {bad}")
-        if args.dump:
-            for m in messages:
-                print(m.transcript_line())
-        if bad or rate != predicted:
-            if rate != predicted:
-                print(f"rate mismatch: measured {rate} vs predicted {predicted}")
-            return 1
-        return 0
-
-    if args.m is None:
-        raise UsageError("decentralized simulate requires --m")
-    if K > decentralized.MAX_USERS:
-        raise UsageError(f"decentralized delivery supports K <= {decentralized.MAX_USERS} users, got K={K}")
-    F = args.f if args.f is not None else 10_000
-    M = parse_m(args.m, N)
+        partition = batch_partition(placement, N, F)
+        setting = f"t={t} F={F}"
+    else:
+        if args.m is None:
+            raise UsageError("decentralized simulate requires --m")
+        if K > decentralized.MAX_USERS:
+            raise UsageError(f"decentralized delivery supports K <= {decentralized.MAX_USERS} users, got K={K}")
+        F = args.f if args.f is not None else 10_000
+        M = parse_m(args.m, N)
+        placement = decentralized.random_placement(N, K, M, F, place_seed)
+        partition = decentralized.level_partition(placement, N, F)
+        setting = f"M={M} F={F}"
     db = make_database(N, F, db_seed)
-    placement = decentralized.random_placement(N, K, M, F, place_seed)
-    partition = decentralized.level_partition(placement, N, F)
     d = (
         parse_demand(args.demand, N, K)
         if args.demand
@@ -365,22 +336,26 @@ def cmd_simulate(args) -> int:
     leaders = select_leaders(d)
     stats = demand_stats(d, N)
     messages = decentralized.encode_delivery(db, partition, d, leaders)
-    rate = decentralized.empirical_rate(messages, F)
-    predicted = dec_rate_for_distinct(N, M, stats.distinct)
-    rel = abs(float(rate) - float(predicted)) / float(predicted) if predicted else 0.0
-    bad = _report_decode(
-        db, lambda k: decentralized.decode_user(k, db, placement, partition, messages, d, leaders), K, d
-    )
-    print(f"decentralized simulate: N={N} K={K} M={M} F={F} seed={seed}")
+    rate = delivered_rate(messages, F)
+    bad = [k for k in range(1, K + 1) if not np.array_equal(
+        decentralized.decode_user(k, db, placement, partition, messages, d, leaders), db.file(d[k - 1]))]
+    print(f"{scheme} simulate: N={N} K={K} {setting} seed={seed}")
     print(f"demand: {','.join(map(str, d))} ({stats.distinct} distinct), leaders: {sorted(leaders)}")
-    print(
-        f"messages: {len(messages)}, measured rate: {_fmt(rate)}, "
-        f"predicted: {_fmt(predicted)}, relative error: {rel * 100:.3f}%"
-    )
+    if scheme == "centralized":
+        predicted = delivery_rate_value(K, t, stats.distinct)
+        print(f"messages: {len(messages)}, rate: {rate} = {_fmt(rate)}, predicted: {predicted}")
+    else:
+        predicted = dec_rate_for_distinct(N, M, stats.distinct)
+        rel = abs(float(rate) - float(predicted)) / float(predicted) if predicted else 0.0
+        print(f"messages: {len(messages)}, measured rate: {_fmt(rate)}, "
+              f"predicted: {_fmt(predicted)}, relative error: {rel * 100:.3f}%")
     print("decode: all users OK" if not bad else f"decode: FAILED for users {bad}")
     if args.dump:
         for m in messages:
             print(m.transcript_line())
+    if scheme == "centralized" and rate != predicted:
+        print(f"rate mismatch: measured {rate} vs predicted {predicted}")
+        return 1
     return 1 if bad else 0
 
 

@@ -1,30 +1,63 @@
-"""Decentralized scheme: uniform random prefetching and per-level delivery.
+"""The delivery engine, and uniform random (decentralized) prefetching.
 
-Each user independently caches a uniform floor(M*F/N)-subset of every file's
-bit positions. Delivery groups database bits by the exact set of users that
-cached them; within each level (sets of equal size j) the groups play the
-role of subfiles and the centralized leader-based delivery is applied with
-(j+1)-subsets. Groups of unequal length are zero-padded to the longest chunk
-inside each XOR, and receivers drop the padding using the known group sizes.
+Delivery groups database bits by the exact set of users that cached them;
+within each level (sets of equal size j) the groups play the role of
+subfiles. For every (j+1)-subset T holding a leader (one requester per
+distinct requested file) the broadcast XORs the chunks T's members want
+from each other, user x's chunk being file d_x's bits cached by exactly
+T minus x, zero-padded to the longest; receivers drop the padding using the
+known group sizes and rebuild the omitted leaderless messages by the
+cancellation identity. Batch (centralized) delivery is the one-level,
+equal-chunk case: `centralized` hands its subfiles to this engine.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import floor
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .centralized import BroadcastMessage, DecodeError, _payload_map, _requester_groups, select_leaders
 from .combinatorics import SubsetId, subset_rank
 from .model import Database, Demand, Placement, validate_demand
 
 _EMPTY = np.empty(0, dtype=np.int64)
 # level_partition packs each bit's caching set into one unsigned word, one bit per user.
 MAX_USERS = 64
+
+
+class DecodeError(RuntimeError):
+    """A message required for decoding is not available."""
+
+    def __init__(self, subset: tuple[int, ...]):
+        super().__init__(f"missing broadcast message for subset {subset}")
+        self.subset = subset
+
+
+@dataclass(frozen=True)
+class BroadcastMessage:
+    """One broadcast: the user subset it serves and its XOR payload."""
+
+    subset: SubsetId
+    payload: np.ndarray
+
+    def transcript_line(self) -> str:
+        """`members-comma-separated : hex` with bits packed MSB-first."""
+        body = np.packbits(self.payload, bitorder="big").tobytes().hex()
+        return f"{','.join(map(str, self.subset.members))} : {body}"
+
+
+def select_leaders(d: Demand) -> frozenset[int]:
+    """One leader per distinct requested file: the lowest-indexed requester."""
+    first_user: dict[int, int] = {}
+    for k, f in enumerate(d, start=1):
+        first_user.setdefault(f, k)
+    return frozenset(first_user.values())
 
 
 def random_placement(N: int, K: int, M, F: int, seed: int) -> Placement:
@@ -67,6 +100,30 @@ class LevelPartition:
             sizes[len(members)] += sum(len(p) for p in per_file)
         return sizes
 
+    @cached_property
+    def _subsets(self) -> list[tuple[SubsetId, int, list]]:
+        """Every subset T = S + {x} of a group S and a user x outside S, in
+        send order (by size, then lexicographic): its id, its user bitmask and
+        its sources (x, positions per file of group T - {x}). Demand-free, so
+        built once per partition."""
+        sources: dict[tuple[int, ...], list] = {}
+        for S, per_file in self.groups.items():
+            for x in set(range(1, self.K + 1)).difference(S):
+                i = bisect_left(S, x)  # members stay ascending
+                sources.setdefault(S[:i] + (x,) + S[i:], []).append((x, per_file))
+        order = sorted(sources, key=lambda T: (len(T), T))
+        return [(SubsetId(T, subset_rank(T, self.K)), _bitmask(T), sources[T]) for T in order]
+
+    @cached_property
+    def _receivers(self) -> list[list[tuple]]:
+        """Per user k: (members, bitmask, k's positions per file, other sources) of each T with k's chunk."""
+        plans = [[] for _ in range(self.K + 1)]
+        for sid, mask, sources in self._subsets:
+            for x, per_file in sources:
+                partners = tuple(src for src in sources if src[0] != x)
+                plans[x].append((sid.members, mask, per_file, partners))
+        return plans
+
 
 def level_partition(placement: Placement, N: int, F: int) -> LevelPartition:
     """Exact partition of all (file, bit) positions by caching set.
@@ -92,17 +149,24 @@ def level_partition(placement: Placement, N: int, F: int) -> LevelPartition:
     stops = [np.searchsorted(row, present, side="right").tolist() for row in ranked]
     groups: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
     for c, code in enumerate(present.tolist()):
-        groups[_members(code, K)] = tuple(order[i, starts[i][c] : stops[i][c]] for i in range(N))
+        members = tuple(k + 1 for k in range(K) if code >> k & 1)
+        groups[members] = tuple(order[i, starts[i][c] : stops[i][c]] for i in range(N))
     return LevelPartition(K, N, F, groups)
 
 
-def _chunk_length(partition: LevelPartition, d: Demand, members: tuple[int, ...]) -> int:
-    """Payload length of the message for `members`: the longest wanted chunk."""
-    longest = 0
-    for idx, x in enumerate(members):
-        rest = members[:idx] + members[idx + 1 :]
-        longest = max(longest, len(partition.positions(rest, d[x - 1])))
-    return longest
+def _sent(partition: LevelPartition, d: tuple[int, ...], lead_mask: int):
+    """(subset id, [(file, positions), ...]) of each message the encoder sends,
+    in send order: subsets with a leader and at least one non-empty chunk."""
+    for sid, mask, sources in partition._subsets:
+        if mask & lead_mask:
+            chunks = []
+            for x, per_file in sources:
+                f = d[x - 1]
+                pos = per_file[f - 1]
+                if len(pos):
+                    chunks.append((f, pos))
+            if chunks:
+                yield sid, chunks
 
 
 def encode_delivery(
@@ -111,39 +175,30 @@ def encode_delivery(
     d: Demand,
     leaders: frozenset[int] | None = None,
 ) -> list[BroadcastMessage]:
-    """Per-level leader-based delivery; chunks zero-padded to the longest
-    chunk in each subset. Messages that would be empty are not sent.
-
-    Only the subsets S + {x} of a non-empty group S whose chunk for file d_x
-    is non-empty can carry data, so those are the only ones built; they are
-    sent by size, then in lexicographic order.
-    """
+    """Leader-based delivery over every level of the partition. Messages that
+    would be empty are not sent; the rest go by subset size, then lexicographic."""
     d = validate_demand(d, db.N)
-    K = partition.K
-    if len(d) != K:
-        raise ValueError(f"demand length {len(d)} != K={K}")
+    if len(d) != partition.K:
+        raise ValueError(f"demand length {len(d)} != K={partition.K}")
     if leaders is None:
         leaders = select_leaders(d)
-    lead_mask = _bitmask(leaders)
-    chunks: dict[int, list[np.ndarray]] = {}  # user-set bitmask -> its non-empty chunks
-    for members, per_file in partition.groups.items():
-        s = _bitmask(members)
-        gathered: dict[int, np.ndarray] = {}  # one gather per file, shared by its requesters
-        for x, f in enumerate(d):  # user x + 1 wants file f
-            target = s | 1 << x
-            if target != s and target & lead_mask and len(per_file[f - 1]):
-                if f not in gathered:
-                    gathered[f] = db.bits[f - 1, per_file[f - 1]]
-                chunks.setdefault(target, []).append(gathered[f])
-    subsets = sorted(((_members(t, K), parts) for t, parts in chunks.items()), key=lambda e: (len(e[0]), e[0]))
+    files = list(db.bits)  # 1-D rows: gathering from a row beats 2-D fancy indexing
     messages = []
-    for members, parts in subsets:
-        parts.sort(key=len, reverse=True)
-        payload = parts[0].copy()
-        for c in parts[1:]:
-            payload[: len(c)] ^= c
-        messages.append(BroadcastMessage(SubsetId(members, subset_rank(members, K)), payload))
+    for sid, chunks in _sent(partition, d, _bitmask(leaders)):
+        parts = sorted((files[f - 1][pos] for f, pos in chunks), key=len, reverse=True)
+        # each gather is a fresh array, so the longest one takes the XOR
+        messages.append(BroadcastMessage(sid, _xor_into(parts[0], parts[1:])))
     return messages
+
+
+def _xor_into(acc: np.ndarray, parts: Sequence[np.ndarray]) -> np.ndarray:
+    """XOR each array into the front of `acc`, which is no shorter; returns `acc`."""
+    for c in parts:
+        if len(c) == len(acc):
+            acc ^= c
+        else:
+            acc[: len(c)] ^= c
+    return acc
 
 
 def _bitmask(users) -> int:
@@ -151,54 +206,54 @@ def _bitmask(users) -> int:
     return sum(1 << (k - 1) for k in users)
 
 
-def _members(mask: int, K: int) -> tuple[int, ...]:
-    """The 1-based users whose bits are set in `mask`, ascending."""
-    return tuple(k + 1 for k in range(K) if mask >> k & 1)
+def _payload_map(messages) -> Mapping[tuple[int, ...], np.ndarray]:
+    if isinstance(messages, Mapping):
+        return messages
+    return {m.subset.members: m.payload for m in messages}
 
 
-def _xor_padded(acc: np.ndarray | None, arr: np.ndarray) -> np.ndarray:
-    if acc is None:
-        return arr.copy()
-    if arr.size > acc.size:
-        acc = np.pad(acc, (0, arr.size - acc.size))
-    acc[: arr.size] ^= arr
-    return acc
+def _requester_groups(d: Demand, pool: Sequence[int]) -> list[list[int]]:
+    """Users of `pool` grouped by requested file, one group per distinct file."""
+    groups: dict[int, list[int]] = {}
+    for x in pool:
+        groups.setdefault(d[x - 1], []).append(x)
+    return [groups[f] for f in sorted(groups)]
 
 
-def _fetch_message(
-    payloads: dict,
-    partition: LevelPartition,
+def reconstruct_message(
+    messages,
     d: Demand,
     leaders: frozenset[int],
-    members: tuple[int, ...],
+    subset: SubsetId | Sequence[int],
+    sent=None,
 ) -> np.ndarray:
-    """Broadcast payload for `members`, reconstructing leaderless ones.
+    """Rebuild the omitted message of a leaderless subset A.
 
-    Messages skipped by the encoder because every chunk was empty come back
-    as zero-length arrays.
+    With B = A ∪ leaders, XOR the broadcast messages of B minus V over every
+    selection V of one requester per requested file, the all-leaders
+    selection excluded; shorter terms are zero-padded. Equals the direct
+    XOR-of-chunks payload. A term missing from `messages` is lost
+    (`DecodeError`), unless `sent()`, the members of every message the
+    encoder sent, lacks it: the encoder skipped it as empty, so it is zero.
     """
-    direct = payloads.get(members)
-    if direct is not None:
-        return direct
+    members = tuple(subset.members) if isinstance(subset, SubsetId) else tuple(sorted(subset))
+    leaders = frozenset(leaders)
     if not leaders.isdisjoint(members):
-        if _chunk_length(partition, d, members) == 0:
-            return _EMPTY.astype(np.uint8)
-        raise DecodeError(members)
-    # leaderless: XOR the broadcast messages of (members ∪ leaders) minus V
-    # over every one-requester-per-file selection V other than the leaders
-    block = tuple(sorted(set(members) | leaders))
-    acc: np.ndarray | None = None
+        raise ValueError(f"subset {members} contains a leader; message was broadcast")
+    payloads = _payload_map(messages)
+    block = sorted(set(members) | leaders)
+    terms = []
     for choice in itertools.product(*_requester_groups(d, block)):
         if frozenset(choice) == leaders:
             continue
         key = tuple(x for x in block if x not in choice)
         term = payloads.get(key)
-        if term is None:
-            if _chunk_length(partition, d, key) == 0:
-                continue
+        if term is not None:
+            terms.append(term)
+        elif sent is None or key in sent():
             raise DecodeError(key)
-        acc = _xor_padded(acc, term)
-    return acc if acc is not None else _EMPTY.astype(np.uint8)
+    terms.sort(key=len, reverse=True)
+    return _xor_into(terms[0].copy(), terms[1:]) if terms else np.zeros(0, dtype=np.uint8)
 
 
 def decode_user(
@@ -210,33 +265,44 @@ def decode_user(
     d: Demand,
     leaders: frozenset[int] | None = None,
 ) -> np.ndarray:
-    """Recover file d_k from the user's cache and the per-level broadcast."""
+    """Recover file d_k for user k from its cache plus the broadcast.
+
+    Only bits the user actually cached are read from the database (the rest
+    are masked to zero), so any decoding gap shows up as a bit mismatch.
+    """
     d = validate_demand(d, db.N)
     if leaders is None:
         leaders = select_leaders(d)
-    cache = db.bits & placement.mask[k - 1]
+    lead_mask = _bitmask(leaders)
+    view = list(db.bits & placement.mask[k - 1])  # 1-D rows of the user's cache view
     payloads = _payload_map(messages)
     wanted = d[k - 1]
-    out = cache[wanted - 1].copy()  # every bit user k cached; the groups without k fill the rest
-    for S, per_file in partition.groups.items():
-        pos = per_file[wanted - 1]
-        if len(pos) == 0 or k in S:
+    out = view[wanted - 1].copy()  # every bit user k cached; the other groups fill the rest
+    sent_set = None
+
+    def sent() -> set[tuple[int, ...]]:
+        nonlocal sent_set  # one pass over the partition per call, on the first missing term only
+        if sent_set is None:
+            sent_set = {sid.members for sid, _ in _sent(partition, d, lead_mask)}
+        return sent_set
+
+    for members, mask, own, partners in partition._receivers[k]:
+        pos = own[wanted - 1]
+        n = len(pos)
+        if not n:
             continue
-        group = tuple(sorted(S + (k,)))
-        y = _fetch_message(payloads, partition, d, leaders, group)
-        if y.size < len(pos):
-            y = np.pad(y, (0, len(pos) - y.size))
-        acc = y.copy()
-        for x in S:
-            rest = tuple(v for v in group if v != x)
-            ppos = partition.positions(rest, d[x - 1])
-            if len(ppos):
-                chunk = cache[d[x - 1] - 1, ppos]
-                acc[: len(chunk)] ^= chunk
-        out[pos] = acc[: len(pos)]
+        y = payloads.get(members)
+        if y is None:
+            if mask & lead_mask:
+                raise DecodeError(members)  # k's own chunk is non-empty, so it was sent
+            y = reconstruct_message(payloads, d, leaders, members, sent)
+        # only the first n bits of a partner's chunk meet k's; a rebuilt y is no
+        # shorter than n, since one of its terms holds k's chunk
+        parts = [view[d[x - 1] - 1][per_file[d[x - 1] - 1][:n]] for x, per_file in partners]
+        out[pos] = _xor_into(y[:n].copy(), parts)
     return out
 
 
-def empirical_rate(messages: Sequence[BroadcastMessage], F: int) -> Fraction:
-    """Total transmitted bits divided by the file size, exact."""
+def delivered_rate(messages: Sequence[BroadcastMessage], F: int) -> Fraction:
+    """Total payload bits divided by the file size, exact."""
     return Fraction(sum(len(m.payload) for m in messages), F)

@@ -111,11 +111,6 @@ def demand_stats(d: Demand, N: int) -> DemandStats:
     return DemandStats(tuple(counts), sum(1 for c in counts if c > 0))
 
 
-def distinct_count(d: Demand) -> int:
-    """Number of distinct files requested by a demand."""
-    return len(set(d))
-
-
 def enumerate_types(N: int, K: int) -> list[DemandStats]:
     """All demand types for N files and K users, largest-first.
 

@@ -7,6 +7,7 @@ of the 20 possible three-user XOR messages, omitting the one for {2,4,6}.
 worked by hand: subset -> set of (file letter, subfile index subset).
 """
 
+import numpy as np
 import pytest
 
 CANONICAL_DEMAND = (1, 1, 2, 2, 3, 3)
@@ -48,3 +49,15 @@ def canonical_instance():
     db = make_database(CANONICAL_N, F, seed=20240817)
     placement = batch_placement(CANONICAL_N, CANONICAL_K, CANONICAL_T, F)
     return db, placement, CANONICAL_DEMAND
+
+
+def direct_payload(db, placement, d, members):
+    """XOR, over users x in `members`, of the batch subfile of file d_x indexed
+    by the other members, sliced straight from the database."""
+    members = tuple(members)
+    size = db.F // len(placement.batch_view)
+    acc = np.zeros(size, dtype=np.uint8)
+    for idx, x in enumerate(members):
+        lo, hi = placement.batch_view[members[:idx] + members[idx + 1 :]]
+        acc ^= db.bits[d[x - 1] - 1, lo:hi]
+    return acc

@@ -31,7 +31,6 @@ from cachekit import (
     encode_delivery,
     enumerate_types,
     make_database,
-    message_payload,
     peak_rate_optimal,
     reconstruct_message,
     select_leaders,
@@ -39,7 +38,7 @@ from cachekit import (
 )
 from cachekit import decentralized
 
-from conftest import CURVE_CASES, FILE_LETTERS, SIX_USER_TABLE
+from conftest import CURVE_CASES, FILE_LETTERS, SIX_USER_TABLE, direct_payload
 
 SWEEP_RANGE = [
     (N, K, t) for N in range(1, 5) for K in range(1, 6) for t in range(K + 1)
@@ -114,7 +113,7 @@ def test_criterion_2_worked_example(canonical_instance):
         assert np.array_equal(decode_user(k, db, placement, messages, d, leaders), db.file(d[k - 1]))
 
     rebuilt = reconstruct_message(messages, d, leaders, (2, 4, 6))
-    assert np.array_equal(rebuilt, message_payload(db, placement, d, (2, 4, 6)))
+    assert np.array_equal(rebuilt, direct_payload(db, placement, d, (2, 4, 6)))
 
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
@@ -209,7 +208,7 @@ def test_criterion_6_converse_sandwich():
         per_type = defaultdict(list)
         for d in all_demands(N, K):
             messages = decentralized.encode_delivery(db, partition, d)
-            per_type[demand_stats(d, N).counts].append(decentralized.empirical_rate(messages, F))
+            per_type[demand_stats(d, N).counts].append(decentralized.delivered_rate(messages, F))
         for stats in types:
             sample = per_type[stats.counts]
             achieved = sum(sample, Fraction(0)) / len(sample)
@@ -231,7 +230,7 @@ def test_criterion_7_decentralized_concentration():
         partition = decentralized.level_partition(placement, N, F)
         for d in all_demands(N, K):
             messages = decentralized.encode_delivery(db, partition, d)
-            measured = decentralized.empirical_rate(messages, F)
+            measured = decentralized.delivered_rate(messages, F)
             predicted = dec_rate_for_distinct(N, M, len(set(d)))
             rel = abs(float(measured) - float(predicted)) / float(predicted)
             worst_rel = max(worst_rel, rel)

@@ -15,15 +15,14 @@ from cachekit import (
     demand_stats,
     encode_delivery,
     make_database,
-    message_payload,
     reconstruct_message,
     select_leaders,
     verify_message_cancellation,
 )
-from cachekit import centralized
+from cachekit import decentralized
 from cachekit.model import Database, Placement
 
-from conftest import FILE_LETTERS, SIX_USER_TABLE
+from conftest import FILE_LETTERS, SIX_USER_TABLE, direct_payload
 
 
 class TestBatchPlacement:
@@ -159,7 +158,7 @@ class TestReconstruct:
         leaders = select_leaders(d)
         messages = encode_delivery(db, placement, d, leaders)
         rebuilt = reconstruct_message(messages, d, leaders, (2, 4, 6))
-        direct = message_payload(db, placement, d, (2, 4, 6))
+        direct = direct_payload(db, placement, d, (2, 4, 6))
         assert np.array_equal(rebuilt, direct)
         # and it is exactly the XOR of the 7 leader-containing messages of
         # the selections inside {1..6} other than the leaders themselves
@@ -186,7 +185,7 @@ class TestReconstruct:
                 non_leaders = [k for k in range(1, K + 1) if k not in leaders]
                 for A in itertools.combinations(non_leaders, t + 1):
                     rebuilt = reconstruct_message(messages, d, leaders, A)
-                    assert np.array_equal(rebuilt, message_payload(db, placement, d, A))
+                    assert np.array_equal(rebuilt, direct_payload(db, placement, d, A))
 
     def test_rejects_subset_with_leader(self, canonical_instance):
         db, placement, d = canonical_instance
@@ -230,6 +229,15 @@ class TestDecode:
             decode_user(1, db, placement, messages, d)
         assert err.value.subset == (1, 2, 3)
 
+    def test_lost_term_of_a_rebuilt_message_is_named(self, canonical_instance):
+        # user 2 never needs {1, 3, 5} directly, only as a term of the omitted
+        # {2, 4, 6}: losing it must raise, not decode to wrong bits
+        db, placement, d = canonical_instance
+        messages = [m for m in encode_delivery(db, placement, d) if m.subset.members != (1, 3, 5)]
+        with pytest.raises(DecodeError) as err:
+            decode_user(2, db, placement, messages, d)
+        assert err.value.subset == (1, 3, 5)
+
     def test_exhaustive_small_instance(self):
         N, K, t = 3, 4, 2
         F = 2 * binomial(K, t)
@@ -246,11 +254,15 @@ class TestDecode:
         messages = encode_delivery(db, placement, d, leaders)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("leader decoding touched reconstruct_message")
+            raise AssertionError("decoding touched reconstruct_message")
 
-        monkeypatch.setattr(centralized, "reconstruct_message", forbidden)
+        # the engine's decoder looks the reconstruct step up by this name
+        monkeypatch.setattr(decentralized, "reconstruct_message", forbidden)
         for k in sorted(leaders):
             assert np.array_equal(decode_user(k, db, placement, messages, d, leaders), db.file(d[k - 1]))
+        # a non-leader needs the omitted message of {2, 4, 6}, so the patch is live
+        with pytest.raises(AssertionError, match="touched reconstruct_message"):
+            decode_user(2, db, placement, messages, d, leaders)
 
 
 class TestCancellationIdentity:
@@ -268,6 +280,25 @@ class TestCancellationIdentity:
         db, _, d = canonical_instance
         with pytest.raises(ValueError, match="leaders"):
             verify_message_cancellation(db, d, select_leaders(d), (2, 3, 4))
+
+    def test_detects_a_wrong_direct_payload(self, canonical_instance, monkeypatch):
+        db, _, d = canonical_instance
+        encode = decentralized.encode_delivery
+
+        def corrupted(*args, **kwargs):
+            messages = encode(*args, **kwargs)
+            for m in messages:
+                if m.subset.members == (2, 4, 6):
+                    m.payload[0] ^= 1
+            return messages
+
+        monkeypatch.setattr(decentralized, "encode_delivery", corrupted)
+        assert not verify_message_cancellation(db, d, select_leaders(d), range(1, 7))
+
+    def test_requires_one_leader_per_file(self, canonical_instance):
+        db, _, d = canonical_instance
+        with pytest.raises(ValueError, match="one requester of each"):
+            verify_message_cancellation(db, d, {1, 2, 3, 5}, range(1, 7))
 
     def test_random_configurations(self):
         lcm_f = {2: 2, 3: 6, 4: 12, 5: 20, 6: 120}

@@ -11,6 +11,37 @@ from cachekit import cli
 from cachekit.cli import MAX_GRID_POINTS, main, parse_grid
 from cachekit.cli import UsageError
 
+# `simulate --dump` stdout, pinned byte for byte
+CENTRALIZED_GOLDEN = """\
+centralized simulate: N=3 K=4 t=2 F=12 seed=5
+demand: 2,2,1,2 (2 distinct), leaders: [1, 3]
+messages: 4, rate: 2/3 = 0.666667, predicted: 2/3
+decode: all users OK
+1,2,3 : 40
+1,2,4 : 80
+1,3,4 : 80
+2,3,4 : 40
+"""
+
+DECENTRALIZED_GOLDEN = """\
+decentralized simulate: N=3 K=4 M=1/2 F=2000 seed=1
+demand: 2,1,2,1 (2 distinct), leaders: [1, 2]
+messages: 12, measured rate: 1.543500, predicted: 1.527778, relative error: 1.029%
+decode: all users OK
+1 : e804effedeefe0f1d715637c1ad500a1e26c5c0f1169682c22956acabf853801d21a59168a7f6be9ab8a119cb0cca215473ef98449ffd4b1f43a78e36ee276b82a9fcd173769d8fa9b95c560f2b5b50e7f8e6fdc9282aa9ab8cc36bcd86475ce952dbac1f7b3d3ebb7c22e468286553357f3ae7903eaa56f00
+2 : 505fe71d5ebc6d0f7a7f34f9342baa52cc0323d255a556d77188298737bdc9788992bdd740a5e445574d89a46121e81dafb674ce5bd742c478f73d54db53d7ef7346a1f5d5299b56836e51281b1b79f3cb0ad93d6764780623e5865e4c076eefa0138fdf4155aa353398e5591124f701f8bc9428bb24c287b0
+1,2 : b05deeedb46c63084c224d53115ee95ae025af25f4d2fb06
+1,3 : b39924f5f32d584ad61f571be85fabec8b0bd393723ee0fa5900
+1,4 : a538d3faccbe24e3c82a66f084838714a28ed0a3d24845e85900
+2,3 : 35065b781b8c7ba27de795e4e37b0dd77882a71a2e27d54df8
+2,4 : fea7886e834a703f5837aba03e94207ae98eba2d1307781ea0
+1,2,3 : e3b2f1c7c9d0
+1,2,4 : 1a6eda8ac100
+1,3,4 : 661e024ac0
+2,3,4 : ccd5b5c439
+1,2,3,4 : ae00
+"""
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -192,6 +223,26 @@ class TestSimulate:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+    def test_centralized_golden_transcript(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", "--n", "3", "--k", "4", "--t", "2", "--f", "12",
+                               "--seed", "5", "--dump")
+        assert code == 0
+        assert out == CENTRALIZED_GOLDEN
+
+    def test_decentralized_golden_transcript(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", "--schemes", "decentralized", "--n", "3", "--k", "4",
+                               "--m", "1/2", "--f", "2000", "--seed", "1", "--dump")
+        assert code == 0
+        assert out == DECENTRALIZED_GOLDEN
+
+    def test_centralized_many_users(self, capsys):
+        # the batch partition is built from subfile ranges, not from per-bit
+        # user-set codes, so the decentralized engine's 64-user limit does not apply
+        code, out, _ = run_cli(capsys, "simulate", "--n", "2", "--k", "65", "--t", "64", "--f", "65", "--dump")
+        assert code == 0
+        assert "decode: all users OK" in out
+        assert len([l for l in out.splitlines() if " : " in l]) == 1
 
     def test_decentralized_small(self, capsys):
         code, out, _ = run_cli(

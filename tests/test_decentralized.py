@@ -9,7 +9,6 @@ from cachekit import (
     batch_placement,
     binomial,
     dec_rate_for_distinct,
-    encode_delivery,
     make_database,
 )
 from cachekit import decentralized
@@ -97,28 +96,6 @@ class TestLevelPartition:
 
 
 class TestEncodeDecode:
-    def test_batch_reduction_byte_identical(self, canonical_instance):
-        db, placement, d = canonical_instance
-        part = decentralized.level_partition(placement, db.N, db.F)
-        dec_messages = decentralized.encode_delivery(db, part, d)
-        cen_messages = encode_delivery(db, placement, d)
-        assert len(dec_messages) == len(cen_messages)
-        for a, b in zip(dec_messages, cen_messages):
-            assert a.subset == b.subset
-            assert np.array_equal(a.payload, b.payload)
-
-    def test_batch_reduction_decodes_identically(self, canonical_instance):
-        db, placement, d = canonical_instance
-        part = decentralized.level_partition(placement, db.N, db.F)
-        messages = decentralized.encode_delivery(db, part, d)
-        from cachekit import decode_user as central_decode
-
-        for k in range(1, 7):
-            a = decentralized.decode_user(k, db, placement, part, messages, d)
-            b = central_decode(k, db, placement, messages, d)
-            assert np.array_equal(a, b)
-            assert np.array_equal(a, db.file(d[k - 1]))
-
     def test_reads_only_cached_bits(self):
         # clear one cached 1-bit of user 2's wanted file after delivery: it
         # decodes wrong, so the decoder reads that bit only through the cache
@@ -142,7 +119,7 @@ class TestEncodeDecode:
         d = (1, 2, 2)
         messages = decentralized.encode_delivery(db, part, d)
         assert messages == []
-        assert decentralized.empirical_rate(messages, 10) == 0
+        assert decentralized.delivered_rate(messages, 10) == 0
         for k in (1, 2, 3):
             assert np.array_equal(
                 decentralized.decode_user(k, db, placement, part, messages, d), db.file(d[k - 1])
@@ -154,7 +131,7 @@ class TestEncodeDecode:
         part = decentralized.level_partition(placement, 3, 50)
         for d in [(1, 1, 1, 1), (1, 2, 3, 1), (2, 3, 2, 3)]:
             messages = decentralized.encode_delivery(db, part, d)
-            assert decentralized.empirical_rate(messages, 50) == len(set(d))
+            assert decentralized.delivered_rate(messages, 50) == len(set(d))
             for k in range(1, 5):
                 assert np.array_equal(
                     decentralized.decode_user(k, db, placement, part, messages, d),
@@ -199,7 +176,7 @@ class TestEncodeDecode:
         placement = decentralized.random_placement(N, K, M, F, seed=12)
         part = decentralized.level_partition(placement, N, F)
         rates = [
-            float(decentralized.empirical_rate(decentralized.encode_delivery(db, part, d), F))
+            float(decentralized.delivered_rate(decentralized.encode_delivery(db, part, d), F))
             for d in all_demands(N, K)
         ]
         average = sum(rates) / len(rates)
@@ -212,6 +189,6 @@ class TestEncodeDecode:
         part = decentralized.level_partition(placement, N, F)
         for d in [(1, 1, 1, 1), (1, 2, 1, 2), (1, 2, 3, 3), (3, 2, 1, 3)]:
             messages = decentralized.encode_delivery(db, part, d)
-            measured = float(decentralized.empirical_rate(messages, F))
+            measured = float(decentralized.delivered_rate(messages, F))
             predicted = float(dec_rate_for_distinct(N, M, len(set(d))))
             assert abs(measured - predicted) / predicted < 0.05

@@ -129,7 +129,7 @@ class TestDecentralizedFormulas:
             placement = decentralized.random_placement(N, K, M, F, seed=50 + K)
             part = decentralized.level_partition(placement, N, F)
             measured = float(
-                decentralized.empirical_rate(decentralized.encode_delivery(db, part, d), F)
+                decentralized.delivered_rate(decentralized.encode_delivery(db, part, d), F)
             )
             assert abs(measured - predicted) / predicted < 0.05
 
@@ -139,7 +139,7 @@ class TestDecentralizedFormulas:
         placement = decentralized.random_placement(N, K, M, F, seed=16)
         part = decentralized.level_partition(placement, N, F)
         worst = max(
-            float(decentralized.empirical_rate(decentralized.encode_delivery(db, part, d), F))
+            float(decentralized.delivered_rate(decentralized.encode_delivery(db, part, d), F))
             for d in all_demands(N, K)
         )
         assert abs(worst - 3 / 4) / (3 / 4) < 0.05
@@ -191,7 +191,7 @@ class TestConverseBound:
             part = decentralized.level_partition(placement, N, F)
             per_type = defaultdict(list)
             for d in all_demands(N, K):
-                rate = decentralized.empirical_rate(decentralized.encode_delivery(db, part, d), F)
+                rate = decentralized.delivered_rate(decentralized.encode_delivery(db, part, d), F)
                 per_type[demand_stats(d, N).counts].append(rate)
             for stats in enumerate_types(N, K):
                 bound = converse_bound(profile, stats, K, F, eps=0)

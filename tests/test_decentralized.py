@@ -9,6 +9,8 @@ from cachekit import (
     batch_placement,
     binomial,
     dec_rate_for_distinct,
+    decode_user,
+    encode_delivery,
     make_database,
 )
 from cachekit import decentralized
@@ -96,6 +98,28 @@ class TestLevelPartition:
 
 
 class TestEncodeDecode:
+    # the sorted-code level partition of a batch placement and the batch
+    # adapters' partition, built from the subfile ranges, deliver alike
+    def test_batch_reduction_byte_identical(self, canonical_instance):
+        db, placement, d = canonical_instance
+        part = decentralized.level_partition(placement, db.N, db.F)
+        dec_messages = decentralized.encode_delivery(db, part, d)
+        cen_messages = encode_delivery(db, placement, d)
+        assert len(dec_messages) == len(cen_messages)
+        for a, b in zip(dec_messages, cen_messages):
+            assert a.subset == b.subset
+            assert np.array_equal(a.payload, b.payload)
+
+    def test_batch_reduction_decodes_identically(self, canonical_instance):
+        db, placement, d = canonical_instance
+        part = decentralized.level_partition(placement, db.N, db.F)
+        messages = decentralized.encode_delivery(db, part, d)
+        for k in range(1, 7):
+            a = decentralized.decode_user(k, db, placement, part, messages, d)
+            b = decode_user(k, db, placement, messages, d)
+            assert np.array_equal(a, b)
+            assert np.array_equal(a, db.file(d[k - 1]))
+
     def test_reads_only_cached_bits(self):
         # clear one cached 1-bit of user 2's wanted file after delivery: it
         # decodes wrong, so the decoder reads that bit only through the cache

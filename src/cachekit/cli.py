@@ -28,10 +28,12 @@ from .decentralized import delivered_rate, select_leaders
 from .model import (
     PlacementParseError,
     all_demands,
+    demand_at,
     demand_stats,
     enumerate_types,
     load_placement,
     make_database,
+    type_representative,
     validate_demand,
 )
 from .rate_analysis import (
@@ -53,6 +55,15 @@ DEFAULT_SAMPLE = 200
 # Largest M grid `rates` and `compare` evaluate; every point costs exact
 # rational work per scheme, so a larger grid is refused, not built.
 MAX_GRID_POINTS = 10**5
+# Largest estimated allocation of a batch (centralized) `verify`/`simulate`
+# run, see `batch_bytes_estimate`; a larger instance is refused before any
+# of it is allocated.
+MAX_BATCH_BYTES = 2**30
+# Peak memory per subfile group: its position range, its partition entry and
+# its share of the engine's demand-free delivery index. Measured as about
+# 4.0-4.3 KB per group for `simulate --n 2` at (K, t) = (16, 8), (18, 9)
+# and (20, 10), i.e. 12,870 to 184,756 groups.
+BYTES_PER_SUBFILE = 4096
 
 
 class UsageError(ValueError):
@@ -153,12 +164,26 @@ def _resolve_t(args, N: int, K: int) -> int:
     raise UsageError("need --t or --m")
 
 
+def batch_bytes_estimate(N: int, K: int, t: int, F: int) -> int:
+    """Estimated bytes a batch run allocates: the K*N*F placement mask (one
+    byte per flag) plus BYTES_PER_SUBFILE for each of the C(K,t) subfile
+    groups. Computed from the parameters alone, before anything is built."""
+    return K * N * F + BYTES_PER_SUBFILE * binomial(K, t)
+
+
 def _batch_file_size(args, K: int, t: int) -> int:
-    """--f for a batch placement (default 2*C(K,t)); it must split into C(K,t) subfiles."""
+    """--f for a batch placement (default 2*C(K,t)); it must split into C(K,t)
+    subfiles, and the run's estimated memory must stay within MAX_BATCH_BYTES."""
     pieces = binomial(K, t)
     F = args.f if args.f is not None else 2 * pieces
     if F % pieces:
         raise UsageError(f"F must be a multiple of C({K},{t}) = {pieces}, got F={F}")
+    estimate = batch_bytes_estimate(args.n, K, t, F)
+    if estimate > MAX_BATCH_BYTES:
+        raise UsageError(
+            f"N={args.n} K={K} t={t} F={F} needs an estimated {estimate} bytes "
+            f"(placement mask plus {pieces} subfile groups), more than the limit of {MAX_BATCH_BYTES}"
+        )
     return F
 
 
@@ -230,6 +255,14 @@ def _check_demand(db, placement, d, leaders, t) -> tuple[bool, str]:
     return True, ""
 
 
+def _sampled_demands(N: int, K: int, sample: int, seed: int) -> list[tuple[int, ...]]:
+    """`sample` seeded uniform draws (at most N^K) from the demands in
+    lexicographic order, each built from its index alone."""
+    total = N**K
+    picks = np.random.default_rng(seed).integers(0, total, size=min(sample, total))
+    return [demand_at(int(i), N, K) for i in picks]
+
+
 def cmd_verify(args) -> int:
     N, K = args.n, args.k
     t = _resolve_t(args, N, K)
@@ -251,20 +284,14 @@ def cmd_verify(args) -> int:
     mode = "full" if full else f"per-type + {args.sample} sampled"
     print(f"verify: N={N} K={K} t={t} F={F} ({total} demands, mode: {mode})")
 
-    demands = list(all_demands(N, K))
-    seen_types: dict[tuple[int, ...], tuple[int, ...]] = {}
-    to_check = []
-    for d in demands:
-        stats = demand_stats(d, N)
-        if stats.counts not in seen_types:
-            seen_types[stats.counts] = d
-            to_check.append(d)
-        elif full:
-            to_check.append(d)
-    if not full:
-        rng = np.random.default_rng(sample_seed)
-        picks = rng.integers(0, total, size=min(args.sample, total))
-        to_check.extend(demands[int(i)] for i in picks)
+    # the lexicographically first demand of each type, in first-appearance order
+    reps = [type_representative(stats) for stats in enumerate_types(N, K)]
+    if full:
+        to_check = all_demands(N, K)
+        checked = total
+    else:
+        to_check = reps + _sampled_demands(N, K, args.sample, sample_seed)
+        checked = len(to_check)
 
     failures = []
     for d in to_check:
@@ -275,7 +302,7 @@ def cmd_verify(args) -> int:
             break
 
     cancel_checks = 0
-    for counts, rep in seen_types.items():
+    for rep in reps:
         leaders = select_leaders(rep)
         non_leaders = [k for k in range(1, K + 1) if k not in leaders]
         if len(non_leaders) < t + 1:
@@ -286,9 +313,7 @@ def cmd_verify(args) -> int:
             failures.append((rep, f"cancellation identity failed on group {group}"))
             break
 
-    types = len(seen_types)
-    assert types == len(enumerate_types(N, K))
-    print(f"demand types: {types}; demands checked bit-exactly: {len(to_check)}")
+    print(f"demand types: {len(reps)}; demands checked bit-exactly: {checked}")
     print("message-count and rate identities: checked on every demand verified above")
     print(f"cancellation identity: {cancel_checks} checks")
     if failures:

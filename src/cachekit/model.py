@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -73,10 +74,15 @@ class Placement:
 
 
 def validate_demand(d: Demand, N: int) -> tuple[int, ...]:
-    d = tuple(int(x) for x in d)
+    """`d` as a tuple of ints in 1..N; entries that are not integers (floats,
+    strings) are refused, not truncated. numpy integers are accepted."""
+    try:
+        d = tuple(map(operator.index, d))
+    except TypeError:
+        raise ValueError(f"demand entries must be integers: {d!r}") from None
     if not d:
         raise ValueError("demand must be non-empty")
-    if any(not 1 <= x <= N for x in d):
+    if min(d) < 1 or max(d) > N:
         raise ValueError(f"demand entries must be in 1..{N}: {d}")
     return d
 
@@ -157,6 +163,24 @@ def type_size(stats: DemandStats, K: int) -> int:
 def all_demands(N: int, K: int) -> Iterable[tuple[int, ...]]:
     """Every demand in {1..N}^K, lexicographic order."""
     return itertools.product(range(1, N + 1), repeat=K)
+
+
+def demand_at(index: int, N: int, K: int) -> tuple[int, ...]:
+    """`list(all_demands(N, K))[index]` without enumerating: the K base-N
+    digits of `index`, most significant first, each plus 1."""
+    if not 0 <= index < N**K:
+        raise ValueError(f"demand index must be in 0..{N**K - 1}, got {index}")
+    digits = [0] * K
+    for j in range(K - 1, -1, -1):
+        index, digits[j] = divmod(index, N)
+    return tuple(x + 1 for x in digits)
+
+
+def type_representative(stats: DemandStats) -> tuple[int, ...]:
+    """The lexicographically first demand of a type: counts[0] requests of
+    file 1, then counts[1] of file 2, and so on. In `enumerate_types` order
+    these are the types' first appearances in `all_demands` order."""
+    return tuple(f for f, c in enumerate(stats.counts, start=1) for _ in range(c))
 
 
 @dataclass(frozen=True)

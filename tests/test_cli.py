@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from cachekit import batch_placement, save_placement
+from cachekit import batch_placement, demand_stats, save_placement
 from cachekit import cli
 from cachekit.cli import MAX_GRID_POINTS, main, parse_grid
 from cachekit.cli import UsageError
+from cachekit.combinatorics import binomial
 
 # `simulate --dump` stdout, pinned byte for byte
 CENTRALIZED_GOLDEN = """\
@@ -40,6 +41,24 @@ decode: all users OK
 1,3,4 : 661e024ac0
 2,3,4 : ccd5b5c439
 1,2,3,4 : ae00
+"""
+
+
+# `verify` stdout, pinned byte for byte: one per-type run and one full run
+VERIFY_PER_TYPE_GOLDEN = """\
+verify: N=3 K=9 t=7 F=72 (19683 demands, mode: per-type + 4 sampled)
+demand types: 12; demands checked bit-exactly: 16
+message-count and rate identities: checked on every demand verified above
+cancellation identity: 1 checks
+PASS
+"""
+
+VERIFY_FULL_GOLDEN = """\
+verify: N=2 K=7 t=2 F=42 (128 demands, mode: full)
+demand types: 4; demands checked bit-exactly: 128
+message-count and rate identities: checked on every demand verified above
+cancellation identity: 4 checks
+PASS
 """
 
 
@@ -194,6 +213,88 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--n", "3", "--k", "4", "--m", "0.7")
         assert code == 2
         assert "non-integer" in err
+
+    def test_golden_stdout(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--n", "3", "--k", "9", "--t", "7", "--seed", "7", "--sample", "4")
+        assert (code, out) == (0, VERIFY_PER_TYPE_GOLDEN)
+        code, out, _ = run_cli(capsys, "verify", "--n", "2", "--k", "7", "--t", "2", "--seed", "7")
+        assert (code, out) == (0, VERIFY_FULL_GOLDEN)
+
+    def test_per_type_mode_never_enumerates(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("per-type mode enumerated all demands")
+
+        calls = []
+
+        def counting_stats(d, N):
+            calls.append(tuple(d))
+            return demand_stats(d, N)
+
+        monkeypatch.setattr(cli, "all_demands", refuse)
+        monkeypatch.setattr(cli, "demand_stats", counting_stats)
+        code, out, _ = run_cli(capsys, "verify", "--n", "10", "--k", "6", "--t", "2", "--seed", "3")
+        assert code == 0
+        checked = int(re.search(r"demands checked bit-exactly: (\d+)", out).group(1))
+        assert checked == 211
+        assert len(calls) <= checked
+
+    @pytest.mark.parametrize("argv, fails_on, named", [
+        # a type representative: the first demand of the first two-file type
+        (["--n", "3", "--k", "9", "--t", "7", "--seed", "7", "--sample", "4"],
+         lambda d: len(set(d)) == 2, "1,1,1,1,1,1,1,1,2"),
+        # full mode walks the demands in lexicographic order
+        (["--n", "2", "--k", "7", "--t", "2", "--seed", "7"],
+         lambda d: len(set(d)) == 2, "1,1,1,1,1,1,2"),
+        (["--n", "2", "--k", "7", "--t", "2", "--seed", "7"],
+         lambda d: d[0] == 2 and d[-1] == 1, "2,1,1,1,1,1,1"),
+        # no representative is out of order, so this names the first such sampled demand
+        (["--n", "3", "--k", "9", "--t", "7", "--seed", "7", "--sample", "4"],
+         lambda d: list(d) != sorted(d), "3,1,2,3,2,2,2,2,2"),
+        (["--n", "3", "--k", "10", "--t", "3", "--seed", "5", "--sample", "30"],
+         lambda d: list(d) != sorted(d), "1,1,3,2,1,3,2,3,2,1"),
+    ])
+    def test_failure_names_the_first_failing_demand(self, capsys, monkeypatch, argv, fails_on, named):
+        def check(db, placement, d, *rest):
+            return (False, "injected") if fails_on(d) else (True, "")
+
+        monkeypatch.setattr(cli, "_check_demand", check)
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        assert code == 1
+        assert out.splitlines()[-1] == f"FAIL: demand={named}: injected"
+
+
+class TestBatchCost:
+    # the three inputs below are never run: each would try to allocate gigabytes
+    @pytest.mark.parametrize("N, K, t, F", [
+        (1, 30, 15, None),  # verify --n 1 --k 30 --t 15
+        (2, 30, 15, None),  # simulate --n 2 --k 30 --t 15
+        (2, 24, 12, 2704156),  # simulate --n 2 --k 24 --t 12 --f 2704156
+    ])
+    def test_estimate_refuses_huge_instances(self, N, K, t, F):
+        groups = binomial(K, t)
+        F = 2 * groups if F is None else F
+        estimate = cli.batch_bytes_estimate(N, K, t, F)
+        assert estimate == K * N * F + cli.BYTES_PER_SUBFILE * groups
+        assert estimate > cli.MAX_BATCH_BYTES
+
+    def test_estimate_admits_moderate_instances(self):
+        for N, K, t in [(3, 6, 5), (2, 14, 13), (3, 9, 6), (2, 65, 64), (10, 6, 2), (2, 18, 9)]:
+            assert cli.batch_bytes_estimate(N, K, t, 2 * binomial(K, t)) <= cli.MAX_BATCH_BYTES
+
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    def test_refused_with_the_estimate(self, capsys, monkeypatch, command):
+        estimate = cli.batch_bytes_estimate(2, 4, 2, 12)
+        monkeypatch.setattr(cli, "MAX_BATCH_BYTES", estimate - 1)
+        monkeypatch.setattr(cli, "batch_placement", None)  # nothing may be built
+        code, out, err = run_cli(capsys, command, "--n", "2", "--k", "4", "--t", "2")
+        assert code == 2
+        assert out == ""
+        assert str(estimate) in err and str(estimate - 1) in err
+
+    def test_at_the_limit_runs(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_BATCH_BYTES", cli.batch_bytes_estimate(2, 4, 2, 12))
+        code, out, _ = run_cli(capsys, "verify", "--n", "2", "--k", "4", "--t", "2")
+        assert code == 0 and out.endswith("PASS\n")
 
 
 class TestSimulate:

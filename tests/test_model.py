@@ -72,6 +72,12 @@ class TestDemandStats:
             validate_demand((), N=2)
         with pytest.raises(ValueError):
             DemandStats((1, 2, 0), 2)  # not sorted descending
+        # entries that are not integers are refused, not truncated
+        for bad in [(1.5, 2), ("1", 2), (1, 2.0)]:
+            with pytest.raises(ValueError, match="integers"):
+                validate_demand(bad, N=2)
+        assert validate_demand((np.int64(1), np.uint8(2)), N=2) == (1, 2)
+        assert all(type(x) is int for x in validate_demand(np.array([2, 1]), N=2))
 
 
 class TestTypes:

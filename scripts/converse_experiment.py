@@ -29,10 +29,9 @@ from cachekit import decentralized
 
 
 def per_type_rates(db, placement, N, K, F):
-    partition = decentralized.level_partition(placement, N, F)
     acc = defaultdict(list)
     for d in all_demands(N, K):
-        messages = decentralized.encode_delivery(db, partition, d)
+        messages = decentralized.encode_delivery(db, placement.partition, d)
         acc[demand_stats(d, N).counts].append(decentralized.delivered_rate(messages, F))
     return {counts: sum(rs, Fraction(0)) / len(rs) for counts, rs in acc.items()}
 

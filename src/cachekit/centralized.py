@@ -1,8 +1,9 @@
 """Centralized scheme: symmetric batch prefetching, delivered by the engine.
 
 Each file is split into C(K,t) equal subfiles indexed by the t-subsets of
-users; user k caches every subfile whose index contains k. The subfiles are
-the groups of a one-level partition, so delivery is the engine's (see
+users; user k caches every subfile whose index contains k. Every bit of a
+subfile has the same cache-set code, so the subfiles are the groups of the
+placement's one-level partition and delivery is the engine's (see
 `decentralized`): for every (t+1)-subset with a leader, the XOR of the
 subfiles its members want from each other. Receivers rebuild the omitted
 leaderless messages by the cancellation identity, which
@@ -19,11 +20,11 @@ import numpy as np
 from . import decentralized
 from .combinatorics import binomial, enumerate_subsets
 # the engine's message types and leader rule are importable from here as well
-from .decentralized import BroadcastMessage, DecodeError, LevelPartition, select_leaders
-from .model import Database, Demand, Placement, validate_demand
+from .decentralized import BroadcastMessage, DecodeError, select_leaders
+from .model import Database, Demand, Placement, code_dtype, validate_demand
 
 
-def _subfile_ranges(K: int, t: int, F: int) -> dict[tuple[int, ...], tuple[int, int]]:
+def subfile_ranges(K: int, t: int, F: int) -> dict[tuple[int, ...], tuple[int, int]]:
     """Each t-subset's half-open bit range, in rank order; needs C(K,t) | F."""
     if not 0 <= t <= K:
         raise ValueError(f"t must be in 0..{K}, got {t}")
@@ -34,40 +35,20 @@ def _subfile_ranges(K: int, t: int, F: int) -> dict[tuple[int, ...], tuple[int, 
     return {sid.members: (sid.rank * size, (sid.rank + 1) * size) for sid in enumerate_subsets(K, t)}
 
 
+@lru_cache(maxsize=16)
 def batch_placement(N: int, K: int, t: int, F: int) -> Placement:
     """Symmetric batch prefetching for cache parameter t in {0..K}.
 
     Requires C(K,t) | F so subfiles are equal-sized; each user ends up caching
-    exactly N*t*F/K bits.
+    exactly N*t*F/K bits. Built once per (N, K, t, F) and shared: the codes
+    are read-only, and the partition is kept with the placement.
     """
-    batch_view = _subfile_ranges(K, t, F)
-    mask = np.zeros((K, N, F), dtype=bool)
-    for members, (lo, hi) in batch_view.items():
-        for k in members:
-            mask[k - 1, :, lo:hi] = True
-    mask.setflags(write=False)
-    return Placement(K, mask, batch_view, t)
-
-
-@lru_cache(maxsize=16)
-def _subfile_partition(K: int, t: int, N: int, F: int) -> LevelPartition:
-    """The subfiles as a one-level partition, built once per (K, t, N, F),
-    with one read-only range per subfile shared by every file."""
-    groups = {}
-    for members, (lo, hi) in _subfile_ranges(K, t, F).items():
-        pos = np.arange(lo, hi)
-        pos.setflags(write=False)
-        groups[members] = (pos,) * N
-    return LevelPartition(K, N, F, groups)
-
-
-def batch_partition(placement: Placement, N: int, F: int) -> LevelPartition:
-    """A batch placement's subfiles as the delivery engine's partition: one
-    level, equal chunks. Built from the subfile ranges, not per-bit codes, so
-    any K works."""
-    if placement.batch_view is None:
-        raise ValueError("placement has no batch view; batch placement required")
-    return _subfile_partition(placement.K, placement.t, N, F)
+    row = np.zeros(F, dtype=code_dtype(K))
+    for members, (lo, hi) in subfile_ranges(K, t, F).items():
+        row[lo:hi] = decentralized._user_code(members)
+    codes = np.tile(row, (N, 1))
+    codes.setflags(write=False)
+    return Placement(K, codes)
 
 
 def encode_delivery(
@@ -77,8 +58,9 @@ def encode_delivery(
     leaders: frozenset[int] | None = None,
 ) -> list[BroadcastMessage]:
     """All messages for (t+1)-subsets that contain at least one leader,
-    in lexicographic subset order."""
-    return decentralized.encode_delivery(db, batch_partition(placement, db.N, db.F), d, leaders)
+    in lexicographic subset order. Any other placement is delivered over
+    its level partition alike."""
+    return decentralized.encode_delivery(db, placement.partition, d, leaders)
 
 
 def decode_user(
@@ -90,8 +72,7 @@ def decode_user(
     leaders: frozenset[int] | None = None,
 ) -> np.ndarray:
     """Recover file d_k for user k from its cache plus the broadcast."""
-    partition = batch_partition(placement, db.N, db.F)
-    return decentralized.decode_user(k, db, placement, partition, messages, d, leaders)
+    return decentralized.decode_user(k, db, placement, placement.partition, messages, d, leaders)
 
 
 def verify_message_cancellation(
@@ -122,6 +103,6 @@ def verify_message_cancellation(
         return True  # group == leaders: the single term is the empty-set message, zero
     # with every user a leader the engine sends each subset's direct payload
     everyone = frozenset(range(1, K + 1))
-    partition = _subfile_partition(K, len(omitted) - 1, db.N, db.F)
+    partition = batch_placement(db.N, K, len(omitted) - 1, db.F).partition
     direct = {m.subset.members: m.payload for m in decentralized.encode_delivery(db, partition, d, everyone)}
     return np.array_equal(decentralized.reconstruct_message(direct, d, leaders, omitted), direct[omitted])

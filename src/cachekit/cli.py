@@ -17,17 +17,17 @@ import numpy as np
 
 from . import decentralized
 from .centralized import (
-    batch_partition,
     batch_placement,
     decode_user,
     encode_delivery,
     verify_message_cancellation,
 )
 from .combinatorics import binomial
-from .decentralized import delivered_rate, select_leaders
+from .decentralized import delivered_rate, payload_map, select_leaders
 from .model import (
     PlacementParseError,
     all_demands,
+    code_dtype,
     demand_at,
     demand_stats,
     enumerate_types,
@@ -59,10 +59,10 @@ MAX_GRID_POINTS = 10**5
 # run, see `batch_bytes_estimate`; a larger instance is refused before any
 # of it is allocated.
 MAX_BATCH_BYTES = 2**30
-# Peak memory per subfile group: its position range, its partition entry and
-# its share of the engine's demand-free delivery index. Measured as about
-# 4.0-4.3 KB per group for `simulate --n 2` at (K, t) = (16, 8), (18, 9)
-# and (20, 10), i.e. 12,870 to 184,756 groups.
+# Peak memory per subfile group beyond its bits' codes and sort order: its
+# partition entry and its share of the engine's demand-free delivery index.
+# Measured as 3.5-4.1 KB per group for `simulate --n 2` at (K, t) = (16, 8),
+# (18, 9) and (20, 10), i.e. 12,870 to 184,756 groups.
 BYTES_PER_SUBFILE = 4096
 
 
@@ -165,10 +165,14 @@ def _resolve_t(args, N: int, K: int) -> int:
 
 
 def batch_bytes_estimate(N: int, K: int, t: int, F: int) -> int:
-    """Estimated bytes a batch run allocates: the K*N*F placement mask (one
-    byte per flag) plus BYTES_PER_SUBFILE for each of the C(K,t) subfile
-    groups. Computed from the parameters alone, before anything is built."""
-    return K * N * F + BYTES_PER_SUBFILE * binomial(K, t)
+    """Estimated bytes a batch run allocates: per bit, its placement code
+    (past 64 users a pointer plus a Python int of its own) and its entry in
+    the partition's sort order, plus BYTES_PER_SUBFILE for each of the C(K,t)
+    subfile groups. Computed from the parameters alone, before anything is
+    built."""
+    code = code_dtype(K)
+    per_bit = code.itemsize + np.dtype(np.intp).itemsize + (sys.getsizeof(1 << K) if code == object else 0)
+    return N * F * per_bit + BYTES_PER_SUBFILE * binomial(K, t)
 
 
 def _batch_file_size(args, K: int, t: int) -> int:
@@ -182,7 +186,7 @@ def _batch_file_size(args, K: int, t: int) -> int:
     if estimate > MAX_BATCH_BYTES:
         raise UsageError(
             f"N={args.n} K={K} t={t} F={F} needs an estimated {estimate} bytes "
-            f"(placement mask plus {pieces} subfile groups), more than the limit of {MAX_BATCH_BYTES}"
+            f"(placement codes plus {pieces} subfile groups), more than the limit of {MAX_BATCH_BYTES}"
         )
     return F
 
@@ -243,13 +247,14 @@ def _check_demand(db, placement, d, leaders, t) -> tuple[bool, str]:
     K = placement.K
     stats = demand_stats(d, db.N)
     messages = encode_delivery(db, placement, d, leaders)
+    payloads = payload_map(messages)  # built once for the K decodes
     expected = binomial(K, t + 1) - binomial(K - stats.distinct, t + 1)
     if len(messages) != expected:
         return False, f"message count {len(messages)} != {expected}"
     if delivered_rate(messages, db.F) != delivery_rate_value(K, t, stats.distinct):
         return False, "delivered rate does not match the closed form"
     for k in range(1, K + 1):
-        decoded = decode_user(k, db, placement, messages, d, leaders)
+        decoded = decode_user(k, db, placement, payloads, d, leaders)
         if not np.array_equal(decoded, db.file(d[k - 1])):
             return False, f"user {k} decoded the wrong bits"
     return True, ""
@@ -340,17 +345,13 @@ def cmd_simulate(args) -> int:
         t = _resolve_t(args, N, K)
         F = _batch_file_size(args, K, t)
         placement = batch_placement(N, K, t, F)
-        partition = batch_partition(placement, N, F)
         setting = f"t={t} F={F}"
     else:
         if args.m is None:
             raise UsageError("decentralized simulate requires --m")
-        if K > decentralized.MAX_USERS:
-            raise UsageError(f"decentralized delivery supports K <= {decentralized.MAX_USERS} users, got K={K}")
         F = args.f if args.f is not None else 10_000
         M = parse_m(args.m, N)
         placement = decentralized.random_placement(N, K, M, F, place_seed)
-        partition = decentralized.level_partition(placement, N, F)
         setting = f"M={M} F={F}"
     db = make_database(N, F, db_seed)
     d = (
@@ -360,10 +361,12 @@ def cmd_simulate(args) -> int:
     )
     leaders = select_leaders(d)
     stats = demand_stats(d, N)
-    messages = decentralized.encode_delivery(db, partition, d, leaders)
+    messages = decentralized.encode_delivery(db, placement.partition, d, leaders)
     rate = delivered_rate(messages, F)
+    payloads = payload_map(messages)  # built once for the K decodes
     bad = [k for k in range(1, K + 1) if not np.array_equal(
-        decentralized.decode_user(k, db, placement, partition, messages, d, leaders), db.file(d[k - 1]))]
+        decentralized.decode_user(k, db, placement, placement.partition, payloads, d, leaders),
+        db.file(d[k - 1]))]
     print(f"{scheme} simulate: N={N} K={K} {setting} seed={seed}")
     print(f"demand: {','.join(map(str, d))} ({stats.distinct} distinct), leaders: {sorted(leaders)}")
     if scheme == "centralized":
@@ -387,18 +390,17 @@ def cmd_simulate(args) -> int:
 # --- bound ---------------------------------------------------------------------
 
 
-def _batch_achieved_level(placement, partition, N: int, F: int) -> int | None:
+def _batch_achieved_level(profile: CacheProfile, partition, F: int) -> int | None:
     """The single coverage level if the placement is batch-like, else None.
 
     Batch-like: every bit cached by exactly t users and all (set, file)
     groups have the equal subfile size F / C(K, t).
     """
-    profile = CacheProfile.from_placement(placement)
     levels = [n for n, a in enumerate(profile.coverage) if a]
     if len(levels) != 1:
         return None
     t = levels[0]
-    size, rem = divmod(F, binomial(placement.K, t))
+    size, rem = divmod(F, binomial(partition.K, t))
     if rem:
         return None
     for members, per_file in partition.groups.items():
@@ -415,16 +417,13 @@ def cmd_bound(args) -> int:
     except OSError as exc:
         raise UsageError(f"cannot read {args.placement}: {exc}") from None
     K = placement.K
-    if K > decentralized.MAX_USERS:
-        raise UsageError(f"bound supports K <= {decentralized.MAX_USERS} users, got K={K}")
     profile = CacheProfile.from_placement(placement)
-    partition = decentralized.level_partition(placement, N, F)
     print(f"placement: K={K} N={N} F={F} M={M}")
     print("coverage profile (bits cached by exactly n users):")
     for n, a in enumerate(profile.coverage):
         if a:
             print(f"  n={n}: {a}")
-    batch_t = _batch_achieved_level(placement, partition, N, F)
+    batch_t = _batch_achieved_level(profile, placement.partition, F)
     if batch_t is not None:
         print(f"placement is batch-structured with t={batch_t}")
     print("per-type lower bounds on the average delivery rate (eps=0):")

@@ -24,11 +24,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .combinatorics import SubsetId, subset_rank
-from .model import Database, Demand, Placement, validate_demand
+from .model import Database, Demand, Placement, code_dtype, validate_demand
 
 _EMPTY = np.empty(0, dtype=np.int64)
-# level_partition packs each bit's caching set into one unsigned word, one bit per user.
-MAX_USERS = 64
 
 
 class DecodeError(RuntimeError):
@@ -67,12 +65,12 @@ def random_placement(N: int, K: int, M, F: int, seed: int) -> Placement:
         raise ValueError(f"M must be in [0, {N}], got {M}")
     quota = floor(M * F / N)
     rng = np.random.default_rng(seed)
-    mask = np.zeros((K, N, F), dtype=bool)
+    codes = np.zeros((N, F), dtype=code_dtype(K))
     for k in range(K):
         for i in range(N):
-            mask[k, i, rng.choice(F, size=quota, replace=False)] = True
-    mask.setflags(write=False)
-    return Placement(K, mask)
+            codes[i, rng.choice(F, size=quota, replace=False)] |= 1 << k
+    codes.setflags(write=False)
+    return Placement(K, codes)
 
 
 @dataclass(frozen=True)
@@ -103,7 +101,7 @@ class LevelPartition:
     @cached_property
     def _subsets(self) -> list[tuple[SubsetId, int, list]]:
         """Every subset T = S + {x} of a group S and a user x outside S, in
-        send order (by size, then lexicographic): its id, its user bitmask and
+        send order (by size, then lexicographic): its id, its user-set code and
         its sources (x, positions per file of group T - {x}). Demand-free, so
         built once per partition."""
         sources: dict[tuple[int, ...], list] = {}
@@ -112,33 +110,30 @@ class LevelPartition:
                 i = bisect_left(S, x)  # members stay ascending
                 sources.setdefault(S[:i] + (x,) + S[i:], []).append((x, per_file))
         order = sorted(sources, key=lambda T: (len(T), T))
-        return [(SubsetId(T, subset_rank(T, self.K)), _bitmask(T), sources[T]) for T in order]
+        return [(SubsetId(T, subset_rank(T, self.K)), _user_code(T), sources[T]) for T in order]
 
     @cached_property
     def _receivers(self) -> list[list[tuple]]:
-        """Per user k: (members, bitmask, k's positions per file, other sources) of each T with k's chunk."""
+        """Per user k: (members, user-set code, k's positions per file, other
+        sources) of each T with k's chunk."""
         plans = [[] for _ in range(self.K + 1)]
-        for sid, mask, sources in self._subsets:
+        for sid, code, sources in self._subsets:
             for x, per_file in sources:
                 partners = tuple(src for src in sources if src[0] != x)
-                plans[x].append((sid.members, mask, per_file, partners))
+                plans[x].append((sid.members, code, per_file, partners))
         return plans
 
 
 def level_partition(placement: Placement, N: int, F: int) -> LevelPartition:
     """Exact partition of all (file, bit) positions by caching set.
 
-    Each bit's caching set is a K-bit code; one stable sort per file puts
-    equal codes next to each other with their positions ascending, and each
-    group is its run's slice of the (read-only) sort order.
+    One stable sort of the placement's codes per file puts equal codes next
+    to each other with their positions ascending, and each group is its
+    run's slice of the (read-only) sort order.
     """
-    K = placement.K
-    if K > MAX_USERS:
-        raise ValueError(f"level_partition supports K <= {MAX_USERS} users, got K={K}")
-    dtype = np.min_scalar_type((1 << K) - 1)
-    codes = np.zeros((N, F), dtype=dtype)
-    for k in range(K):
-        codes |= placement.mask[k].astype(dtype) << dtype.type(k)
+    K, codes = placement.K, placement.codes
+    if codes.shape != (N, F):
+        raise ValueError(f"placement codes have shape {codes.shape}, expected (N, F) = {(N, F)}")
     order = np.argsort(codes, axis=1, kind="stable")
     order.setflags(write=False)
     ranked = np.take_along_axis(codes, order, axis=1)
@@ -154,11 +149,11 @@ def level_partition(placement: Placement, N: int, F: int) -> LevelPartition:
     return LevelPartition(K, N, F, groups)
 
 
-def _sent(partition: LevelPartition, d: tuple[int, ...], lead_mask: int):
+def _sent(partition: LevelPartition, d: tuple[int, ...], lead_code: int):
     """(subset id, [(file, positions), ...]) of each message the encoder sends,
     in send order: subsets with a leader and at least one non-empty chunk."""
-    for sid, mask, sources in partition._subsets:
-        if mask & lead_mask:
+    for sid, code, sources in partition._subsets:
+        if code & lead_code:
             chunks = []
             for x, per_file in sources:
                 f = d[x - 1]
@@ -184,7 +179,7 @@ def encode_delivery(
         leaders = select_leaders(d)
     files = list(db.bits)  # 1-D rows: gathering from a row beats 2-D fancy indexing
     messages = []
-    for sid, chunks in _sent(partition, d, _bitmask(leaders)):
+    for sid, chunks in _sent(partition, d, _user_code(leaders)):
         parts = sorted((files[f - 1][pos] for f, pos in chunks), key=len, reverse=True)
         # each gather is a fresh array, so the longest one takes the XOR
         messages.append(BroadcastMessage(sid, _xor_into(parts[0], parts[1:])))
@@ -201,12 +196,13 @@ def _xor_into(acc: np.ndarray, parts: Sequence[np.ndarray]) -> np.ndarray:
     return acc
 
 
-def _bitmask(users) -> int:
+def _user_code(users) -> int:
     """Bit k-1 set for each 1-based user k."""
     return sum(1 << (k - 1) for k in users)
 
 
-def _payload_map(messages) -> Mapping[tuple[int, ...], np.ndarray]:
+def payload_map(messages) -> Mapping[tuple[int, ...], np.ndarray]:
+    """Payloads by subset members; build it once to decode several users."""
     if isinstance(messages, Mapping):
         return messages
     return {m.subset.members: m.payload for m in messages}
@@ -240,7 +236,7 @@ def reconstruct_message(
     leaders = frozenset(leaders)
     if not leaders.isdisjoint(members):
         raise ValueError(f"subset {members} contains a leader; message was broadcast")
-    payloads = _payload_map(messages)
+    payloads = payload_map(messages)
     block = sorted(set(members) | leaders)
     terms = []
     for choice in itertools.product(*_requester_groups(d, block)):
@@ -268,14 +264,15 @@ def decode_user(
     """Recover file d_k for user k from its cache plus the broadcast.
 
     Only bits the user actually cached are read from the database (the rest
-    are masked to zero), so any decoding gap shows up as a bit mismatch.
+    are zeroed), so any decoding gap shows up as a bit mismatch.
+    `messages` may be a list or a `payload_map` of it.
     """
     d = validate_demand(d, db.N)
     if leaders is None:
         leaders = select_leaders(d)
-    lead_mask = _bitmask(leaders)
-    view = list(db.bits & placement.mask[k - 1])  # 1-D rows of the user's cache view
-    payloads = _payload_map(messages)
+    lead_code = _user_code(leaders)
+    view = list(db.bits & placement.cached(k))  # 1-D rows of the user's cache view
+    payloads = payload_map(messages)
     wanted = d[k - 1]
     out = view[wanted - 1].copy()  # every bit user k cached; the other groups fill the rest
     sent_set = None
@@ -283,17 +280,17 @@ def decode_user(
     def sent() -> set[tuple[int, ...]]:
         nonlocal sent_set  # one pass over the partition per call, on the first missing term only
         if sent_set is None:
-            sent_set = {sid.members for sid, _ in _sent(partition, d, lead_mask)}
+            sent_set = {sid.members for sid, _ in _sent(partition, d, lead_code)}
         return sent_set
 
-    for members, mask, own, partners in partition._receivers[k]:
+    for members, code, own, partners in partition._receivers[k]:
         pos = own[wanted - 1]
         n = len(pos)
         if not n:
             continue
         y = payloads.get(members)
         if y is None:
-            if mask & lead_mask:
+            if code & lead_code:
                 raise DecodeError(members)  # k's own chunk is non-empty, so it was sent
             y = reconstruct_message(payloads, d, leaders, members, sent)
         # only the first n bits of a partner's chunk meet k's; a rebuilt y is no

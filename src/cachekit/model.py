@@ -16,6 +16,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,29 +49,43 @@ def make_database(N: int, F: int, seed: int) -> Database:
     return Database(N, F, bits)
 
 
+def code_dtype(K: int) -> np.dtype:
+    """Smallest dtype holding a K-bit user set: uint8 up to K = 8, ..., uint64
+    at K = 64, and object (Python ints) past 64 users."""
+    return np.min_scalar_type((1 << K) - 1)
+
+
 @dataclass(frozen=True)
 class Placement:
-    """Per-user cached bit positions.
+    """Per-bit cache sets.
 
-    `mask[k-1, i-1, j]` is True iff user k caches bit j of file i. For batch
-    placements, `batch_view` maps each subfile subset (tuple of members) to
-    the half-open bit range `(start, stop)` it occupies inside every file,
-    and `t` is the subfile subset size.
+    Bit k-1 of `codes[i-1, j]` is set iff user k caches bit j of file i; the
+    (N, F) array has dtype `code_dtype(K)` and is read-only once built.
     """
 
     K: int
-    mask: np.ndarray
-    batch_view: dict[tuple[int, ...], tuple[int, int]] | None = None
-    t: int | None = None
+    codes: np.ndarray
+
+    def cached(self, user: int) -> np.ndarray:
+        """(N, F) boolean view of what `user` (1-based) caches."""
+        return (self.codes & (1 << (user - 1))).astype(bool)
 
     def cached_bits(self, user: int) -> int:
         """Number of bits cached by `user` (1-based)."""
-        return int(self.mask[user - 1].sum())
+        return int(np.count_nonzero(self.cached(user)))
 
     def cached_pairs(self, user: int) -> list[tuple[int, int]]:
         """Sorted (file, bit) pairs cached by `user`; file 1-based, bit 0-based."""
-        rows, cols = np.nonzero(self.mask[user - 1])
+        rows, cols = np.nonzero(self.cached(user))
         return list(zip((rows + 1).tolist(), cols.tolist()))
+
+    @cached_property
+    def partition(self):
+        """The level partition of the codes (`decentralized.level_partition`),
+        built on first use and kept with the placement."""
+        from .decentralized import level_partition  # decentralized imports this module
+
+        return level_partition(self, *self.codes.shape)
 
 
 def validate_demand(d: Demand, N: int) -> tuple[int, ...]:
@@ -267,7 +282,8 @@ def load_placement(path) -> tuple[Placement, int, int, Fraction]:
         raise PlacementParseError(1, f"invalid parameters K={K} N={N} F={F} M={M}")
     if len(lines) < 1 + K:
         raise PlacementParseError(len(lines), f"expected {K} user lines, got {len(lines) - 1}")
-    mask = np.zeros((K, N, F), dtype=bool)
+    codes = np.zeros((N, F), dtype=code_dtype(K))
+    placement = Placement(K, codes)
     budget = math.floor(M * F)
     for offset, line in enumerate(lines[1 : 1 + K], start=2):
         tokens = line.split()
@@ -287,10 +303,11 @@ def load_placement(path) -> tuple[Placement, int, int, Fraction]:
                 raise PlacementParseError(offset, f"bad pair {tok!r}") from None
             if not (1 <= i <= N and 0 <= j < F):
                 raise PlacementParseError(offset, f"pair {tok} out of range")
-            mask[k - 1, i - 1, j] = True
-        if int(mask[k - 1].sum()) > budget:
+            codes[i - 1, j] |= 1 << (k - 1)
+        if placement.cached_bits(k) > budget:
             raise PlacementParseError(offset, f"user {k} caches more than M*F = {budget} bits")
     for line_no, line in enumerate(lines[1 + K :], start=2 + K):
         if line.strip():
             raise PlacementParseError(line_no, f"unexpected line after the {K} user lines")
-    return Placement(K, mask), N, F, M
+    codes.setflags(write=False)
+    return placement, N, F, M

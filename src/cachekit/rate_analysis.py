@@ -198,8 +198,8 @@ class CacheProfile:
 
     @classmethod
     def from_placement(cls, placement: Placement) -> "CacheProfile":
-        per_bit = placement.mask.sum(axis=0).ravel()
-        counts = np.bincount(per_bit, minlength=placement.K + 1)
+        per_bit = np.bitwise_count(placement.codes).astype(np.intp)  # users caching each bit
+        counts = np.bincount(per_bit.ravel(), minlength=placement.K + 1)
         return cls(tuple(int(c) for c in counts))
 
 

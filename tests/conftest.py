@@ -54,10 +54,42 @@ def canonical_instance():
 def direct_payload(db, placement, d, members):
     """XOR, over users x in `members`, of the batch subfile of file d_x indexed
     by the other members, sliced straight from the database."""
+    from cachekit.centralized import subfile_ranges
+
     members = tuple(members)
-    size = db.F // len(placement.batch_view)
+    ranges = subfile_ranges(placement.K, len(members) - 1, db.F)
+    size = db.F // len(ranges)
     acc = np.zeros(size, dtype=np.uint8)
     for idx, x in enumerate(members):
-        lo, hi = placement.batch_view[members[:idx] + members[idx + 1 :]]
+        lo, hi = ranges[members[:idx] + members[idx + 1 :]]
         acc ^= db.bits[d[x - 1] - 1, lo:hi]
     return acc
+
+
+def placement_from_mask(mask):
+    """The placement in which user k caches exactly the True entries of
+    `mask[k-1]`, a K x N x F boolean array."""
+    from cachekit.model import Placement, code_dtype
+
+    K, N, F = mask.shape
+    codes = np.zeros((N, F), dtype=code_dtype(K))
+    for k in range(K):
+        codes[mask[k]] |= 1 << k
+    codes.setflags(write=False)
+    return Placement(K, codes)
+
+
+def oracle_level_partition(placement, N, F):
+    """Groups by caching set with one `flatnonzero` pass per code and file;
+    the codes are Python ints, so any K works."""
+    from cachekit.decentralized import LevelPartition
+
+    K = placement.K
+    codes = np.zeros((N, F), dtype=object)
+    for k in range(K):
+        codes[placement.cached(k + 1)] += 1 << k
+    groups = {}
+    for code in np.unique(codes):
+        members = tuple(k + 1 for k in range(K) if (int(code) >> k) & 1)
+        groups[members] = tuple(np.flatnonzero(codes[i] == code) for i in range(N))
+    return LevelPartition(K, N, F, groups)

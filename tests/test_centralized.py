@@ -20,6 +20,7 @@ from cachekit import (
     verify_message_cancellation,
 )
 from cachekit import decentralized
+from cachekit.centralized import subfile_ranges
 from cachekit.model import Database, Placement
 
 from conftest import FILE_LETTERS, SIX_USER_TABLE, direct_payload
@@ -28,18 +29,20 @@ from conftest import FILE_LETTERS, SIX_USER_TABLE, direct_payload
 class TestBatchPlacement:
     def test_canonical_split(self):
         placement = batch_placement(N=3, K=6, t=2, F=15)
-        assert len(placement.batch_view) == 15
+        ranges = subfile_ranges(6, 2, 15)
+        assert len(ranges) == 15
         # user 1 caches exactly the subfiles indexed by pairs containing 1
         expected = {(1, j) for j in range(2, 7)}
         cached_cols = set()
-        for members, (lo, hi) in placement.batch_view.items():
+        cache = placement.cached(1)
+        for members, (lo, hi) in ranges.items():
             assert hi - lo == 1
-            if placement.mask[0, 0, lo]:
+            if cache[0, lo]:
                 cached_cols.add(members)
         assert cached_cols == expected
         # same subfiles cached for every file
         for i in range(3):
-            assert np.array_equal(placement.mask[0, 0], placement.mask[0, i])
+            assert np.array_equal(cache[0], cache[i])
 
     @pytest.mark.parametrize("N,K,t,F", [(3, 6, 2, 15), (2, 4, 1, 8), (4, 5, 3, 20), (1, 3, 0, 6)])
     def test_per_user_load(self, N, K, t, F):
@@ -48,17 +51,16 @@ class TestBatchPlacement:
             assert placement.cached_bits(k) == N * t * F // K
 
     def test_ranges_partition_file(self):
-        placement = batch_placement(N=2, K=5, t=2, F=30)
-        spans = sorted(placement.batch_view.values())
+        spans = sorted(subfile_ranges(5, 2, 30).values())
         assert spans[0][0] == 0 and spans[-1][1] == 30
         assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
 
     def test_t_zero_and_t_full(self):
         empty = batch_placement(N=2, K=3, t=0, F=4)
-        assert not empty.mask.any()
-        assert empty.batch_view == {(): (0, 4)}
+        assert not empty.codes.any()
+        assert subfile_ranges(3, 0, 4) == {(): (0, 4)}
         full = batch_placement(N=2, K=3, t=3, F=4)
-        assert full.mask.all()
+        assert all(full.cached(k).all() for k in (1, 2, 3))
         assert full.cached_bits(1) == 2 * 4
 
     def test_divisibility_error_names_multiple(self):
@@ -108,10 +110,11 @@ class TestEncode:
         db, placement, d = canonical_instance
         messages = {m.subset.members: m.payload for m in encode_delivery(db, placement, d)}
         letters = {v: k for k, v in FILE_LETTERS.items()}
+        ranges = subfile_ranges(6, 2, db.F)
         for subset, symbols in SIX_USER_TABLE.items():
             expected = np.zeros(1, dtype=np.uint8)
             for letter, members in symbols:
-                lo, hi = placement.batch_view[members]
+                lo, hi = ranges[members]
                 expected = expected ^ db.bits[letters[letter] - 1, lo:hi]
             assert np.array_equal(messages[subset], expected)
 
@@ -132,8 +135,9 @@ class TestEncode:
         assert len(messages) == binomial(2, 2) - binomial(1, 2) == 1
         (m,) = messages
         assert m.subset.members == (1, 2)
-        lo1, hi1 = placement.batch_view[(1,)]
-        lo2, hi2 = placement.batch_view[(2,)]
+        ranges = subfile_ranges(2, 1, 4)
+        lo1, hi1 = ranges[(1,)]
+        lo2, hi2 = ranges[(2,)]
         expected = db.bits[0, lo2:hi2] ^ db.bits[0, lo1:hi1]
         assert np.array_equal(m.payload, expected)
         assert delivered_rate(messages, 4) == Fraction(1, 2)
@@ -143,13 +147,18 @@ class TestEncode:
         placement = batch_placement(2, 3, t=3, F=4)
         assert encode_delivery(db, placement, (1, 2, 1)) == []
 
-    def test_requires_batch_view(self):
-        from cachekit.decentralized import random_placement
-
+    def test_random_placement_goes_through_the_engine(self):
+        # any placement is delivered over its level partition, batch or not
         db = make_database(2, 8, seed=3)
-        placement = random_placement(2, 2, 1, 8, seed=0)
-        with pytest.raises(ValueError, match="batch"):
-            encode_delivery(db, placement, (1, 2))
+        placement = decentralized.random_placement(2, 2, 1, 8, seed=0)
+        part = decentralized.level_partition(placement, 2, 8)
+        for d in all_demands(2, 2):
+            got = encode_delivery(db, placement, d)
+            want = decentralized.encode_delivery(db, part, d)
+            assert [m.subset for m in got] == [m.subset for m in want]
+            assert all(a.payload.tobytes() == b.payload.tobytes() for a, b in zip(got, want))
+            for k in (1, 2):
+                assert np.array_equal(decode_user(k, db, placement, got, d), db.file(d[k - 1]))
 
 
 class TestReconstruct:
@@ -210,16 +219,17 @@ class TestDecode:
             assert np.array_equal(decode_user(k, db, placement, [], d), db.file(d[k - 1]))
 
     def test_reads_only_cached_bits(self, canonical_instance):
-        # clear one cached 1-bit of user 1's wanted file: it decodes wrong,
-        # so the decoder reads that bit through the cache and nowhere else
+        # clear one cached 1-bit of user 1's wanted file, keeping the original
+        # partition: it decodes wrong, so the decoder reads that bit through
+        # the cache and nowhere else
         db, placement, d = canonical_instance
         messages = encode_delivery(db, placement, d)
         wanted = d[0] - 1
-        j = int(np.flatnonzero(placement.mask[0, wanted] & (db.bits[wanted] == 1))[0])
-        mask = placement.mask.copy()
-        mask[0, wanted, j] = False
-        forgetful = Placement(placement.K, mask, placement.batch_view, placement.t)
-        decoded = decode_user(1, db, forgetful, messages, d)
+        j = int(np.flatnonzero(placement.cached(1)[wanted] & (db.bits[wanted] == 1))[0])
+        codes = placement.codes.copy()
+        codes[wanted, j] ^= 1  # user 1 forgets bit j
+        forgetful = Placement(placement.K, codes)
+        decoded = decentralized.decode_user(1, db, forgetful, placement.partition, messages, d)
         assert decoded[j] != db.file(d[0])[j]
 
     def test_missing_message_identifies_subset(self, canonical_instance):
@@ -346,9 +356,10 @@ class TestInvariants:
                 q = dict(enumerate(rng.permutation(N) + 1, start=1))
                 # relabeled database: subfile (q(i), p(S)) holds subfile (i, S)
                 bits2 = np.empty_like(db.bits)
-                for members, (lo, hi) in placement.batch_view.items():
+                ranges = subfile_ranges(K, t, F)
+                for members, (lo, hi) in ranges.items():
                     pm = tuple(sorted(p[x] for x in members))
-                    lo2, hi2 = placement.batch_view[pm]
+                    lo2, hi2 = ranges[pm]
                     for i in range(1, N + 1):
                         bits2[q[i] - 1, lo2:hi2] = db.bits[i - 1, lo:hi]
                 db2 = Database(N, F, bits2)

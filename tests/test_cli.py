@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cachekit import batch_placement, demand_stats, save_placement
+from cachekit import CacheProfile, batch_placement, demand_stats, save_placement
 from cachekit import cli
 from cachekit.cli import MAX_GRID_POINTS, main, parse_grid
 from cachekit.cli import UsageError
@@ -166,7 +166,6 @@ class TestUsageErrors:
         ["verify", "--n", "3", "--k", "3", "--m", "6"],
         ["simulate", "--n", "2", "--k", "2", "--m", "3", "--schemes", "decentralized"],
         ["simulate", "--n", "2", "--k", "2", "--m", "1/0", "--schemes", "decentralized"],
-        ["simulate", "--n", "2", "--k", "65", "--m", "1", "--f", "4", "--schemes", "decentralized"],
     ])
     def test_bad_input_exits_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -274,8 +273,14 @@ class TestBatchCost:
         groups = binomial(K, t)
         F = 2 * groups if F is None else F
         estimate = cli.batch_bytes_estimate(N, K, t, F)
-        assert estimate == K * N * F + cli.BYTES_PER_SUBFILE * groups
+        # per bit a uint32 code (K <= 32) and its 8-byte sort-order entry, plus the groups
+        assert estimate == (4 + 8) * N * F + cli.BYTES_PER_SUBFILE * groups
         assert estimate > cli.MAX_BATCH_BYTES
+
+    def test_estimate_counts_python_int_codes(self):
+        # past 64 users each code is a pointer to an int object of its own
+        per_bit = 8 + 8 + sys.getsizeof(1 << 65)
+        assert cli.batch_bytes_estimate(2, 65, 64, 130) == 2 * 130 * per_bit + cli.BYTES_PER_SUBFILE * 65
 
     def test_estimate_admits_moderate_instances(self):
         for N, K, t in [(3, 6, 5), (2, 14, 13), (3, 9, 6), (2, 65, 64), (10, 6, 2), (2, 18, 9)]:
@@ -338,8 +343,7 @@ class TestSimulate:
         assert out == DECENTRALIZED_GOLDEN
 
     def test_centralized_many_users(self, capsys):
-        # the batch partition is built from subfile ranges, not from per-bit
-        # user-set codes, so the decentralized engine's 64-user limit does not apply
+        # past 64 users the codes are Python ints; the partition is built alike
         code, out, _ = run_cli(capsys, "simulate", "--n", "2", "--k", "65", "--t", "64", "--f", "65", "--dump")
         assert code == 0
         assert "decode: all users OK" in out
@@ -355,6 +359,12 @@ class TestSimulate:
         assert "all users OK" in out
         rel = float(re.search(r"relative error: ([0-9.]+)%", out).group(1))
         assert rel < 5.0
+
+    def test_decentralized_past_64_users(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", "--schemes", "decentralized", "--n", "2", "--k", "65",
+                               "--m", "1", "--f", "40")
+        assert code == 0
+        assert "decode: all users OK" in out
 
     def test_decentralized_large_k_small_f(self, capsys):
         # 2^40 user subsets, but only the few non-empty groups of 2*64 bits
@@ -404,6 +414,34 @@ class TestBound:
         line = next(l for l in out.splitlines() if "(2, 1, 1)" in l)
         # bound = distinct - 1/F = 3 - 0.01
         assert "bound=2.990000" in line
+
+    def test_past_64_users(self, capsys, tmp_path):
+        from cachekit.decentralized import random_placement
+
+        N, K, F = 2, 65, 40
+        placement = random_placement(N, K, 1, F, seed=3)
+        path = tmp_path / "many.placement"
+        save_placement(path, placement, N, F, M=1)
+        code, out, _ = run_cli(capsys, "bound", str(path))
+        assert code == 0
+        coverage = CacheProfile.from_placement(placement).coverage
+        assert all(f"  n={n}: {a}" in out.splitlines() for n, a in enumerate(coverage) if a)
+
+    def test_profile_computed_once(self, capsys, tmp_path, monkeypatch):
+        N, K, t, F = 3, 4, 2, 12
+        path = tmp_path / "batch.placement"
+        save_placement(path, batch_placement(N, K, t, F), N, F, M=Fraction(t * N, K))
+        calls = []
+        original = CacheProfile.from_placement
+
+        def counted(placement):
+            calls.append(placement)
+            return original(placement)
+
+        monkeypatch.setattr(cli.CacheProfile, "from_placement", counted)
+        code, out, _ = run_cli(capsys, "bound", str(path))
+        assert code == 0 and "batch-structured with t=2" in out
+        assert len(calls) == 1
 
     def test_malformed_file_reports_line(self, capsys, tmp_path):
         path = tmp_path / "bad.placement"

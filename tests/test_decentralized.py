@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cachekit import (
     CacheProfile,
@@ -14,33 +17,95 @@ from cachekit import (
     make_database,
 )
 from cachekit import decentralized
+from cachekit.centralized import subfile_ranges
+from cachekit.combinatorics import enumerate_subsets
 from cachekit.model import Placement
+
+from conftest import oracle_level_partition, placement_from_mask
+
+
+def cached_mask(placement):
+    """K x N x F: entry [k-1] is user k's cache view."""
+    return np.stack([placement.cached(k) for k in range(1, placement.K + 1)])
+
+
+# the mask loops the placements were once built with, kept to pin their codes
+def mask_random_placement(N, K, M, F, seed):
+    quota = math.floor(Fraction(M) * F / N)
+    rng = np.random.default_rng(seed)
+    mask = np.zeros((K, N, F), dtype=bool)
+    for k in range(K):
+        for i in range(N):
+            mask[k, i, rng.choice(F, size=quota, replace=False)] = True
+    return mask
+
+
+def mask_batch_placement(N, K, t, F):
+    size = F // binomial(K, t)
+    mask = np.zeros((K, N, F), dtype=bool)
+    for sid in enumerate_subsets(K, t):
+        for k in sid.members:
+            mask[k - 1, :, sid.rank * size : (sid.rank + 1) * size] = True
+    return mask
+
+
+@st.composite
+def batch_cases(draw):
+    """(N, K, t) with t near 0 or K, so C(K, t) stays small up to K = 70."""
+    K = draw(st.integers(1, 70))
+    t = draw(st.sampled_from(sorted({0, 1, 2, K - 2, K - 1, K} & set(range(K + 1)))))
+    return draw(st.integers(1, 3)), K, t
+
+
+class TestCodes:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 70), st.integers(1, 30), st.fractions(0, 1), st.integers(0, 2**16))
+    @example(2, 64, 24, Fraction(1, 2), 7)
+    @example(2, 65, 24, Fraction(1, 2), 7)
+    def test_random_placement_same_stream(self, N, K, F, share, seed):
+        M = share * N
+        placement = decentralized.random_placement(N, K, M, F, seed)
+        assert placement.codes.shape == (N, F) and not placement.codes.flags.writeable
+        assert placement.codes.dtype == np.min_scalar_type((1 << K) - 1)
+        assert np.array_equal(cached_mask(placement), mask_random_placement(N, K, M, F, seed))
+
+    @settings(max_examples=60, deadline=None)
+    @given(batch_cases())
+    @example((2, 64, 63))
+    @example((2, 65, 64))
+    @example((1, 65, 1))
+    def test_batch_placement_same_cache(self, case):
+        N, K, t = case
+        F = 2 * binomial(K, t)
+        placement = batch_placement(N, K, t, F)
+        assert not placement.codes.flags.writeable
+        assert np.array_equal(cached_mask(placement), mask_batch_placement(N, K, t, F))
 
 
 class TestRandomPlacement:
     def test_quota_exact_per_file(self):
         placement = decentralized.random_placement(N=2, K=3, M=1, F=10_000, seed=1)
-        per_file = placement.mask.sum(axis=2)
+        per_file = cached_mask(placement).sum(axis=2)
         assert (per_file == 5000).all()
         assert placement.cached_bits(1) == 2 * 5000
 
     def test_extremes(self):
         full = decentralized.random_placement(N=2, K=2, M=2, F=10, seed=0)
-        assert full.mask.all()
+        assert cached_mask(full).all()
         empty = decentralized.random_placement(N=2, K=2, M=0, F=10, seed=0)
-        assert not empty.mask.any()
+        assert not cached_mask(empty).any()
 
     def test_budget_is_floor(self):
         placement = decentralized.random_placement(N=3, K=2, M=1, F=100, seed=2)
         quota = math.floor(1 * 100 / 3)
-        assert (placement.mask.sum(axis=2) == quota).all()
+        assert (cached_mask(placement).sum(axis=2) == quota).all()
         assert placement.cached_bits(1) == 3 * quota <= 100
 
     def test_deterministic_and_roughly_uniform(self):
         a = decentralized.random_placement(N=2, K=3, M=1, F=10_000, seed=42)
         b = decentralized.random_placement(N=2, K=3, M=1, F=10_000, seed=42)
-        assert np.array_equal(a.mask, b.mask)
-        assert abs(a.mask.mean() - 0.5) < 0.02
+        assert np.array_equal(a.codes, b.codes)
+        assert abs(cached_mask(a).mean() - 0.5) < 0.02
 
     def test_m_out_of_range(self):
         with pytest.raises(ValueError):
@@ -53,12 +118,12 @@ class TestLevelPartition:
         part = decentralized.level_partition(placement, N=2, F=12)
         sizes = part.level_sizes()
         assert sizes[2] == 2 * 12 and sum(sizes) == 2 * 12
-        for members, (lo, hi) in placement.batch_view.items():
+        for members, (lo, hi) in subfile_ranges(4, 2, 12).items():
             for i in (1, 2):
                 assert np.array_equal(part.positions(members, i), np.arange(lo, hi))
 
     def test_empty_placement_all_level_zero(self):
-        placement = Placement(3, np.zeros((3, 2, 5), dtype=bool))
+        placement = Placement(3, np.zeros((2, 5), dtype=np.uint8))
         part = decentralized.level_partition(placement, N=2, F=5)
         assert part.level_sizes() == [10, 0, 0, 0]
         assert np.array_equal(part.positions((), 1), np.arange(5))
@@ -69,11 +134,11 @@ class TestLevelPartition:
         for i in (1, 2):
             seen = np.concatenate([per_file[i - 1] for per_file in part.groups.values()])
             assert np.array_equal(np.sort(seen), np.arange(500))
-        # group membership agrees with the mask
+        # group membership agrees with the users' cache views
         for members, per_file in part.groups.items():
             for i in (1, 2):
                 for j in per_file[i - 1][:5]:
-                    cachers = {k + 1 for k in range(4) if placement.mask[k, i - 1, j]}
+                    cachers = {k for k in range(1, 5) if placement.cached(k)[i - 1, j]}
                     assert cachers == set(members)
 
     def test_level_sizes_concentrate(self):
@@ -87,19 +152,22 @@ class TestLevelPartition:
             assert abs(sizes[j] - mean) <= 3 * sigma
 
     def test_user_limit(self):
-        # one code bit per user, at most 64: K=64 still agrees with the coverage profile,
-        # K=65 would overflow the codes, so it is refused
-        at_limit = decentralized.random_placement(1, 64, "1/2", 40, seed=3)
-        part = decentralized.level_partition(at_limit, 1, 40)
-        assert part.level_sizes() == list(CacheProfile.from_placement(at_limit).coverage)
-        past_limit = decentralized.random_placement(1, 65, "1/2", 40, seed=3)
-        with pytest.raises(ValueError, match="K <= 64"):
-            decentralized.level_partition(past_limit, 1, 40)
+        # there is none: past 64 users the codes are Python ints, and K=65
+        # partitions like K=64, agreeing with the coverage profile and the oracle
+        for K in (64, 65):
+            placement = decentralized.random_placement(1, K, "1/2", 40, seed=3)
+            part = decentralized.level_partition(placement, 1, 40)
+            assert part.level_sizes() == list(CacheProfile.from_placement(placement).coverage)
+            want = oracle_level_partition(placement, 1, 40)
+            assert {m: tuple(map(tuple, p)) for m, p in part.groups.items()} == {
+                m: tuple(map(tuple, p)) for m, p in want.groups.items()}
+            assert any(K in members for members in part.groups)
+        assert placement.codes.dtype == object
 
 
 class TestEncodeDecode:
-    # the sorted-code level partition of a batch placement and the batch
-    # adapters' partition, built from the subfile ranges, deliver alike
+    # the batch adapters deliver over the partition kept with the (shared,
+    # cached) batch placement; a freshly built level partition delivers alike
     def test_batch_reduction_byte_identical(self, canonical_instance):
         db, placement, d = canonical_instance
         part = decentralized.level_partition(placement, db.N, db.F)
@@ -130,10 +198,10 @@ class TestEncodeDecode:
         d = (1, 2, 1)
         messages = decentralized.encode_delivery(db, part, d)
         wanted = d[1] - 1
-        j = int(np.flatnonzero(placement.mask[1, wanted] & (db.bits[wanted] == 1))[0])
-        mask = placement.mask.copy()
-        mask[1, wanted, j] = False
-        decoded = decentralized.decode_user(2, db, Placement(K, mask), part, messages, d)
+        j = int(np.flatnonzero(placement.cached(2)[wanted] & (db.bits[wanted] == 1))[0])
+        codes = placement.codes.copy()
+        codes[wanted, j] ^= 1 << 1  # user 2 forgets bit j
+        decoded = decentralized.decode_user(2, db, Placement(K, codes), part, messages, d)
         assert decoded[j] != db.file(d[1])[j]
 
     def test_fully_cached_no_messages(self):
@@ -183,7 +251,7 @@ class TestEncodeDecode:
         mask = np.zeros((2, 2, F), dtype=bool)
         mask[0, 0, :12] = True
         mask[1, 1, 17:] = True
-        placement = Placement(2, mask)
+        placement = placement_from_mask(mask)
         db = make_database(2, F, seed=10)
         part = decentralized.level_partition(placement, 2, F)
         for d in [(1, 2), (2, 1), (2, 2), (1, 1)]:

@@ -21,25 +21,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cachekit import all_demands, batch_placement, binomial, centralized, decentralized, make_database
-from cachekit.centralized import BroadcastMessage, DecodeError, select_leaders
+from cachekit.centralized import BroadcastMessage, DecodeError, select_leaders, subfile_ranges
 from cachekit.combinatorics import enumerate_subsets
-from cachekit.model import Placement, validate_demand
+from cachekit.model import validate_demand
 
-from conftest import direct_payload
+from conftest import CANONICAL_T, direct_payload, oracle_level_partition, placement_from_mask
 
-# --- oracle: int64 codes, one pass per code and file, all 2^K subsets ------------
-
-
-def oracle_level_partition(placement, N, F):
-    K = placement.K
-    codes = np.zeros((N, F), dtype=np.int64)
-    for k in range(K):
-        codes[placement.mask[k]] += np.int64(1) << k
-    groups = {}
-    for code in np.unique(codes):
-        members = tuple(k + 1 for k in range(K) if (int(code) >> k) & 1)
-        groups[members] = tuple(np.flatnonzero(codes[i] == code) for i in range(N))
-    return decentralized.LevelPartition(K, N, F, groups)
+# --- oracle: one pass per code and file (conftest), all 2^K subsets ---------------
 
 
 def oracle_encode_delivery(db, partition, d, leaders=None):
@@ -147,15 +135,14 @@ def test_free_mask_matches_oracle(instance):
     N, K, F, density, d, seed = instance
     db = make_database(N, F, seed)
     mask = np.random.default_rng(seed + 1).random((K, N, F)) < density
-    assert_engine_exact(db, Placement(K, mask), d)
+    assert_engine_exact(db, placement_from_mask(mask), d)
 
 
 def test_k64_groups_match_oracle_as_sets():
-    # the top user's bit is the sign bit of the oracle's int64 codes, so the
-    # two dicts order their keys differently; the groups themselves agree
+    # the top user's bit is the top bit of the engine's uint64 codes
     N, K, F = 2, 64, 24
     placement = decentralized.random_placement(N, K, Fraction(1, 2), F, seed=7)
-    assert placement.mask[K - 1].any()
+    assert placement.cached(K).any()
     part = decentralized.level_partition(placement, N, F)
     want = oracle_level_partition(placement, N, F)
 
@@ -176,11 +163,11 @@ def test_k64_groups_match_oracle_as_sets():
 # --- oracle: batch delivery by subfile slicing ------------------------------------
 
 
-def oracle_batch_encode(db, placement, d, leaders):
+def oracle_batch_encode(db, placement, t, d, leaders):
     messages = []
-    if placement.t == placement.K:
+    if t == placement.K:
         return messages
-    for sid in enumerate_subsets(placement.K, placement.t + 1):
+    for sid in enumerate_subsets(placement.K, t + 1):
         if not leaders.isdisjoint(sid.members):
             messages.append(BroadcastMessage(sid, direct_payload(db, placement, d, sid.members)))
     return messages
@@ -202,12 +189,13 @@ def oracle_reconstruct(payloads, d, leaders, members):
     return acc
 
 
-def oracle_batch_decode(k, db, placement, messages, d, leaders):
-    cache = np.where(placement.mask[k - 1], db.bits, 0).astype(np.uint8)
+def oracle_batch_decode(k, db, placement, t, messages, d, leaders):
+    cache = np.where(placement.cached(k), db.bits, 0).astype(np.uint8)
+    ranges = subfile_ranges(placement.K, t, db.F)
     payloads = {m.subset.members: m.payload for m in messages}
     wanted = d[k - 1]
     out = np.empty(db.F, dtype=np.uint8)
-    for S, (lo, hi) in placement.batch_view.items():
+    for S, (lo, hi) in ranges.items():
         if k in S:
             out[lo:hi] = cache[wanted - 1, lo:hi]
             continue
@@ -217,7 +205,7 @@ def oracle_batch_decode(k, db, placement, messages, d, leaders):
             y = oracle_reconstruct(payloads, d, leaders, A)
         acc = y.copy()
         for x in S:
-            lo2, hi2 = placement.batch_view[tuple(v for v in A if v != x)]
+            lo2, hi2 = ranges[tuple(v for v in A if v != x)]
             acc ^= cache[d[x - 1] - 1, lo2:hi2]
         out[lo:hi] = acc
     return out
@@ -226,10 +214,10 @@ def oracle_batch_decode(k, db, placement, messages, d, leaders):
 # --- the batch gate ---------------------------------------------------------------
 
 
-def assert_batch_exact(db, placement, d, leaders):
+def assert_batch_exact(db, placement, t, d, leaders):
     K = placement.K
     messages = centralized.encode_delivery(db, placement, d, leaders)
-    expected = oracle_batch_encode(db, placement, d, leaders)
+    expected = oracle_batch_encode(db, placement, t, d, leaders)
     assert [(m.subset.members, m.subset.rank) for m in messages] == [
         (m.subset.members, m.subset.rank) for m in expected
     ]
@@ -239,7 +227,7 @@ def assert_batch_exact(db, placement, d, leaders):
     for k in range(1, K + 1):
         decoded = centralized.decode_user(k, db, placement, messages, d, leaders)
         assert decoded.dtype == np.uint8
-        assert np.array_equal(decoded, oracle_batch_decode(k, db, placement, expected, d, leaders))
+        assert np.array_equal(decoded, oracle_batch_decode(k, db, placement, t, expected, d, leaders))
         assert np.array_equal(decoded, db.file(d[k - 1]))
 
 
@@ -257,7 +245,7 @@ def test_batch_adapters_match_oracle_every_demand(N, K, t, F):
     db = make_database(N, F, seed=100 * N + 10 * K + t)
     placement = batch_placement(N, K, t, F)
     for d in all_demands(N, K):
-        assert_batch_exact(db, placement, d, select_leaders(d))
+        assert_batch_exact(db, placement, t, d, select_leaders(d))
 
 
 @st.composite
@@ -279,11 +267,11 @@ def test_batch_adapters_match_oracle_drawn(instance):
     N, K, t, F, d, leaders, seed = instance
     db = make_database(N, F, seed)
     placement = batch_placement(N, K, t, F)
-    assert_batch_exact(db, placement, d, leaders)
+    assert_batch_exact(db, placement, t, d, leaders)
     # every user a leader: each (t+1)-subset's direct payload, as the cancellation check uses it
     everyone = frozenset(range(1, K + 1))
     got = centralized.encode_delivery(db, placement, d, everyone)
-    want = oracle_batch_encode(db, placement, d, everyone)
+    want = oracle_batch_encode(db, placement, t, d, everyone)
     assert [m.subset for m in got] == [m.subset for m in want]
     assert all(a.payload.tobytes() == b.payload.tobytes() for a, b in zip(got, want))
 
@@ -295,10 +283,10 @@ def test_batch_reduction_matches_oracle(canonical_instance):
     leaders = select_leaders(d)
     part = decentralized.level_partition(placement, db.N, db.F)
     messages = decentralized.encode_delivery(db, part, d)
-    expected = oracle_batch_encode(db, placement, d, leaders)
+    expected = oracle_batch_encode(db, placement, CANONICAL_T, d, leaders)
     assert [m.subset for m in messages] == [m.subset for m in expected]
     assert all(a.payload.tobytes() == b.payload.tobytes() for a, b in zip(messages, expected))
     for k in range(1, placement.K + 1):
         decoded = decentralized.decode_user(k, db, placement, part, messages, d)
-        assert np.array_equal(decoded, oracle_batch_decode(k, db, placement, expected, d, leaders))
+        assert np.array_equal(decoded, oracle_batch_decode(k, db, placement, CANONICAL_T, expected, d, leaders))
         assert np.array_equal(decoded, db.file(d[k - 1]))

@@ -136,14 +136,15 @@ class TestPlacementFile:
         loaded, N, F, M = load_placement(path)
         assert (N, F, M) == (3, 12, Fraction(3, 2))
         assert loaded.K == 4
-        assert np.array_equal(loaded.mask, placement.mask)
+        assert loaded.codes.dtype == placement.codes.dtype and not loaded.codes.flags.writeable
+        assert np.array_equal(loaded.codes, placement.codes)
 
     def test_round_trip_random(self, tmp_path):
         placement = random_placement(N=2, K=3, M=1, F=40, seed=5)
         path = tmp_path / "random.placement"
         save_placement(path, placement, N=2, F=40, M=1)
         loaded, N, F, M = load_placement(path)
-        assert np.array_equal(loaded.mask, placement.mask)
+        assert np.array_equal(loaded.codes, placement.codes)
         assert M == 1
 
     def test_parse_error_reports_line(self, tmp_path):
@@ -188,4 +189,4 @@ def test_cached_pairs_sorted_and_consistent():
         assert all(type(p) is tuple and len(p) == 2 for p in pairs)
         assert all(type(i) is int and type(j) is int for i, j in pairs)
         for i, j in pairs:
-            assert placement.mask[k - 1, i - 1, j]
+            assert placement.cached(k)[i - 1, j]

@@ -44,6 +44,9 @@ def main(argv=None) -> int:
     parser.add_argument("--f", type=int, default=120)
     parser.add_argument("--placements", type=int, default=20)
     args = parser.parse_args(argv)
+    for flag in ("n", "k", "f"):
+        if getattr(args, flag) < 1:
+            parser.error(f"--{flag} must be at least 1, got {getattr(args, flag)}")
     N, K, F, M = args.n, args.k, args.f, args.m
     types = enumerate_types(N, K)
     db = make_database(N, F, seed=0)

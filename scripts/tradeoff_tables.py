@@ -13,6 +13,7 @@ Usage: python scripts/tradeoff_tables.py [--outdir results] [--points-per-t 2]
 
 import argparse
 import pathlib
+import sys
 from fractions import Fraction
 
 from cachekit.rate_analysis import rate_curve, write_curves_csv
@@ -25,12 +26,14 @@ TABLES = [
 ]
 
 
-def main():
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="results")
     parser.add_argument("--points-per-t", type=int, default=2,
                         help="grid samples per integer cache parameter step")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    if args.points_per_t < 1:
+        parser.error(f"--points-per-t must be at least 1, got {args.points_per_t}")
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, N, K, labels in TABLES:
@@ -41,7 +44,8 @@ def main():
         with open(path, "w") as fh:
             write_curves_csv(curves, fh)
         print(f"{path}: {len(grid)} grid points x {len(labels)} schemes")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

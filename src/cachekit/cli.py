@@ -61,8 +61,9 @@ MAX_GRID_POINTS = 10**5
 MAX_BATCH_BYTES = 2**30
 # Peak memory per subfile group beyond its bits' codes and sort order: its
 # partition entry and its share of the engine's demand-free delivery index.
-# Measured as 3.5-4.1 KB per group for `simulate --n 2` at (K, t) = (16, 8),
-# (18, 9) and (20, 10), i.e. 12,870 to 184,756 groups.
+# Measured as 1.9-2.2 KB per group for `simulate --n 2` at (K, t) = (16, 8),
+# (18, 9) and (20, 10), i.e. 12,870 to 184,756 groups. Kept at 4 KB: a
+# smaller figure would admit larger instances, whose run time nothing bounds yet.
 BYTES_PER_SUBFILE = 4096
 
 
@@ -192,9 +193,10 @@ def _batch_file_size(args, K: int, t: int) -> int:
 
 
 def _check_sizes(args) -> None:
-    """--n, --k and --f, where given, must be positive."""
+    """--n, --k and --f, where the subcommand takes them and they are given,
+    must be positive."""
     for flag in ("n", "k", "f"):
-        value = getattr(args, flag)
+        value = getattr(args, flag, None)
         if value is not None and value < 1:
             raise UsageError(f"--{flag} must be at least 1, got {value}")
 
@@ -440,49 +442,50 @@ def cmd_bound(args) -> int:
 # --- entry point -----------------------------------------------------------------
 
 
+# Every flag (and positional) a subcommand can take, declared once:
+# name -> add_argument keywords.
+FLAGS = {
+    "--n": dict(type=int, required=True, help="number of files"),
+    "--k": dict(type=int, required=True, help="number of users"),
+    "--m": dict(type=str, default=None, help="cache size in files (fraction ok)"),
+    "--t": dict(type=int, default=None, help="integer cache parameter K*M/N"),
+    "--f": dict(type=int, default=None, help="bits per file"),
+    "--seed": dict(type=int, default=None, help="seed (default env CACHEKIT_SEED or 0)"),
+    "--sample": dict(type=int, default=DEFAULT_SAMPLE,
+                     help="extra random demands to bit-check in per-type mode"),
+    "--grid": dict(type=str, default=None, help="M grid start:stop:step"),
+    "--schemes": dict(type=str, default=None, help="comma-separated scheme labels"),
+    "--out": dict(type=str, default=None, help="CSV output path"),
+    "--dump": dict(action="store_true", help="print the delivery transcript"),
+    "--demand": dict(type=str, default=None, help="comma-separated file indices"),
+    "placement": dict(type=str, help="placement file path"),
+}
+
+# Each subcommand takes exactly the flags its cmd_* function reads.
+SUBCOMMANDS = {
+    "rates": (cmd_rates, "tabulate tradeoff formulas on an M grid",
+              ["--n", "--k", "--grid", "--schemes", "--out"]),
+    "verify": (cmd_verify, "exhaustively verify an instance",
+               ["--n", "--k", "--m", "--t", "--f", "--seed", "--sample"]),
+    "simulate": (cmd_simulate, "one placement + demand, end to end",
+                 ["--n", "--k", "--m", "--t", "--f", "--seed", "--schemes", "--demand", "--dump"]),
+    "bound": (cmd_bound, "converse bound for a placement file", ["placement"]),
+    "compare": (cmd_compare, "side-by-side scheme table",
+                ["--n", "--k", "--grid", "--schemes", "--out"]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cachekit",
         description="Coded caching with uncoded prefetching: schemes, tradeoffs, bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, n_required=True):
-        p.add_argument("--n", type=int, required=n_required, help="number of files")
-        p.add_argument("--k", type=int, required=n_required, help="number of users")
-        p.add_argument("--m", type=str, default=None, help="cache size in files (fraction ok)")
-        p.add_argument("--t", type=int, default=None, help="integer cache parameter K*M/N")
-        p.add_argument("--f", type=int, default=None, help="bits per file")
-        p.add_argument("--seed", type=int, default=None, help="seed (default env CACHEKIT_SEED or 0)")
-        p.add_argument("--grid", type=str, default=None, help="M grid start:stop:step")
-        p.add_argument("--schemes", type=str, default=None, help="comma-separated scheme labels")
-        p.add_argument("--out", type=str, default=None, help="CSV output path")
-        p.add_argument("--dump", action="store_true", help="print the delivery transcript")
-        p.add_argument("--demand", type=str, default=None, help="comma-separated file indices")
-
-    p_rates = sub.add_parser("rates", help="tabulate tradeoff formulas on an M grid")
-    add_common(p_rates)
-    p_rates.set_defaults(fn=cmd_rates)
-
-    p_verify = sub.add_parser("verify", help="exhaustively verify an instance")
-    add_common(p_verify)
-    p_verify.add_argument("--sample", type=int, default=DEFAULT_SAMPLE,
-                          help="extra random demands to bit-check in per-type mode")
-    p_verify.set_defaults(fn=cmd_verify)
-
-    p_sim = sub.add_parser("simulate", help="one placement + demand, end to end")
-    add_common(p_sim)
-    p_sim.set_defaults(fn=cmd_simulate)
-
-    p_bound = sub.add_parser("bound", help="converse bound for a placement file")
-    add_common(p_bound, n_required=False)
-    p_bound.add_argument("placement", type=str, help="placement file path")
-    p_bound.set_defaults(fn=cmd_bound)
-
-    p_cmp = sub.add_parser("compare", help="side-by-side scheme table")
-    add_common(p_cmp)
-    p_cmp.set_defaults(fn=cmd_compare)
-
+    for command, (fn, help_text, flags) in SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
+        p.set_defaults(fn=fn)
     return parser
 
 

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import floor
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -112,17 +112,6 @@ class LevelPartition:
         order = sorted(sources, key=lambda T: (len(T), T))
         return [(SubsetId(T, subset_rank(T, self.K)), _user_code(T), sources[T]) for T in order]
 
-    @cached_property
-    def _receivers(self) -> list[list[tuple]]:
-        """Per user k: (members, user-set code, k's positions per file, other
-        sources) of each T with k's chunk."""
-        plans = [[] for _ in range(self.K + 1)]
-        for sid, code, sources in self._subsets:
-            for x, per_file in sources:
-                partners = tuple(src for src in sources if src[0] != x)
-                plans[x].append((sid.members, code, per_file, partners))
-        return plans
-
 
 def level_partition(placement: Placement, N: int, F: int) -> LevelPartition:
     """Exact partition of all (file, bit) positions by caching set.
@@ -139,7 +128,12 @@ def level_partition(placement: Placement, N: int, F: int) -> LevelPartition:
     ranked = np.take_along_axis(codes, order, axis=1)
     heads = np.ones((N, F), dtype=bool)
     heads[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-    present = np.unique(ranked[heads])
+    # the codes present in any file, ascending: one sort and a neighbour
+    # comparison (np.unique would import numpy.ma on first use)
+    present = np.sort(ranked[heads])
+    firsts = np.ones(len(present), dtype=bool)
+    firsts[1:] = present[1:] != present[:-1]
+    present = present[firsts]
     starts = [np.searchsorted(row, present, side="left").tolist() for row in ranked]
     stops = [np.searchsorted(row, present, side="right").tolist() for row in ranked]
     groups: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
@@ -283,11 +277,20 @@ def decode_user(
             sent_set = {sid.members for sid, _ in _sent(partition, d, lead_code)}
         return sent_set
 
-    for members, code, own, partners in partition._receivers[k]:
+    k_bit = 1 << (k - 1)
+    for sid, code, sources in partition._subsets:
+        if not code & k_bit:
+            continue
+        for x, own in sources:
+            if x == k:
+                break
+        else:
+            continue  # the group T - {k} is empty
         pos = own[wanted - 1]
         n = len(pos)
         if not n:
             continue
+        members = sid.members
         y = payloads.get(members)
         if y is None:
             if code & lead_code:
@@ -295,7 +298,7 @@ def decode_user(
             y = reconstruct_message(payloads, d, leaders, members, sent)
         # only the first n bits of a partner's chunk meet k's; a rebuilt y is no
         # shorter than n, since one of its terms holds k's chunk
-        parts = [view[d[x - 1] - 1][per_file[d[x - 1] - 1][:n]] for x, per_file in partners]
+        parts = [view[d[x - 1] - 1][per_file[d[x - 1] - 1][:n]] for x, per_file in sources if x != k]
         out[pos] = _xor_into(y[:n].copy(), parts)
     return out
 

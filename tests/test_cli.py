@@ -1,3 +1,4 @@
+import argparse
 import re
 import subprocess
 import sys
@@ -509,3 +510,66 @@ def test_env_seed_respected(capsys, monkeypatch):
     monkeypatch.delenv("CACHEKIT_SEED")
     _, out_default, _ = run_cli(capsys, *args, "--seed", "9")
     assert out_env == out_default
+
+
+# the options each subcommand takes: exactly the flags its cmd_* function reads
+SUBCOMMAND_OPTIONS = {
+    "rates": {"--n", "--k", "--grid", "--schemes", "--out"},
+    "compare": {"--n", "--k", "--grid", "--schemes", "--out"},
+    "verify": {"--n", "--k", "--m", "--t", "--f", "--seed", "--sample"},
+    "simulate": {"--n", "--k", "--m", "--t", "--f", "--seed", "--schemes", "--demand", "--dump"},
+    "bound": {"placement"},
+}
+
+# a valid invocation of each subcommand, and a value for each flag that takes one
+VALID_ARGV = {
+    "rates": ["rates", "--n", "2", "--k", "2", "--schemes", "optimal-avg"],
+    "compare": ["compare", "--n", "2", "--k", "2"],
+    "verify": ["verify", "--n", "2", "--k", "3", "--t", "1"],
+    "simulate": ["simulate", "--n", "2", "--k", "3", "--t", "1"],
+    "bound": ["bound", "my.placement"],
+}
+FLAG_VALUES = {
+    "--n": "2", "--k": "3", "--m": "1", "--t": "1", "--f": "0", "--seed": "4",
+    "--grid": "0:2:1", "--schemes": "decentralized", "--out": "x.csv", "--demand": "9,9,9",
+}
+# the 11 flags every subcommand used to take, whether it read them or not
+COMMON_FLAGS = [*FLAG_VALUES, "--dump"]
+REMOVED = [(command, flag) for command in VALID_ARGV for flag in COMMON_FLAGS
+           if flag not in SUBCOMMAND_OPTIONS[command]]
+
+
+class TestSubcommandFlags:
+    def test_each_subcommand_declares_exactly_its_options(self):
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+        declared = {
+            name: {s for a in p._actions if not isinstance(a, argparse._HelpAction)
+                   for s in (a.option_strings or [a.dest])}
+            for name, p in commands.items()
+        }
+        assert declared == SUBCOMMAND_OPTIONS
+        assert sum(map(len, declared.values())) == 27
+        # each subcommand used to take all 11 common flags (plus verify's
+        # --sample and bound's placement): 57 options, 30 of them unread
+        assert len(REMOVED) == 30
+        assert ("verify", "--demand") in REMOVED and ("verify", "--schemes") in REMOVED
+
+    @pytest.mark.parametrize("command, flag", REMOVED)
+    def test_flag_the_subcommand_does_not_take_exits_2(self, capsys, monkeypatch, command, flag):
+        def reached(args):
+            raise AssertionError("a stray flag got past argument parsing")
+
+        monkeypatch.setattr(cli, "_check_sizes", reached)
+        stray = [flag, FLAG_VALUES[flag]] if flag in FLAG_VALUES else [flag]
+        with pytest.raises(SystemExit) as exc:
+            main([*VALID_ARGV[command], *stray])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: " in captured.err and flag in captured.err
+
+    @pytest.mark.parametrize("command", VALID_ARGV)
+    def test_valid_invocation_parses(self, command):
+        args = cli.build_parser().parse_args(VALID_ARGV[command])
+        assert args.fn is cli.SUBCOMMANDS[command][0]

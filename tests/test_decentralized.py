@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -163,6 +167,22 @@ class TestLevelPartition:
                 m: tuple(map(tuple, p)) for m, p in want.groups.items()}
             assert any(K in members for members in part.groups)
         assert placement.codes.dtype == object
+
+    def test_partition_does_not_import_numpy_ma(self):
+        # numpy.ma costs its import time and memory to every run that
+        # partitions; a fresh process shows whether building one pulls it in
+        code = (
+            "import sys\n"
+            "from cachekit import decentralized\n"
+            "for K in (4, 65):\n"
+            "    placement = decentralized.random_placement(2, K, 1, 40, seed=3)\n"
+            "    assert decentralized.level_partition(placement, 2, 40).groups\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+        )
+        src = str(pathlib.Path(decentralized.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestEncodeDecode:

@@ -2,6 +2,8 @@ import importlib.util
 import pathlib
 from fractions import Fraction
 
+import pytest
+
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -25,3 +27,32 @@ def test_converse_experiment_fails_on_violation(capsys, monkeypatch):
     monkeypatch.setattr(script, "converse_bound", lambda *args, **kwargs: Fraction(100))
     assert script.main(ARGS) == 1
     assert "bound violations: 0" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--n", "--k", "--f"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_converse_experiment_refuses_bad_sizes(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        load_script("converse_experiment").main([*ARGS, flag, value])
+    assert exc.value.code == 2
+    assert f"{flag} must be at least 1" in capsys.readouterr().err
+
+
+def test_tradeoff_tables_writes_four_tables(capsys, tmp_path):
+    script = load_script("tradeoff_tables")
+    assert script.main(["--outdir", str(tmp_path), "--points-per-t", "1"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(name for name, *_ in script.TABLES)
+    for name, N, K, labels in script.TABLES:
+        lines = (tmp_path / name).read_text().splitlines()
+        assert lines[0] == "M,R,scheme,N,K"
+        assert len(lines) == 1 + (K + 1) * len(labels)
+
+
+@pytest.mark.parametrize("points", ["0", "-1"])
+def test_tradeoff_tables_refuses_bad_points_per_t(capsys, tmp_path, points):
+    outdir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        load_script("tradeoff_tables").main(["--outdir", str(outdir), "--points-per-t", points])
+    assert exc.value.code == 2
+    assert "--points-per-t must be at least 1" in capsys.readouterr().err
+    assert not outdir.exists()

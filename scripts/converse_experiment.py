@@ -7,7 +7,10 @@ level-partitioned delivery on the same placement, and prints the gap. The
 batch placement rows show the bound tight to exactly 1/F.
 
 Usage: python scripts/converse_experiment.py [--n 3 --k 4 --m 1 --f 120 --placements 20]
-Exits 1 when an achieved rate falls below the bound, 0 otherwise.
+Exits 1 when an achieved rate falls below the bound, 0 otherwise, and 2 on
+bad arguments: sizes below 1, M outside [0, N], a negative placement count,
+or more than `cachekit.cli.EXHAUSTION_GUARD` demands (N^K) to walk per
+placement. When C(K, t) does not divide F the batch rows are skipped.
 """
 
 import argparse
@@ -19,13 +22,14 @@ from cachekit import (
     CacheProfile,
     all_demands,
     batch_placement,
+    binomial,
     converse_bound,
     delivery_rate_value,
     demand_stats,
     enumerate_types,
     make_database,
 )
-from cachekit import decentralized
+from cachekit import cli, decentralized
 
 
 def per_type_rates(db, placement, N, K, F):
@@ -48,11 +52,20 @@ def main(argv=None) -> int:
         if getattr(args, flag) < 1:
             parser.error(f"--{flag} must be at least 1, got {getattr(args, flag)}")
     N, K, F, M = args.n, args.k, args.f, args.m
+    if not 0 <= M <= N:
+        parser.error(f"--m must be in [0, {N}], got {M}")
+    if args.placements < 0:
+        parser.error(f"--placements must be non-negative, got {args.placements}")
+    if N**K > cli.EXHAUSTION_GUARD:
+        parser.error(f"N^K = {N**K} demands per placement exceeds the exhaustion guard {cli.EXHAUSTION_GUARD}")
     types = enumerate_types(N, K)
     db = make_database(N, F, seed=0)
 
     t_int = Fraction(K) * M / N
-    if t_int.denominator == 1:
+    if t_int.denominator == 1 and F % binomial(K, int(t_int)):
+        print(f"batch placement t={int(t_int)}: skipped, F={F} is not a multiple "
+              f"of C({K},{int(t_int)}) = {binomial(K, int(t_int))}")
+    elif t_int.denominator == 1:
         placement = batch_placement(N, K, int(t_int), F)
         profile = CacheProfile.from_placement(placement)
         print(f"batch placement t={int(t_int)}:")

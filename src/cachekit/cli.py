@@ -16,14 +16,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import decentralized
-from .centralized import (
+from .centralized import (  # decode_user is not called here; perfbench's tracer test finds it here
     batch_placement,
     decode_user,
     encode_delivery,
     verify_message_cancellation,
 )
 from .combinatorics import binomial
-from .decentralized import delivered_rate, payload_map, select_leaders
+from .decentralized import delivered_rate, select_leaders
 from .model import (
     PlacementParseError,
     all_demands,
@@ -60,10 +60,13 @@ MAX_GRID_POINTS = 10**5
 # of it is allocated.
 MAX_BATCH_BYTES = 2**30
 # Peak memory per subfile group beyond its bits' codes and sort order: its
-# partition entry and its share of the engine's demand-free delivery index.
-# Measured as 1.9-2.2 KB per group for `simulate --n 2` at (K, t) = (16, 8),
-# (18, 9) and (20, 10), i.e. 12,870 to 184,756 groups. Kept at 4 KB: a
-# smaller figure would admit larger instances, whose run time nothing bounds yet.
+# partition entry, its share of the engine's demand-free delivery index, and
+# its share of the K cache views and K output rows that one decode call holds
+# (K·(N+1)·F bytes, 100-120 bytes per group at these sizes). Peak RSS of
+# `simulate --n 2` is 58, 127 and 398 MB at (K, t) = (16, 8), (18, 9) and
+# (20, 10); less the 29 MB the imported package takes, that is 2.3, 2.1 and
+# 2.0 KB per group over 12,870 to 184,756 groups. Kept at 4 KB: a smaller
+# figure would admit larger instances, whose run time nothing bounds yet.
 BYTES_PER_SUBFILE = 4096
 
 
@@ -245,20 +248,26 @@ def cmd_compare(args) -> int:
 # --- verify ------------------------------------------------------------------
 
 
+def _wrong_users(db, placement, messages, d, leaders) -> list[int]:
+    """The users, ascending, whose decode of the delivery misses their file;
+    all K are decoded in one call."""
+    decoded = decentralized.decode_users(
+        range(1, placement.K + 1), db, placement, placement.partition, messages, d, leaders)
+    return [k for k, got in enumerate(decoded, start=1) if (got != db.file(d[k - 1])).any()]
+
+
 def _check_demand(db, placement, d, leaders, t) -> tuple[bool, str]:
     K = placement.K
     stats = demand_stats(d, db.N)
     messages = encode_delivery(db, placement, d, leaders)
-    payloads = payload_map(messages)  # built once for the K decodes
     expected = binomial(K, t + 1) - binomial(K - stats.distinct, t + 1)
     if len(messages) != expected:
         return False, f"message count {len(messages)} != {expected}"
     if delivered_rate(messages, db.F) != delivery_rate_value(K, t, stats.distinct):
         return False, "delivered rate does not match the closed form"
-    for k in range(1, K + 1):
-        decoded = decode_user(k, db, placement, payloads, d, leaders)
-        if not np.array_equal(decoded, db.file(d[k - 1])):
-            return False, f"user {k} decoded the wrong bits"
+    bad = _wrong_users(db, placement, messages, d, leaders)
+    if bad:
+        return False, f"user {bad[0]} decoded the wrong bits"
     return True, ""
 
 
@@ -365,10 +374,7 @@ def cmd_simulate(args) -> int:
     stats = demand_stats(d, N)
     messages = decentralized.encode_delivery(db, placement.partition, d, leaders)
     rate = delivered_rate(messages, F)
-    payloads = payload_map(messages)  # built once for the K decodes
-    bad = [k for k in range(1, K + 1) if not np.array_equal(
-        decentralized.decode_user(k, db, placement, placement.partition, payloads, d, leaders),
-        db.file(d[k - 1]))]
+    bad = _wrong_users(db, placement, messages, d, leaders)
     print(f"{scheme} simulate: N={N} K={K} {setting} seed={seed}")
     print(f"demand: {','.join(map(str, d))} ({stats.distinct} distinct), leaders: {sorted(leaders)}")
     if scheme == "centralized":

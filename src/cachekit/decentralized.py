@@ -7,13 +7,15 @@ distinct requested file) the broadcast XORs the chunks T's members want
 from each other, user x's chunk being file d_x's bits cached by exactly
 T minus x, zero-padded to the longest; receivers drop the padding using the
 known group sizes and rebuild the omitted leaderless messages by the
-cancellation identity. Batch (centralized) delivery is the one-level,
-equal-chunk case: `centralized` hands its subfiles to this engine.
+cancellation identity, each once per decode call for all its members.
+Batch (centralized) delivery is the one-level, equal-chunk case:
+`centralized` hands its subfiles to this engine.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from bisect import bisect_left
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
@@ -246,6 +248,87 @@ def reconstruct_message(
     return _xor_into(terms[0].copy(), terms[1:]) if terms else np.zeros(0, dtype=np.uint8)
 
 
+def decode_users(
+    users: Sequence[int],
+    db: Database,
+    placement: Placement,
+    partition: LevelPartition,
+    messages,
+    d: Demand,
+    leaders: frozenset[int] | None = None,
+) -> list[np.ndarray]:
+    """Recover file d_k for each user k of `users`, in that order, from its
+    cache plus the broadcast.
+
+    One walk of the partition serves every requested user, and each omitted
+    message is rebuilt once and shared by the members that need it. Each
+    user's bits are read from the database only through its own cache (the
+    rest are zeroed), so any decoding gap shows up as a bit mismatch.
+    `messages` may be a list or a `payload_map` of it.
+    """
+    d = validate_demand(d, db.N)
+    K = partition.K
+    if len(d) != K:
+        raise ValueError(f"demand length {len(d)} != K={K}")
+    users = [operator.index(k) for k in users]
+    views: dict[int, list[np.ndarray]] = {}
+    for k in users:
+        if not 1 <= k <= K:
+            raise ValueError(f"user {k} is not in 1..{K}")
+        if k in views:
+            raise ValueError(f"user {k} is requested twice")
+        views[k] = list(db.bits & placement.cached(k))  # 1-D rows of the user's cache view
+    if leaders is None:
+        leaders = select_leaders(d)
+    lead_code = _user_code(leaders)
+    payloads = payload_map(messages)
+    # every bit a user cached; the other groups fill the rest
+    outs = {k: view[d[k - 1] - 1].copy() for k, view in views.items()}
+    sent_set = None
+
+    def sent() -> set[tuple[int, ...]]:
+        nonlocal sent_set  # one pass over the partition per call, on the first missing term only
+        if sent_set is None:
+            sent_set = {sid.members for sid, _ in _sent(partition, d, lead_code)}
+        return sent_set
+
+    row = (None, *(f - 1 for f in d))  # user x's wanted file, as a row index
+    users_code = _user_code(views)
+    for sid, code, sources in partition._subsets:
+        if not code & users_code:
+            continue
+        y = None
+        for k, own in sources:  # k's chunk: file d_k bits in the group T - {k}
+            view = views.get(k)
+            if view is None:
+                continue
+            pos = own[row[k]]
+            n = len(pos)
+            if not n:
+                continue
+            if y is None:
+                members = sid.members
+                y = payloads.get(members)
+                if y is None:
+                    if code & lead_code:
+                        raise DecodeError(members)  # k's own chunk is non-empty, so it was sent
+                    y = reconstruct_message(payloads, d, leaders, members, sent)
+            # only the first n bits of a partner's chunk meet k's; a rebuilt y is no
+            # shorter than n, since one of its terms holds k's chunk. `_xor_into`
+            # inlined: this loop is the decode's hot path
+            acc = y[:n].copy()
+            for x, per_file in sources:
+                if x != k:
+                    f = row[x]
+                    c = view[f][per_file[f][:n]]
+                    if len(c) == n:
+                        acc ^= c
+                    else:
+                        acc[: len(c)] ^= c
+            outs[k][pos] = acc
+    return list(outs.values())
+
+
 def decode_user(
     k: int,
     db: Database,
@@ -255,52 +338,8 @@ def decode_user(
     d: Demand,
     leaders: frozenset[int] | None = None,
 ) -> np.ndarray:
-    """Recover file d_k for user k from its cache plus the broadcast.
-
-    Only bits the user actually cached are read from the database (the rest
-    are zeroed), so any decoding gap shows up as a bit mismatch.
-    `messages` may be a list or a `payload_map` of it.
-    """
-    d = validate_demand(d, db.N)
-    if leaders is None:
-        leaders = select_leaders(d)
-    lead_code = _user_code(leaders)
-    view = list(db.bits & placement.cached(k))  # 1-D rows of the user's cache view
-    payloads = payload_map(messages)
-    wanted = d[k - 1]
-    out = view[wanted - 1].copy()  # every bit user k cached; the other groups fill the rest
-    sent_set = None
-
-    def sent() -> set[tuple[int, ...]]:
-        nonlocal sent_set  # one pass over the partition per call, on the first missing term only
-        if sent_set is None:
-            sent_set = {sid.members for sid, _ in _sent(partition, d, lead_code)}
-        return sent_set
-
-    k_bit = 1 << (k - 1)
-    for sid, code, sources in partition._subsets:
-        if not code & k_bit:
-            continue
-        for x, own in sources:
-            if x == k:
-                break
-        else:
-            continue  # the group T - {k} is empty
-        pos = own[wanted - 1]
-        n = len(pos)
-        if not n:
-            continue
-        members = sid.members
-        y = payloads.get(members)
-        if y is None:
-            if code & lead_code:
-                raise DecodeError(members)  # k's own chunk is non-empty, so it was sent
-            y = reconstruct_message(payloads, d, leaders, members, sent)
-        # only the first n bits of a partner's chunk meet k's; a rebuilt y is no
-        # shorter than n, since one of its terms holds k's chunk
-        parts = [view[d[x - 1] - 1][per_file[d[x - 1] - 1][:n]] for x, per_file in sources if x != k]
-        out[pos] = _xor_into(y[:n].copy(), parts)
-    return out
+    """Recover file d_k for user k: `decode_users` for the one user."""
+    return decode_users([k], db, placement, partition, messages, d, leaders)[0]
 
 
 def delivered_rate(messages: Sequence[BroadcastMessage], F: int) -> Fraction:

@@ -13,6 +13,7 @@ the broadcast.
 """
 
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from cachekit import all_demands, batch_placement, binomial, centralized, decentralized, make_database
 from cachekit.centralized import BroadcastMessage, DecodeError, select_leaders, subfile_ranges
 from cachekit.combinatorics import enumerate_subsets
-from cachekit.model import validate_demand
+from cachekit.model import Placement, validate_demand
 
 from conftest import CANONICAL_T, direct_payload, oracle_level_partition, placement_from_mask
 
@@ -290,3 +291,127 @@ def test_batch_reduction_matches_oracle(canonical_instance):
         decoded = decentralized.decode_user(k, db, placement, part, messages, d)
         assert np.array_equal(decoded, oracle_batch_decode(k, db, placement, CANONICAL_T, expected, d, leaders))
         assert np.array_equal(decoded, db.file(d[k - 1]))
+
+
+# --- all users in one call ----------------------------------------------------------
+
+K65_DEMAND = tuple(k % 3 + 1 for k in range(65))
+
+
+@st.composite
+def multi_user_instances(draw):
+    """A batch or random placement, a demand, and any order of any subset of users."""
+    N = draw(st.integers(1, 3))
+    K = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        t = draw(st.integers(0, K))
+        kind, param, F = "batch", t, binomial(K, t) * draw(st.integers(1, 3))
+    else:
+        M = draw(st.one_of(st.just(Fraction(0)), st.just(Fraction(N)), st.fractions(0, N, max_denominator=6)))
+        kind, param, F = "random", M, draw(st.integers(1, 30))
+    d = tuple(draw(st.lists(st.integers(1, N), min_size=K, max_size=K)))
+    users = tuple(draw(st.permutations(range(1, K + 1)))[: draw(st.integers(0, K))])
+    return kind, N, K, param, F, d, users, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=150, deadline=None)
+@given(multi_user_instances())
+@example(("random", 2, 2, Fraction(0), 5, (1, 2), (2, 1), 1))  # M = 0
+@example(("random", 2, 3, Fraction(2), 5, (1, 2, 2), (3, 1, 2), 2))  # M = N
+@example(("batch", 1, 1, 0, 1, (1,), (1,), 3))  # K = 1, F = 1
+@example(("random", 3, 4, Fraction(3, 2), 1, (3, 1, 2, 1), (4, 2), 4))  # F = 1
+@example(("batch", 3, 65, 1, 65, K65_DEMAND, (65, 1, 33), 5))
+@example(("random", 3, 65, Fraction(1), 24, K65_DEMAND, (64, 65, 2, 1), 6))
+def test_decode_users_equals_one_user_decodes(instance):
+    kind, N, K, param, F, d, users, seed = instance
+    db = make_database(N, F, seed)
+    if kind == "batch":
+        placement = batch_placement(N, K, param, F)
+    else:
+        placement = decentralized.random_placement(N, K, param, F, seed + 1)
+    part = placement.partition
+    messages = decentralized.encode_delivery(db, part, d)
+    got = decentralized.decode_users(users, db, placement, part, messages, d)
+    assert len(got) == len(users)
+    for k, decoded in zip(users, got):
+        one = decentralized.decode_user(k, db, placement, part, messages, d)
+        assert decoded.dtype == one.dtype == np.uint8
+        assert np.array_equal(decoded, one)
+        assert np.array_equal(decoded, db.file(d[k - 1]))
+
+
+@pytest.mark.parametrize("N,K,t,d", [
+    (2, 7, 2, (1, 1, 1, 1, 2, 2, 2)),
+    (3, 6, 2, (1, 1, 2, 2, 3, 3)),
+    (3, 8, 3, (2, 3, 2, 2, 3, 3, 2, 3)),
+])
+def test_each_omitted_message_is_rebuilt_once(monkeypatch, N, K, t, d):
+    F = 2 * binomial(K, t)
+    db = make_database(N, F, seed=K)
+    placement = batch_placement(N, K, t, F)
+    leaders = select_leaders(d)
+    messages = centralized.encode_delivery(db, placement, d, leaders)
+    rebuilt = []
+    reconstruct = decentralized.reconstruct_message
+
+    def counting(messages, d, leaders, subset, sent=None):
+        rebuilt.append(tuple(subset))
+        return reconstruct(messages, d, leaders, subset, sent)
+
+    # the engine's decoder looks the reconstruct step up by this name
+    monkeypatch.setattr(decentralized, "reconstruct_message", counting)
+    users = range(1, K + 1)
+    decoded = decentralized.decode_users(users, db, placement, placement.partition, messages, d, leaders)
+    assert all(np.array_equal(got, db.file(d[k - 1])) for k, got in zip(users, decoded))
+    omitted = [sid.members for sid in enumerate_subsets(K, t + 1) if leaders.isdisjoint(sid.members)]
+    assert len(omitted) == binomial(K - len(set(d)), t + 1) > 0
+    assert rebuilt == omitted
+    # one user per call rebuilds each omitted message once per member
+    rebuilt.clear()
+    for k in users:
+        centralized.decode_user(k, db, placement, messages, d, leaders)
+    assert len(rebuilt) == (t + 1) * len(omitted)
+
+
+@pytest.mark.parametrize("forgetter", [1, 2, 5])
+def test_forgetting_one_bit_spoils_only_that_user(canonical_instance, forgetter):
+    # user `forgetter` loses one cached 1-bit of its wanted file after delivery;
+    # decoded together with everyone else, only its own file comes out wrong
+    db, placement, d = canonical_instance
+    messages = centralized.encode_delivery(db, placement, d)
+    wanted = d[forgetter - 1] - 1
+    j = int(np.flatnonzero(placement.cached(forgetter)[wanted] & (db.bits[wanted] == 1))[0])
+    codes = placement.codes.copy()
+    codes[wanted, j] ^= 1 << (forgetter - 1)
+    forgetful = Placement(placement.K, codes)
+    users = range(1, placement.K + 1)
+    decoded = decentralized.decode_users(users, db, forgetful, placement.partition, messages, d)
+    wrong = [k for k, got in zip(users, decoded) if not np.array_equal(got, db.file(d[k - 1]))]
+    assert wrong == [forgetter]
+    assert decoded[forgetter - 1][j] != db.file(d[forgetter - 1])[j]
+
+
+@pytest.mark.parametrize("users,message", [
+    ([0], "user 0 is not in 1..6"),
+    ([7], "user 7 is not in 1..6"),
+    ([1, -1], "user -1 is not in 1..6"),
+    ([2, 3, 2], "user 2 is requested twice"),
+])
+def test_decode_users_refuses_bad_users(canonical_instance, users, message):
+    db, placement, d = canonical_instance
+    messages = centralized.encode_delivery(db, placement, d)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        decentralized.decode_users(users, db, placement, placement.partition, messages, d)
+    if len(users) == 1:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            centralized.decode_user(users[0], db, placement, messages, d)
+
+
+@pytest.mark.parametrize("d", [(1, 1, 2, 2, 3), (1, 1, 2, 2, 3, 3, 1)])
+def test_decode_users_refuses_demand_of_wrong_length(canonical_instance, d):
+    db, placement, demand = canonical_instance
+    messages = centralized.encode_delivery(db, placement, demand)
+    with pytest.raises(ValueError, match=re.escape(f"demand length {len(d)} != K=6")):
+        decentralized.decode_users([1], db, placement, placement.partition, messages, d)
+    with pytest.raises(ValueError, match=re.escape(f"demand length {len(d)} != K=6")):
+        centralized.decode_user(1, db, placement, messages, d)

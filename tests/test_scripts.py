@@ -56,3 +56,37 @@ def test_tradeoff_tables_refuses_bad_points_per_t(capsys, tmp_path, points):
     assert exc.value.code == 2
     assert "--points-per-t must be at least 1" in capsys.readouterr().err
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--m", "5"], "--m must be in [0, 3], got 5"),
+    (["--m=-1/2"], "--m must be in [0, 3], got -1/2"),
+    (["--placements", "-2"], "--placements must be non-negative, got -2"),
+    (["--n", "4", "--k", "10"], "N^K = 1048576 demands per placement exceeds the exhaustion guard"),
+])
+def test_converse_experiment_refuses_bad_input(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        load_script("converse_experiment").main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "bound violations" not in captured.out
+
+
+def test_converse_experiment_exhaustion_guard_is_the_cli_one(capsys, monkeypatch):
+    script = load_script("converse_experiment")
+    monkeypatch.setattr(script.cli, "EXHAUSTION_GUARD", 2**2 - 1)
+    with pytest.raises(SystemExit) as exc:
+        script.main(ARGS)
+    assert exc.value.code == 2
+    monkeypatch.setattr(script.cli, "EXHAUSTION_GUARD", 2**2)
+    assert script.main(ARGS) == 0
+
+
+def test_converse_experiment_skips_batch_rows_when_subfiles_do_not_split(capsys):
+    # C(4, 2) = 6 does not divide F = 7: no batch rows, the random placements still run
+    assert load_script("converse_experiment").main(["--n", "2", "--k", "4", "--m", "1", "--f", "7",
+                                                    "--placements", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "batch placement t=2: skipped, F=7 is not a multiple of C(4,2) = 6"
+    assert "type (" in out and "bound violations: 0" in out

@@ -60,13 +60,13 @@ MAX_GRID_POINTS = 10**5
 # of it is allocated.
 MAX_BATCH_BYTES = 2**30
 # Peak memory per subfile group beyond its bits' codes and sort order: its
-# partition entry, its share of the engine's demand-free delivery index, and
-# its share of the K cache views and K output rows that one decode call holds
-# (K·(N+1)·F bytes, 100-120 bytes per group at these sizes). Peak RSS of
-# `simulate --n 2` is 58, 127 and 398 MB at (K, t) = (16, 8), (18, 9) and
-# (20, 10); less the 29 MB the imported package takes, that is 2.3, 2.1 and
-# 2.0 KB per group over 12,870 to 184,756 groups. Kept at 4 KB: a smaller
-# figure would admit larger instances, whose run time nothing bounds yet.
+# partition entry, its message, its share of the engine's per-level index,
+# and its share of the K cache views one decode call holds (K·N·(F+1)
+# bytes). Peak RSS of `simulate --n 2` is 57, 114 and 324 MB at (K, t) =
+# (16, 8), (18, 9) and (20, 10); less the 30 MB the imported package takes,
+# that is 2.1, 1.7 and 1.6 KB per group over 12,870 to 184,756 groups. Kept
+# at 4 KB: a smaller figure would admit larger instances, whose run time
+# nothing bounds yet.
 BYTES_PER_SUBFILE = 4096
 
 
@@ -253,7 +253,8 @@ def _wrong_users(db, placement, messages, d, leaders) -> list[int]:
     all K are decoded in one call."""
     decoded = decentralized.decode_users(
         range(1, placement.K + 1), db, placement, placement.partition, messages, d, leaders)
-    return [k for k, got in enumerate(decoded, start=1) if (got != db.file(d[k - 1])).any()]
+    wrong = np.logical_or.reduce(np.array(decoded) != db.bits[np.subtract(d, 1)], axis=1)
+    return (wrong.nonzero()[0] + 1).tolist()
 
 
 def _check_demand(db, placement, d, leaders, t) -> tuple[bool, str]:
@@ -481,12 +482,39 @@ SUBCOMMANDS = {
 }
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser. A flag of FLAGS that this subcommand does not
+    take is set aside with its value before parsing and reported with it as
+    unrecognized; otherwise the value could be read as the subcommand's
+    positional (`bound --f 0 my.placement` took `0` for the placement)."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = list(args)  # the subcommand's part of the command line
+        kept, stray, i = [], [], 0
+        while i < len(args):
+            arg, i = args[i], i + 1
+            if arg == "--":
+                kept += args[i - 1 :]
+                break
+            flag = arg.split("=", 1)[0]
+            if flag not in FLAGS or not flag.startswith("--") or flag in self._option_string_actions:
+                kept.append(arg)
+                continue
+            stray.append(arg)
+            takes_value = "action" not in FLAGS[flag] and "=" not in arg
+            if takes_value and i < len(args) and not args[i].startswith("--"):
+                stray.append(args[i])
+                i += 1
+        namespace, extras = super().parse_known_args(kept, namespace)
+        return namespace, stray + extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cachekit",
         description="Coded caching with uncoded prefetching: schemes, tradeoffs, bounds.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
     for command, (fn, help_text, flags) in SUBCOMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         for flag in flags:

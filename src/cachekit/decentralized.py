@@ -5,8 +5,13 @@ within each level (sets of equal size j) the groups play the role of
 subfiles. For every (j+1)-subset T holding a leader (one requester per
 distinct requested file) the broadcast XORs the chunks T's members want
 from each other, user x's chunk being file d_x's bits cached by exactly
-T minus x, zero-padded to the longest; receivers drop the padding using the
-known group sizes and rebuild the omitted leaderless messages by the
+T minus x, zero-padded to the longest. The engine works a level at a time
+over a demand-free index built once per partition (`LevelPartition.levels`):
+encoding is one gather of every chunk of the level's sent subsets and one
+XOR-reduce over their members. Decoding gathers each requested user's
+partner chunks from its own cache view, XOR-reduces them with the payloads
+and scatters the result into the user's file; padding lands in a zero
+sentinel column. Omitted leaderless messages are rebuilt by the
 cancellation identity, each once per decode call for all its members.
 Batch (centralized) delivery is the one-level, equal-chunk case:
 `centralized` hands its subfiles to this engine.
@@ -16,19 +21,25 @@ from __future__ import annotations
 
 import itertools
 import operator
-from bisect import bisect_left
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import floor
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .combinatorics import SubsetId, subset_rank
+from .combinatorics import SubsetId
 from .model import Database, Demand, Placement, code_dtype, validate_demand
 
+if TYPE_CHECKING:
+    from .level_index import Level
+
 _EMPTY = np.empty(0, dtype=np.int64)
+# Elements gathered per block of a level's rows, which bounds the index and
+# bit temporaries of a gather to under a MB however large the level is.
+_BLOCK = 1 << 16
 
 
 class DecodeError(RuntimeError):
@@ -82,12 +93,17 @@ class LevelPartition:
     `groups[members][i-1]` holds the (ascending, read-only) bit positions of
     file i that are cached by precisely the users in `members`. Absent keys
     mean empty groups; together the groups partition all N*F positions.
+    `runs` is the sort `level_partition` did, which delivery needs: the
+    codes present, ascending, each file's positions in code order, and each
+    group's bit count in each file.
     """
 
     K: int
     N: int
     F: int
     groups: dict[tuple[int, ...], tuple[np.ndarray, ...]]
+    runs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False)
 
     def positions(self, members: Sequence[int], file_index: int) -> np.ndarray:
         entry = self.groups.get(tuple(members))
@@ -101,18 +117,14 @@ class LevelPartition:
         return sizes
 
     @cached_property
-    def _subsets(self) -> list[tuple[SubsetId, int, list]]:
-        """Every subset T = S + {x} of a group S and a user x outside S, in
-        send order (by size, then lexicographic): its id, its user-set code and
-        its sources (x, positions per file of group T - {x}). Demand-free, so
-        built once per partition."""
-        sources: dict[tuple[int, ...], list] = {}
-        for S, per_file in self.groups.items():
-            for x in set(range(1, self.K + 1)).difference(S):
-                i = bisect_left(S, x)  # members stay ascending
-                sources.setdefault(S[:i] + (x,) + S[i:], []).append((x, per_file))
-        order = sorted(sources, key=lambda T: (len(T), T))
-        return [(SubsetId(T, subset_rank(T, self.K)), _user_code(T), sources[T]) for T in order]
+    def levels(self) -> list[Level]:
+        """The delivery index: a `Level` for each level below K that has
+        groups, in send order. Demand-free, so built once per partition."""
+        from . import level_index  # imported on the first delivery, not at start-up
+
+        if self.runs is None:
+            raise ValueError("only a partition made by level_partition can deliver")
+        return level_index.build_levels(self.K, self.N, self.F, *self.runs)
 
 
 def level_partition(placement: Placement, N: int, F: int) -> LevelPartition:
@@ -136,28 +148,27 @@ def level_partition(placement: Placement, N: int, F: int) -> LevelPartition:
     firsts = np.ones(len(present), dtype=bool)
     firsts[1:] = present[1:] != present[:-1]
     present = present[firsts]
-    starts = [np.searchsorted(row, present, side="left").tolist() for row in ranked]
-    stops = [np.searchsorted(row, present, side="right").tolist() for row in ranked]
+    starts = np.array([np.searchsorted(row, present, side="left") for row in ranked])
+    stops = np.array([np.searchsorted(row, present, side="right") for row in ranked])
+    start_at, stop_at = starts.tolist(), stops.tolist()
     groups: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
     for c, code in enumerate(present.tolist()):
         members = tuple(k + 1 for k in range(K) if code >> k & 1)
-        groups[members] = tuple(order[i, starts[i][c] : stops[i][c]] for i in range(N))
-    return LevelPartition(K, N, F, groups)
+        groups[members] = tuple(order[i, start_at[i][c] : stop_at[i][c]] for i in range(N))
+    return LevelPartition(K, N, F, groups, (present, order, stops - starts))
 
 
-def _sent(partition: LevelPartition, d: tuple[int, ...], lead_code: int):
-    """(subset id, [(file, positions), ...]) of each message the encoder sends,
-    in send order: subsets with a leader and at least one non-empty chunk."""
-    for sid, code, sources in partition._subsets:
-        if code & lead_code:
-            chunks = []
-            for x, per_file in sources:
-                f = d[x - 1]
-                pos = per_file[f - 1]
-                if len(pos):
-                    chunks.append((f, pos))
-            if chunks:
-                yield sid, chunks
+def _blocks(count: int, per_item: int) -> list[slice]:
+    """Consecutive slices of range(count), each of at most _BLOCK // per_item items."""
+    if count * per_item <= _BLOCK:
+        return [slice(None)]
+    step = max(_BLOCK // max(per_item, 1), 1)
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
+def _demand_rows(d: tuple[int, ...]) -> np.ndarray:
+    """Each user's wanted file row, indexed by 1-based user (entry 0 unused)."""
+    return np.array((1, *d)) - 1
 
 
 def encode_delivery(
@@ -167,18 +178,34 @@ def encode_delivery(
     leaders: frozenset[int] | None = None,
 ) -> list[BroadcastMessage]:
     """Leader-based delivery over every level of the partition. Messages that
-    would be empty are not sent; the rest go by subset size, then lexicographic."""
+    would be empty are not sent; the rest go by subset size, then lexicographic.
+    Each level's payloads are one gather of their chunks and one XOR-reduce."""
     d = validate_demand(d, db.N)
     if len(d) != partition.K:
         raise ValueError(f"demand length {len(d)} != K={partition.K}")
     if leaders is None:
         leaders = select_leaders(d)
-    files = list(db.bits)  # 1-D rows: gathering from a row beats 2-D fancy indexing
+    F = partition.F
+    bits = np.zeros((1, db.N, F + 1), dtype=np.uint8)  # column F is the padding's zero
+    bits[0, :, :F] = db.bits
+    bits = bits.reshape(1, -1)
+    flat = bits[0]
+    wanted, lead = _demand_rows(d), _user_code(leaders)
     messages = []
-    for sid, chunks in _sent(partition, d, _user_code(leaders)):
-        parts = sorted((files[f - 1][pos] for f, pos in chunks), key=len, reverse=True)
-        # each gather is a fresh array, so the longest one takes the XOR
-        messages.append(BroadcastMessage(sid, _xor_into(parts[0], parts[1:])))
+    for level in partition.levels:
+        files, sizes = level.chunks(wanted)
+        rows, lengths = level.sent(sizes, lead)
+        size = level.members.shape[1]
+        cached = level.read_all(bits, size * len(rows))
+        for block in _blocks(len(rows), size * level.positions.shape[2]):
+            block = rows[block]
+            at = files[block], level.groups[block]
+            chunks = flat[level.positions[at].astype(np.intp)] if cached is None else cached[level.row(*at)]
+            payloads = np.bitwise_xor.reduce(chunks, axis=1)
+            for members, rank, n, payload in zip(
+                level.members[block].tolist(), level.ranks[block].tolist(), lengths[block].tolist(), payloads
+            ):
+                messages.append(BroadcastMessage(SubsetId(tuple(members), rank), payload[:n]))
     return messages
 
 
@@ -233,12 +260,12 @@ def reconstruct_message(
     if not leaders.isdisjoint(members):
         raise ValueError(f"subset {members} contains a leader; message was broadcast")
     payloads = payload_map(messages)
-    block = sorted(set(members) | leaders)
+    block = sorted(leaders.union(members))
     terms = []
     for choice in itertools.product(*_requester_groups(d, block)):
-        if frozenset(choice) == leaders:
-            continue
-        key = tuple(x for x in block if x not in choice)
+        if leaders.issuperset(choice):
+            continue  # one requester per file: the all-leaders selection
+        key = tuple([x for x in block if x not in choice])
         term = payloads.get(key)
         if term is not None:
             terms.append(term)
@@ -260,73 +287,96 @@ def decode_users(
     """Recover file d_k for each user k of `users`, in that order, from its
     cache plus the broadcast.
 
-    One walk of the partition serves every requested user, and each omitted
-    message is rebuilt once and shared by the members that need it. Each
-    user's bits are read from the database only through its own cache (the
-    rest are zeroed), so any decoding gap shows up as a bit mismatch.
-    `messages` may be a list or a `payload_map` of it.
+    Level by level, every requested user's chunk of every subset is decoded
+    by one gather from the users' cache views, one XOR-reduce over the
+    partners and one scatter; each omitted message is rebuilt once and
+    shared by the members that need it. Each user's bits are read from the
+    database only through its own cache (the rest are zeroed), so any
+    decoding gap shows up as a bit mismatch. `messages` may be a list or a
+    `payload_map` of it.
     """
     d = validate_demand(d, db.N)
-    K = partition.K
+    K, N, F = partition.K, db.N, partition.F
     if len(d) != K:
         raise ValueError(f"demand length {len(d)} != K={K}")
     users = [operator.index(k) for k in users]
-    views: dict[int, list[np.ndarray]] = {}
-    for k in users:
+    slot = [-1] * (K + 1)  # each requested user's row of the views
+    for u, k in enumerate(users):
         if not 1 <= k <= K:
             raise ValueError(f"user {k} is not in 1..{K}")
-        if k in views:
+        if slot[k] >= 0:
             raise ValueError(f"user {k} is requested twice")
-        views[k] = list(db.bits & placement.cached(k))  # 1-D rows of the user's cache view
-    if leaders is None:
-        leaders = select_leaders(d)
-    lead_code = _user_code(leaders)
+        slot[k] = u
+    slot = np.array(slot)
+    requested = slot >= 0
+    leaders = select_leaders(d) if leaders is None else frozenset(leaders)
+    wanted = _demand_rows(d)
+    # every user's cache view, flat per user; column F of each file stays zero
+    views = _cache_views(db, placement, users, F)
+    flat, stride = views.reshape(-1), N * (F + 1)
     payloads = payload_map(messages)
-    # every bit a user cached; the other groups fill the rest
-    outs = {k: view[d[k - 1] - 1].copy() for k, view in views.items()}
     sent_set = None
 
     def sent() -> set[tuple[int, ...]]:
-        nonlocal sent_set  # one pass over the partition per call, on the first missing term only
+        nonlocal sent_set  # built on the first missing term only
         if sent_set is None:
-            sent_set = {sid.members for sid, _ in _sent(partition, d, lead_code)}
+            lead, sent_set = _user_code(leaders), set()
+            for level in partition.levels:
+                rows, _ = level.sent(level.chunks(wanted)[1], lead)
+                sent_set.update(map(tuple, level.members[rows].tolist()))
         return sent_set
 
-    row = (None, *(f - 1 for f in d))  # user x's wanted file, as a row index
-    users_code = _user_code(views)
-    for sid, code, sources in partition._subsets:
-        if not code & users_code:
+    for level in partition.levels:
+        files, sizes = level.chunks(wanted)
+        # (row, member) pairs of a requested user and its non-empty chunk
+        mine = requested[level.members] & (sizes > 0)
+        rows = np.logical_or.reduce(mine, axis=1).nonzero()[0]
+        if not len(rows):
             continue
-        y = None
-        for k, own in sources:  # k's chunk: file d_k bits in the group T - {k}
-            view = views.get(k)
-            if view is None:
-                continue
-            pos = own[row[k]]
-            n = len(pos)
-            if not n:
-                continue
+        # the rows' payloads, zero-padded to the level's width
+        Y = np.zeros((len(rows), level.positions.shape[2]), dtype=np.uint8)
+        width = Y.shape[1]
+        for i, members in enumerate(map(tuple, level.members[rows].tolist())):
+            y = payloads.get(members)
             if y is None:
-                members = sid.members
-                y = payloads.get(members)
-                if y is None:
-                    if code & lead_code:
-                        raise DecodeError(members)  # k's own chunk is non-empty, so it was sent
-                    y = reconstruct_message(payloads, d, leaders, members, sent)
-            # only the first n bits of a partner's chunk meet k's; a rebuilt y is no
-            # shorter than n, since one of its terms holds k's chunk. `_xor_into`
-            # inlined: this loop is the decode's hot path
-            acc = y[:n].copy()
-            for x, per_file in sources:
-                if x != k:
-                    f = row[x]
-                    c = view[f][per_file[f][:n]]
-                    if len(c) == n:
-                        acc ^= c
-                    else:
-                        acc[: len(c)] ^= c
-            outs[k][pos] = acc
-    return list(outs.values())
+                if not leaders.isdisjoint(members):
+                    raise DecodeError(members)  # a chunk of it is non-empty, so it was sent
+                y = reconstruct_message(payloads, d, leaders, members, sent)
+            Y[i, : len(y)] = y[:width]
+        at, column = mine[rows].nonzero()
+        partners = level.members.shape[1] - 1
+        cached = level.read_all(views.reshape(len(users), stride), partners * len(at))
+        for block in _blocks(len(at), (partners + 1) * width):
+            pair_rows, c = rows[at[block]], column[block]
+            others, across = pair_rows[:, None], level.partners[c]
+            user = slot[level.members[pair_rows, c]]
+            files_of, groups_of = files[others, across], level.groups[others, across]
+            own = level.positions[files[pair_rows, c], level.groups[pair_rows, c]].astype(np.intp)
+            if cached is not None:
+                chunks = cached[level.row(files_of, groups_of, user[:, None])]
+            else:
+                pos = level.positions[files_of, groups_of].astype(np.intp)
+                if len(users) > 1:  # one user's view starts at 0
+                    pos += (user * stride)[:, None, None]
+                chunks = flat[pos]
+            acc = np.bitwise_xor.reduce(chunks, axis=1)
+            acc ^= Y[at[block]]
+            # decoded in place, where the user's view holds no partner chunk;
+            # the chunks' padding lands in column F, which is zeroed again
+            if len(users) > 1:
+                own += (user * stride)[:, None]
+            flat[own] = acc
+            flat[F :: F + 1] = 0
+    return list(views[np.arange(len(users)), wanted[users], :F])
+
+
+def _cache_views(db: Database, placement: Placement, users: Sequence[int], F: int) -> np.ndarray:
+    """(len(users), N, F + 1) bits: what each user caches of every file,
+    zeros elsewhere and in column F; built a block of users at a time."""
+    views = np.zeros((len(users), db.N, F + 1), dtype=np.uint8)
+    for block in _blocks(len(users), db.bits.size):
+        np.multiply(db.bits, placement.caches(users[block]), out=views[block, :, :F])
+    return views
 
 
 def decode_user(

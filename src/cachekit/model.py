@@ -68,7 +68,12 @@ class Placement:
 
     def cached(self, user: int) -> np.ndarray:
         """(N, F) boolean view of what `user` (1-based) caches."""
-        return (self.codes & (1 << (user - 1))).astype(bool)
+        return self.caches([user])[0]
+
+    def caches(self, users: Sequence[int]) -> np.ndarray:
+        """(len(users), N, F) booleans: what each user (1-based) caches."""
+        bits = np.array([1 << (k - 1) for k in users], dtype=self.codes.dtype)
+        return (self.codes & bits[:, None, None]) != 0
 
     def cached_bits(self, user: int) -> int:
         """Number of bits cached by `user` (1-based)."""

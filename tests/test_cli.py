@@ -569,6 +569,18 @@ class TestSubcommandFlags:
         assert captured.out == ""
         assert "unrecognized arguments: " in captured.err and flag in captured.err
 
+    @pytest.mark.parametrize("stray", [["--f", "0"], ["--seed", "3"], ["--f=0"], ["--dump"]])
+    @pytest.mark.parametrize("before", [True, False])
+    def test_stray_flag_is_named_with_its_value_not_the_placement(self, capsys, stray, before):
+        # `0` used to be taken for the placement and `my.placement` named as stray
+        argv = ["bound", *stray, "my.placement"] if before else ["bound", "my.placement", *stray]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"cachekit: error: unrecognized arguments: {' '.join(stray)}"
+        assert "my.placement" not in err
+
     @pytest.mark.parametrize("command", VALID_ARGV)
     def test_valid_invocation_parses(self, command):
         args = cli.build_parser().parse_args(VALID_ARGV[command])

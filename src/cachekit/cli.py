@@ -62,9 +62,9 @@ MAX_BATCH_BYTES = 2**30
 # Peak memory per subfile group beyond its bits' codes and sort order: its
 # partition entry, its message, its share of the engine's per-level index,
 # and its share of the K cache views one decode call holds (K·N·(F+1)
-# bytes). Peak RSS of `simulate --n 2` is 57, 114 and 324 MB at (K, t) =
+# bytes). Peak RSS of `simulate --n 2` is 56, 110 and 324 MB at (K, t) =
 # (16, 8), (18, 9) and (20, 10); less the 30 MB the imported package takes,
-# that is 2.1, 1.7 and 1.6 KB per group over 12,870 to 184,756 groups. Kept
+# that is 2.0, 1.6 and 1.6 KB per group over 12,870 to 184,756 groups. Kept
 # at 4 KB: a smaller figure would admit larger instances, whose run time
 # nothing bounds yet.
 BYTES_PER_SUBFILE = 4096
@@ -250,11 +250,11 @@ def cmd_compare(args) -> int:
 
 def _wrong_users(db, placement, messages, d, leaders) -> list[int]:
     """The users, ascending, whose decode of the delivery misses their file;
-    all K are decoded in one call."""
+    all K are decoded in one call and XORed in place with their files."""
     decoded = decentralized.decode_users(
         range(1, placement.K + 1), db, placement, placement.partition, messages, d, leaders)
-    wrong = np.logical_or.reduce(np.array(decoded) != db.bits[np.subtract(d, 1)], axis=1)
-    return (wrong.nonzero()[0] + 1).tolist()
+    np.bitwise_xor(decoded, db.bits[np.subtract(d, 1)], out=decoded)
+    return (np.logical_or.reduce(decoded, axis=1).nonzero()[0] + 1).tolist()
 
 
 def _check_demand(db, placement, d, leaders, t) -> tuple[bool, str]:
@@ -489,7 +489,8 @@ class _SubcommandParser(argparse.ArgumentParser):
     positional (`bound --f 0 my.placement` took `0` for the placement)."""
 
     def parse_known_args(self, args=None, namespace=None):
-        args = list(args)  # the subcommand's part of the command line
+        # the subcommand's part of the command line, or argparse's default
+        args = sys.argv[1:] if args is None else list(args)
         kept, stray, i = [], [], 0
         while i < len(args):
             arg, i = args[i], i + 1

@@ -102,8 +102,7 @@ class LevelPartition:
     N: int
     F: int
     groups: dict[tuple[int, ...], tuple[np.ndarray, ...]]
-    runs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False)
+    runs: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False, compare=False)
 
     def positions(self, members: Sequence[int], file_index: int) -> np.ndarray:
         entry = self.groups.get(tuple(members))
@@ -122,8 +121,6 @@ class LevelPartition:
         groups, in send order. Demand-free, so built once per partition."""
         from . import level_index  # imported on the first delivery, not at start-up
 
-        if self.runs is None:
-            raise ValueError("only a partition made by level_partition can deliver")
         return level_index.build_levels(self.K, self.N, self.F, *self.runs)
 
 
@@ -186,22 +183,17 @@ def encode_delivery(
     if leaders is None:
         leaders = select_leaders(d)
     F = partition.F
-    bits = np.zeros((1, db.N, F + 1), dtype=np.uint8)  # column F is the padding's zero
-    bits[0, :, :F] = db.bits
-    bits = bits.reshape(1, -1)
-    flat = bits[0]
+    bits = np.zeros((db.N, F + 1), dtype=np.uint8)  # column F is the padding's zero
+    bits[:, :F] = db.bits
+    flat = bits.reshape(-1)
     wanted, lead = _demand_rows(d), _user_code(leaders)
     messages = []
     for level in partition.levels:
-        files, sizes = level.chunks(wanted)
+        cells, sizes = level.chunks(wanted)
         rows, lengths = level.sent(sizes, lead)
-        size = level.members.shape[1]
-        cached = level.read_all(bits, size * len(rows))
-        for block in _blocks(len(rows), size * level.positions.shape[2]):
+        for block in _blocks(len(rows), level.members.shape[1] * level.positions.shape[1]):
             block = rows[block]
-            at = files[block], level.groups[block]
-            chunks = flat[level.positions[at].astype(np.intp)] if cached is None else cached[level.row(*at)]
-            payloads = np.bitwise_xor.reduce(chunks, axis=1)
+            payloads = np.bitwise_xor.reduce(np.take(flat, level.positions[cells[block]]), axis=1)
             for members, rank, n, payload in zip(
                 level.members[block].tolist(), level.ranks[block].tolist(), lengths[block].tolist(), payloads
             ):
@@ -283,9 +275,9 @@ def decode_users(
     messages,
     d: Demand,
     leaders: frozenset[int] | None = None,
-) -> list[np.ndarray]:
-    """Recover file d_k for each user k of `users`, in that order, from its
-    cache plus the broadcast.
+) -> np.ndarray:
+    """Recover file d_k for each user k of `users` from its cache plus the
+    broadcast: a (len(users), F) array, one row per user in that order.
 
     Level by level, every requested user's chunk of every subset is decoded
     by one gather from the users' cache views, one XOR-reduce over the
@@ -313,7 +305,7 @@ def decode_users(
     wanted = _demand_rows(d)
     # every user's cache view, flat per user; column F of each file stays zero
     views = _cache_views(db, placement, users, F)
-    flat, stride = views.reshape(-1), N * (F + 1)
+    flat, view_start = views.reshape(-1), slot * (N * (F + 1))
     payloads = payload_map(messages)
     sent_set = None
 
@@ -327,14 +319,14 @@ def decode_users(
         return sent_set
 
     for level in partition.levels:
-        files, sizes = level.chunks(wanted)
+        cells, sizes = level.chunks(wanted)
         # (row, member) pairs of a requested user and its non-empty chunk
         mine = requested[level.members] & (sizes > 0)
         rows = np.logical_or.reduce(mine, axis=1).nonzero()[0]
         if not len(rows):
             continue
         # the rows' payloads, zero-padded to the level's width
-        Y = np.zeros((len(rows), level.positions.shape[2]), dtype=np.uint8)
+        Y = np.zeros((len(rows), level.positions.shape[1]), dtype=np.uint8)
         width = Y.shape[1]
         for i, members in enumerate(map(tuple, level.members[rows].tolist())):
             y = payloads.get(members)
@@ -344,30 +336,24 @@ def decode_users(
                 y = reconstruct_message(payloads, d, leaders, members, sent)
             Y[i, : len(y)] = y[:width]
         at, column = mine[rows].nonzero()
-        partners = level.members.shape[1] - 1
-        cached = level.read_all(views.reshape(len(users), stride), partners * len(at))
-        for block in _blocks(len(at), (partners + 1) * width):
+        for block in _blocks(len(at), level.members.shape[1] * width):
             pair_rows, c = rows[at[block]], column[block]
-            others, across = pair_rows[:, None], level.partners[c]
-            user = slot[level.members[pair_rows, c]]
-            files_of, groups_of = files[others, across], level.groups[others, across]
-            own = level.positions[files[pair_rows, c], level.groups[pair_rows, c]].astype(np.intp)
-            if cached is not None:
-                chunks = cached[level.row(files_of, groups_of, user[:, None])]
-            else:
-                pos = level.positions[files_of, groups_of].astype(np.intp)
-                if len(users) > 1:  # one user's view starts at 0
-                    pos += (user * stride)[:, None, None]
-                chunks = flat[pos]
-            acc = np.bitwise_xor.reduce(chunks, axis=1)
+            pos = level.positions[cells[pair_rows[:, None], level.partners[c]]].astype(np.intp)
+            own = level.positions[cells[pair_rows, c]].astype(np.intp)
+            if len(users) > 1:
+                # each pair's user's view starts at view_start in `flat`. One
+                # user's starts at 0, and this pass over the positions costs
+                # about what widening them does, so a one-user call skips it
+                start = view_start[level.members[pair_rows, c]][:, None]
+                pos += start[:, :, None]
+                own += start
+            acc = np.bitwise_xor.reduce(flat[pos], axis=1)
             acc ^= Y[at[block]]
             # decoded in place, where the user's view holds no partner chunk;
             # the chunks' padding lands in column F, which is zeroed again
-            if len(users) > 1:
-                own += (user * stride)[:, None]
             flat[own] = acc
             flat[F :: F + 1] = 0
-    return list(views[np.arange(len(users)), wanted[users], :F])
+    return views[np.arange(len(users)), wanted[users], :F]
 
 
 def _cache_views(db: Database, placement: Placement, users: Sequence[int], F: int) -> np.ndarray:

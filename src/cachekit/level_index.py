@@ -20,49 +20,37 @@ class Level(NamedTuple):
     `members` is (n_T, j+1), T's users in send order (lexicographic), with
     `codes` their user-set codes and `ranks` their `SubsetId` ranks.
     `groups[T, c]` is the level's index of group T minus its c-th member,
-    or G_j if that group is empty. `sizes` is (N, G_j + 1), each file's bit
-    count in each group. `positions` is (N, G_j + 1, L_j), L_j the largest
-    count: each group's bits of file i as indices i*(F+1) + bit into an
+    or G_j if that group is empty; the level has `slots` = G_j + 1 groups.
+    A cell is file i's part of group g, numbered i * slots + g: `sizes` is
+    each cell's bit count and `positions` is (N * slots, L_j), L_j the
+    largest count, each cell's bits as indices i*(F+1) + bit into an
     (N, F + 1) array, padded with i*(F+1) + F, a column kept zero.
     `partners[c]` lists the columns of T other than c. Group indices, sizes
     and positions are int32 while N*(F+1) < 2^31, to keep the index small;
-    the engine widens the positions it gathers through to intp, since numpy
-    gathers through int32 indices at about half the speed.
+    the engine widens the positions it gathers through to intp (numpy
+    gathers through int32 indices at about a third of the speed).
     """
 
     members: np.ndarray
     codes: np.ndarray
     ranks: np.ndarray
     groups: np.ndarray
+    slots: int
     sizes: np.ndarray
     positions: np.ndarray
     partners: np.ndarray
 
     def chunks(self, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """For a demand (`wanted[x]` is user x's file row): the file row and
-        the bit count of each member's chunk, both (n_T, j+1)."""
-        files = wanted[self.members]
-        return files, self.sizes[files, self.groups]
+        """For a demand (`wanted[x]` is user x's file row): the cell and the
+        bit count of each member's chunk, both (n_T, j+1)."""
+        cells = wanted[self.members] * self.slots + self.groups
+        return cells, self.sizes[cells]
 
     def sent(self, sizes: np.ndarray, lead_code: int) -> tuple[np.ndarray, np.ndarray]:
         """The rows the encoder sends, those with a leader and a non-empty
         chunk, and every row's payload length, for `chunks`' sizes."""
         lengths = np.maximum.reduce(sizes, axis=1)
         return (((self.codes & lead_code) != 0) & (lengths > 0)).nonzero()[0], lengths
-
-    def read_all(self, sources: np.ndarray, reads: int) -> np.ndarray | None:
-        """Every group's bits of every file, gathered from each flat (N, F + 1)
-        source, if `reads` chunks are to be read from them and that is no
-        fewer than the level has (else None: read each chunk from its
-        positions). Row (s * N + i) * (G_j + 1) + g holds source s's bits
-        of file i in group g."""
-        if reads < len(sources) * self.sizes.size:
-            return None
-        return np.take(sources, self.positions, axis=1).reshape(-1, self.positions.shape[2])
-
-    def row(self, files: np.ndarray, groups: np.ndarray, source=0) -> np.ndarray:
-        """The rows of `read_all` holding the chunks of `files` in `groups`."""
-        return (source * len(self.sizes) + files) * self.sizes.shape[1] + groups
 
 
 def _held(codes: np.ndarray, user_bits: np.ndarray) -> np.ndarray:
@@ -118,8 +106,9 @@ def build_levels(K: int, N: int, F: int, codes, order, sizes) -> list[Level]:
             subsets[rows : rows + n],
             ranks[rows : rows + n],
             local[groups[at]].reshape(n, j + 1).astype(small),
-            sized,
-            positions[base[j] : base[j] + extent[j]].reshape(N, counts[j] + 1, width[j]),
+            int(counts[j]) + 1,
+            sized.reshape(-1),
+            positions[base[j] : base[j] + extent[j]].reshape(-1, width[j]),
             np.array([[x for x in range(j + 1) if x != c] for c in range(j + 1)], dtype=np.intp).reshape(j + 1, j),
         ))
         rows, pairs = rows + n, pairs + n * (j + 1)

@@ -81,7 +81,9 @@ def placement_from_mask(mask):
 
 def oracle_level_partition(placement, N, F):
     """Groups by caching set with one `flatnonzero` pass per code and file;
-    the codes are Python ints, so any K works."""
+    the codes are Python ints, so any K works. The delivery runs are made
+    from these groups: the codes ascending, each file's positions in code
+    order and each group's bit count in each file."""
     from cachekit.decentralized import LevelPartition
 
     K = placement.K
@@ -89,7 +91,11 @@ def oracle_level_partition(placement, N, F):
     for k in range(K):
         codes[placement.cached(k + 1)] += 1 << k
     groups = {}
-    for code in np.unique(codes):
+    present = np.unique(codes)
+    for code in present:
         members = tuple(k + 1 for k in range(K) if (int(code) >> k) & 1)
         groups[members] = tuple(np.flatnonzero(codes[i] == code) for i in range(N))
-    return LevelPartition(K, N, F, groups)
+    order = np.array([np.concatenate([g[i] for g in groups.values()]) for i in range(N)])
+    sizes = np.array([[len(g[i]) for g in groups.values()] for i in range(N)])
+    runs = (present.astype(placement.codes.dtype), order, sizes)
+    return LevelPartition(K, N, F, groups, runs)

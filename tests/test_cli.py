@@ -581,6 +581,15 @@ class TestSubcommandFlags:
         assert err.splitlines()[-1] == f"cachekit: error: unrecognized arguments: {' '.join(stray)}"
         assert "my.placement" not in err
 
+    def test_subcommand_parser_reads_sys_argv_by_default(self, monkeypatch):
+        # argparse's own default: parse_known_args() with no args reads sys.argv[1:]
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+        monkeypatch.setattr(sys, "argv", ["cachekit", "my.placement", "--f", "0"])
+        namespace, extras = commands["bound"].parse_known_args()
+        assert namespace.placement == "my.placement"
+        assert extras == ["--f", "0"]
+
     @pytest.mark.parametrize("command", VALID_ARGV)
     def test_valid_invocation_parses(self, command):
         args = cli.build_parser().parse_args(VALID_ARGV[command])

@@ -18,6 +18,7 @@ from cachekit import batch_placement, binomial, centralized, decentralized, leve
 from cachekit.centralized import DecodeError, select_leaders
 from cachekit.combinatorics import subset_rank
 
+from conftest import oracle_level_partition
 from test_delivery_exactness import oracle_encode_delivery
 
 
@@ -112,6 +113,21 @@ def test_engine_past_64_users():
     assert placement.codes.dtype == object
     d = tuple(np.random.default_rng(12).integers(1, N + 1, size=K).tolist())
     assert_delivers(make_database(N, F, seed=13), placement, d, oracle=False)
+
+
+@pytest.mark.parametrize("K", [4, 65])
+def test_index_depends_only_on_the_runs(K):
+    # runs rebuilt from the oracle's groups (its own code order and positions)
+    # give the engine the same transcript and decodes as level_partition's sort
+    N, F = 2, 40
+    placement = decentralized.random_placement(N, K, 1, F, seed=K)
+    db = make_database(N, F, seed=5)
+    d = tuple(np.random.default_rng(K).integers(1, N + 1, size=K).tolist())
+    oracle = oracle_level_partition(placement, N, F)
+    messages = decentralized.encode_delivery(db, oracle, d)
+    assert transcript(messages) == transcript(decentralized.encode_delivery(db, placement.partition, d))
+    decoded = decentralized.decode_users(range(1, K + 1), db, placement, oracle, messages, d)
+    assert np.array_equal(decoded, db.bits[np.subtract(d, 1)])
 
 
 @pytest.mark.parametrize("users, lost", [((1,), (1, 4, 6)), ((2,), (1, 4, 6)), ((4, 2), (1, 2, 4)), ((6,), (1, 5, 6))])

@@ -60,13 +60,12 @@ MAX_GRID_POINTS = 10**5
 # of it is allocated.
 MAX_BATCH_BYTES = 2**30
 # Peak memory per subfile group beyond its bits' codes and sort order: its
-# partition entry, its message, its share of the engine's per-level index,
-# and its share of the K cache views one decode call holds (K·N·(F+1)
-# bytes). Peak RSS of `simulate --n 2` is 56, 110 and 324 MB at (K, t) =
-# (16, 8), (18, 9) and (20, 10); less the 30 MB the imported package takes,
-# that is 2.0, 1.6 and 1.6 KB per group over 12,870 to 184,756 groups. Kept
-# at 4 KB: a smaller figure would admit larger instances, whose run time
-# nothing bounds yet.
+# run in the partition, its message and its share of the engine's index and
+# of the K cache views one decode call holds (K·N·(F+1) bytes). Peak RSS of
+# `simulate --n 2` is 50, 86 and 233 MB at (K, t) = (16, 8), (18, 9) and
+# (20, 10); less the 30 MB the imported package takes, that is 1.6, 1.2 and
+# 1.1 KB per group over 12,870 to 184,756 groups. Kept at 4 KB: a smaller
+# figure would admit larger instances, whose run time nothing bounds yet.
 BYTES_PER_SUBFILE = 4096
 
 
@@ -410,12 +409,7 @@ def _batch_achieved_level(profile: CacheProfile, partition, F: int) -> int | Non
         return None
     t = levels[0]
     size, rem = divmod(F, binomial(partition.K, t))
-    if rem:
-        return None
-    for members, per_file in partition.groups.items():
-        if any(len(p) != size for p in per_file):
-            return None
-    return t
+    return None if rem or not (partition.sizes == size).all() else t
 
 
 def cmd_bound(args) -> int:

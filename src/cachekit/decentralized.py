@@ -2,19 +2,20 @@
 
 Delivery groups database bits by the exact set of users that cached them;
 within each level (sets of equal size j) the groups play the role of
-subfiles. For every (j+1)-subset T holding a leader (one requester per
-distinct requested file) the broadcast XORs the chunks T's members want
-from each other, user x's chunk being file d_x's bits cached by exactly
-T minus x, zero-padded to the longest. The engine works a level at a time
-over a demand-free index built once per partition (`LevelPartition.levels`):
-encoding is one gather of every chunk of the level's sent subsets and one
-XOR-reduce over their members. Decoding gathers each requested user's
-partner chunks from its own cache view, XOR-reduces them with the payloads
-and scatters the result into the user's file; padding lands in a zero
-sentinel column. Omitted leaderless messages are rebuilt by the
-cancellation identity, each once per decode call for all its members.
-Batch (centralized) delivery is the one-level, equal-chunk case:
-`centralized` hands its subfiles to this engine.
+subfiles, each a run of one stable sort of its file's bits by cache-set
+code (`LevelPartition`). For every (j+1)-subset T holding a leader (one
+requester per distinct requested file) the broadcast XORs the chunks T's
+members want from each other, user x's chunk being file d_x's bits cached
+by exactly T minus x, zero-padded to the longest. The engine works a level
+at a time over a demand-free index built once per partition
+(`LevelPartition.levels`): encoding is one gather of every chunk of the
+level's sent subsets and one XOR-reduce over their members. Decoding
+gathers each requested user's partner chunks from its own cache view,
+XOR-reduces them with the payloads and scatters the result into the user's
+file; padding lands in a zero sentinel column. Omitted leaderless messages
+are rebuilt by the cancellation identity, each once per decode call for
+all its members. Batch (centralized) delivery is the one-level,
+equal-chunk case: `centralized` hands its subfiles to this engine.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import itertools
 import operator
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import floor
@@ -36,7 +37,6 @@ from .model import Database, Demand, Placement, code_dtype, validate_demand
 if TYPE_CHECKING:
     from .level_index import Level
 
-_EMPTY = np.empty(0, dtype=np.int64)
 # Elements gathered per block of a level's rows, which bounds the index and
 # bit temporaries of a gather to under a MB however large the level is.
 _BLOCK = 1 << 16
@@ -86,34 +86,38 @@ def random_placement(N: int, K: int, M, F: int, seed: int) -> Placement:
     return Placement(K, codes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LevelPartition:
     """Database bit positions grouped by the exact set of users caching them.
 
-    `groups[members][i-1]` holds the (ascending, read-only) bit positions of
-    file i that are cached by precisely the users in `members`. Absent keys
-    mean empty groups; together the groups partition all N*F positions.
-    `runs` is the sort `level_partition` did, which delivery needs: the
-    codes present, ascending, each file's positions in code order, and each
-    group's bit count in each file.
-    """
+    `codes` are the user-set codes present in any file, ascending (bit k-1
+    for user k); `order[i-1]` is file i's positions (int64, read-only) in
+    code order, ascending within a code; `sizes[i-1, c]` counts file i's
+    bits of `codes[c]`. Each group is a run of `order`, and together the
+    runs partition all N*F positions."""
 
     K: int
     N: int
     F: int
-    groups: dict[tuple[int, ...], tuple[np.ndarray, ...]]
-    runs: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False, compare=False)
+    codes: np.ndarray
+    order: np.ndarray
+    sizes: np.ndarray
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """(N, len(codes)): where each group's run begins in its file's `order`."""
+        return np.cumsum(self.sizes, axis=1) - self.sizes
 
     def positions(self, members: Sequence[int], file_index: int) -> np.ndarray:
-        entry = self.groups.get(tuple(members))
-        return _EMPTY if entry is None else entry[file_index - 1]
-
-    def level_sizes(self) -> list[int]:
-        """Total number of bits cached by exactly j users, for j = 0..K."""
-        sizes = [0] * (self.K + 1)
-        for members, per_file in self.groups.items():
-            sizes[len(members)] += sum(len(p) for p in per_file)
-        return sizes
+        """Positions of file `file_index` cached by exactly the users `members` (ascending, read-only)."""
+        users = {operator.index(k) for k in members}
+        if all(1 <= k <= self.K for k in users):
+            code = _user_code(users)
+            c = int(self.codes.searchsorted(self.codes.dtype.type(code)))  # typed: an int casts the array
+            if c < len(self.codes) and self.codes[c] == code:
+                start = self.starts[file_index - 1, c]
+                return self.order[file_index - 1, start : start + self.sizes[file_index - 1, c]]
+        return np.empty(0, dtype=np.int64)
 
     @cached_property
     def levels(self) -> list[Level]:
@@ -121,15 +125,15 @@ class LevelPartition:
         groups, in send order. Demand-free, so built once per partition."""
         from . import level_index  # imported on the first delivery, not at start-up
 
-        return level_index.build_levels(self.K, self.N, self.F, *self.runs)
+        return level_index.build_levels(self)
 
 
 def level_partition(placement: Placement, N: int, F: int) -> LevelPartition:
     """Exact partition of all (file, bit) positions by caching set.
 
     One stable sort of the placement's codes per file puts equal codes next
-    to each other with their positions ascending, and each group is its
-    run's slice of the (read-only) sort order.
+    to each other with their positions ascending; each group's bit count in
+    a file is where its code's run ends less where the previous one does.
     """
     K, codes = placement.K, placement.codes
     if codes.shape != (N, F):
@@ -145,14 +149,8 @@ def level_partition(placement: Placement, N: int, F: int) -> LevelPartition:
     firsts = np.ones(len(present), dtype=bool)
     firsts[1:] = present[1:] != present[:-1]
     present = present[firsts]
-    starts = np.array([np.searchsorted(row, present, side="left") for row in ranked])
     stops = np.array([np.searchsorted(row, present, side="right") for row in ranked])
-    start_at, stop_at = starts.tolist(), stops.tolist()
-    groups: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
-    for c, code in enumerate(present.tolist()):
-        members = tuple(k + 1 for k in range(K) if code >> k & 1)
-        groups[members] = tuple(order[i, start_at[i][c] : stop_at[i][c]] for i in range(N))
-    return LevelPartition(K, N, F, groups, (present, order, stops - starts))
+    return LevelPartition(K, N, F, present, order, np.diff(stops, axis=1, prepend=0))
 
 
 def _blocks(count: int, per_item: int) -> list[slice]:
@@ -177,6 +175,8 @@ def encode_delivery(
     """Leader-based delivery over every level of the partition. Messages that
     would be empty are not sent; the rest go by subset size, then lexicographic.
     Each level's payloads are one gather of their chunks and one XOR-reduce."""
+    if db.bits.shape != partition.order.shape:
+        raise ValueError(f"database has (N, F) = {db.bits.shape}, but the partition has {partition.order.shape}")
     d = validate_demand(d, db.N)
     if len(d) != partition.K:
         raise ValueError(f"demand length {len(d)} != K={partition.K}")
@@ -287,6 +287,9 @@ def decode_users(
     decoding gap shows up as a bit mismatch. `messages` may be a list or a
     `payload_map` of it.
     """
+    for name, shape in (("partition", partition.order.shape), ("placement", placement.codes.shape)):
+        if db.bits.shape != shape:
+            raise ValueError(f"database has (N, F) = {db.bits.shape}, but the {name} has {shape}")
     d = validate_demand(d, db.N)
     K, N, F = partition.K, db.N, partition.F
     if len(d) != K:

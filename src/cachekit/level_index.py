@@ -61,11 +61,12 @@ def _held(codes: np.ndarray, user_bits: np.ndarray) -> np.ndarray:
     return held
 
 
-def build_levels(K: int, N: int, F: int, codes, order, sizes) -> list[Level]:
-    """The `Level`s of a partition from its sort (`LevelPartition.runs`):
-    the codes present, ascending, each file's positions in code order, and
-    each group's bit count in each file."""
-    starts = np.cumsum(sizes, axis=1) - sizes
+def build_levels(partition) -> list[Level]:
+    """The `Level`s of a `LevelPartition`, read from its sort: the codes
+    present, ascending, each file's positions in code order, and each
+    group's bit count and run start in each file."""
+    K, N, F, codes, order = partition.K, partition.N, partition.F, partition.codes, partition.order
+    sizes, starts = partition.sizes, partition.starts
     user_bits = np.array([1 << k for k in range(K)], dtype=codes.dtype)
     held = _held(codes, user_bits)
     # the all-users code is the largest, and its group serves no subset

@@ -79,23 +79,31 @@ def placement_from_mask(mask):
     return Placement(K, codes)
 
 
-def oracle_level_partition(placement, N, F):
-    """Groups by caching set with one `flatnonzero` pass per code and file;
-    the codes are Python ints, so any K works. The delivery runs are made
-    from these groups: the codes ascending, each file's positions in code
-    order and each group's bit count in each file."""
-    from cachekit.decentralized import LevelPartition
+def members_of(code, K):
+    """The 1-based users of a user-set code, ascending."""
+    return tuple(k + 1 for k in range(K) if int(code) >> k & 1)
 
+
+def oracle_groups(placement, N, F):
+    """Groups by caching set with one `flatnonzero` pass per code and file:
+    each present set's members -> its positions in each file, codes
+    ascending. The codes are Python ints, so any K works."""
     K = placement.K
     codes = np.zeros((N, F), dtype=object)
     for k in range(K):
         codes[placement.cached(k + 1)] += 1 << k
-    groups = {}
-    present = np.unique(codes)
-    for code in present:
-        members = tuple(k + 1 for k in range(K) if (int(code) >> k) & 1)
-        groups[members] = tuple(np.flatnonzero(codes[i] == code) for i in range(N))
+    return {members_of(code, K): tuple(np.flatnonzero(codes[i] == code) for i in range(N))
+            for code in np.unique(codes)}
+
+
+def oracle_level_partition(placement, N, F):
+    """The partition's runs made from `oracle_groups`: the codes ascending,
+    each file's positions in code order and each group's bit count in each
+    file."""
+    from cachekit.decentralized import LevelPartition
+
+    groups = oracle_groups(placement, N, F)
+    codes = np.array([sum(1 << (k - 1) for k in members) for members in groups], dtype=placement.codes.dtype)
     order = np.array([np.concatenate([g[i] for g in groups.values()]) for i in range(N)])
     sizes = np.array([[len(g[i]) for g in groups.values()] for i in range(N)])
-    runs = (present.astype(placement.codes.dtype), order, sizes)
-    return LevelPartition(K, N, F, groups, runs)
+    return LevelPartition(placement.K, N, F, codes, order, sizes)

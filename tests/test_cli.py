@@ -5,6 +5,7 @@ import sys
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cachekit import CacheProfile, batch_placement, demand_stats, save_placement
@@ -12,6 +13,7 @@ from cachekit import cli
 from cachekit.cli import MAX_GRID_POINTS, main, parse_grid
 from cachekit.cli import UsageError
 from cachekit.combinatorics import binomial
+from cachekit.model import Placement
 
 # `simulate --dump` stdout, pinned byte for byte
 CENTRALIZED_GOLDEN = """\
@@ -403,6 +405,26 @@ class TestBound:
         # worst type (2,1,1): bound = 2/3 - 1/12 = 0.583333, achieved 2/3
         line = next(l for l in out.splitlines() if "(2, 1, 1)" in l)
         assert "bound=0.583333" in line and "achieved=0.666667" in line
+
+    @pytest.mark.parametrize("F, runs", [
+        # C(3,1) | F, but the groups of each file hold 3, 2 and 1 bits (in
+        # the second file 1, 2 and 3, so each set's total over files is equal)
+        (6, [(3, 2, 1), (1, 2, 3)]),
+        # every group of the first file holds 2 or 3 bits: C(3,1) does not divide F
+        (7, [(3, 2, 2), (2, 2, 3)]),
+    ])
+    def test_one_level_placement_not_batch_structured(self, capsys, tmp_path, F, runs):
+        # every bit is cached by exactly one of K=3 users, yet the groups are
+        # not F / C(K, t) bits each, so bound reports no achieved rate
+        N, K = 2, 3
+        codes = np.array([np.repeat([1, 2, 4], per_file) for per_file in runs], dtype=np.uint8)
+        codes.setflags(write=False)
+        path = tmp_path / "level.placement"
+        save_placement(path, Placement(K, codes), N, F, M=1)
+        code, out, _ = run_cli(capsys, "bound", str(path))
+        assert code == 0
+        assert f"  n=1: {N * F}" in out.splitlines()
+        assert "batch-structured" not in out and "achieved=" not in out
 
     def test_empty_placement_bound_is_distinct_count(self, capsys, tmp_path):
         from cachekit.decentralized import random_placement

@@ -25,7 +25,8 @@ from cachekit.centralized import subfile_ranges
 from cachekit.combinatorics import enumerate_subsets
 from cachekit.model import Placement
 
-from conftest import oracle_level_partition, placement_from_mask
+from conftest import members_of, placement_from_mask
+from test_delivery_exactness import assert_runs_match_oracle
 
 
 def cached_mask(placement):
@@ -120,8 +121,8 @@ class TestLevelPartition:
     def test_batch_placement_is_single_level(self):
         placement = batch_placement(N=2, K=4, t=2, F=12)
         part = decentralized.level_partition(placement, N=2, F=12)
-        sizes = part.level_sizes()
-        assert sizes[2] == 2 * 12 and sum(sizes) == 2 * 12
+        assert [len(members_of(code, 4)) for code in part.codes.tolist()] == [2] * 6
+        assert (part.sizes == 2).all()
         for members, (lo, hi) in subfile_ranges(4, 2, 12).items():
             for i in (1, 2):
                 assert np.array_equal(part.positions(members, i), np.arange(lo, hi))
@@ -129,31 +130,22 @@ class TestLevelPartition:
     def test_empty_placement_all_level_zero(self):
         placement = Placement(3, np.zeros((2, 5), dtype=np.uint8))
         part = decentralized.level_partition(placement, N=2, F=5)
-        assert part.level_sizes() == [10, 0, 0, 0]
+        assert part.codes.tolist() == [0] and part.sizes.tolist() == [[5], [5]]
         assert np.array_equal(part.positions((), 1), np.arange(5))
 
     def test_partition_is_exact_cover(self):
         placement = decentralized.random_placement(N=2, K=4, M=1, F=500, seed=3)
         part = decentralized.level_partition(placement, N=2, F=500)
+        groups = [members_of(code, 4) for code in part.codes.tolist()]
         for i in (1, 2):
-            seen = np.concatenate([per_file[i - 1] for per_file in part.groups.values()])
+            seen = np.concatenate([part.positions(members, i) for members in groups])
             assert np.array_equal(np.sort(seen), np.arange(500))
         # group membership agrees with the users' cache views
-        for members, per_file in part.groups.items():
+        for members in groups:
             for i in (1, 2):
-                for j in per_file[i - 1][:5]:
+                for j in part.positions(members, i)[:5]:
                     cachers = {k for k in range(1, 5) if placement.cached(k)[i - 1, j]}
                     assert cachers == set(members)
-
-    def test_level_sizes_concentrate(self):
-        N, K, F = 2, 3, 300
-        placement = decentralized.random_placement(N, K, M=1, F=F, seed=4)
-        part = decentralized.level_partition(placement, N, F)
-        sizes = part.level_sizes()
-        for j in range(K + 1):
-            p = binomial(K, j) * 0.5**K  # per-file quota is exactly half of F
-            mean, sigma = N * F * p, math.sqrt(N * F * p * (1 - p))
-            assert abs(sizes[j] - mean) <= 3 * sigma
 
     def test_user_limit(self):
         # there is none: past 64 users the codes are Python ints, and K=65
@@ -161,28 +153,50 @@ class TestLevelPartition:
         for K in (64, 65):
             placement = decentralized.random_placement(1, K, "1/2", 40, seed=3)
             part = decentralized.level_partition(placement, 1, 40)
-            assert part.level_sizes() == list(CacheProfile.from_placement(placement).coverage)
-            want = oracle_level_partition(placement, 1, 40)
-            assert {m: tuple(map(tuple, p)) for m, p in part.groups.items()} == {
-                m: tuple(map(tuple, p)) for m, p in want.groups.items()}
-            assert any(K in members for members in part.groups)
-        assert placement.codes.dtype == object
+            levels = [len(members_of(code, K)) for code in part.codes.tolist()]
+            coverage = np.bincount(levels, weights=part.sizes.sum(axis=0), minlength=K + 1)
+            assert coverage.tolist() == list(CacheProfile.from_placement(placement).coverage)
+            assert_runs_match_oracle(part, placement)
+            assert any(K in members_of(code, K) for code in part.codes.tolist())
+        assert placement.codes.dtype == object and part.codes.dtype == object
 
     def test_partition_does_not_import_numpy_ma(self):
         # numpy.ma costs its import time and memory to every run that
-        # partitions; a fresh process shows whether building one pulls it in
+        # partitions; a fresh process shows whether building one, its
+        # delivery index or an encode pulls it in
         code = (
             "import sys\n"
-            "from cachekit import decentralized\n"
+            "from cachekit import decentralized, make_database\n"
             "for K in (4, 65):\n"
             "    placement = decentralized.random_placement(2, K, 1, 40, seed=3)\n"
-            "    assert decentralized.level_partition(placement, 2, 40).groups\n"
+            "    partition = decentralized.level_partition(placement, 2, 40)\n"
+            "    assert partition.levels\n"
+            "    db = make_database(2, 40, seed=4)\n"
+            "    assert decentralized.encode_delivery(db, partition, (1, 2) * (K // 2) + (1,) * (K % 2))\n"
             "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
         )
         src = str(pathlib.Path(decentralized.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestCacheProfile:
+    # the partition's per-level bit counts are the coverage profile's
+    def test_batch_placement_is_single_level(self):
+        assert CacheProfile.from_placement(batch_placement(N=2, K=4, t=2, F=12)).coverage == (0, 0, 24, 0, 0)
+
+    def test_empty_placement_all_level_zero(self):
+        assert CacheProfile.from_placement(Placement(3, np.zeros((2, 5), dtype=np.uint8))).coverage == (10, 0, 0, 0)
+
+    def test_coverage_concentrates(self):
+        N, K, F = 2, 3, 300
+        placement = decentralized.random_placement(N, K, M=1, F=F, seed=4)
+        sizes = CacheProfile.from_placement(placement).coverage
+        for j in range(K + 1):
+            p = binomial(K, j) * 0.5**K  # per-file quota is exactly half of F
+            mean, sigma = N * F * p, math.sqrt(N * F * p * (1 - p))
+            assert abs(sizes[j] - mean) <= 3 * sigma
 
 
 class TestEncodeDecode:

@@ -26,7 +26,9 @@ from cachekit.centralized import BroadcastMessage, DecodeError, select_leaders, 
 from cachekit.combinatorics import enumerate_subsets
 from cachekit.model import Placement, validate_demand
 
-from conftest import CANONICAL_T, direct_payload, oracle_level_partition, placement_from_mask
+from conftest import (
+    CANONICAL_T, direct_payload, members_of, oracle_groups, oracle_level_partition, placement_from_mask,
+)
 
 # --- oracle: one pass per code and file (conftest), all 2^K subsets ---------------
 
@@ -62,24 +64,35 @@ def oracle_encode_delivery(db, partition, d, leaders=None):
 # --- the gate --------------------------------------------------------------------
 
 
-def assert_groups_read_only(part):
-    for per_file in part.groups.values():
-        for pos in per_file:
-            assert pos.dtype == np.int64 and not pos.flags.writeable
+def assert_runs_match_oracle(part, placement):
+    """The partition's runs equal those made from the oracle's groups, its
+    sort order is read-only int64, and `positions` gives each present set's
+    group in each file (ascending, read-only int64) and nothing for absent
+    sets. Returns the oracle's partition."""
+    N, F, K = part.N, part.F, part.K
+    groups = oracle_groups(placement, N, F)
+    want = oracle_level_partition(placement, N, F)
+    assert part.codes.dtype == placement.codes.dtype and part.codes.tolist() == want.codes.tolist()
+    assert [members_of(code, K) for code in part.codes.tolist()] == list(groups)
+    assert np.array_equal(part.order, want.order) and np.array_equal(part.sizes, want.sizes)
+    assert part.order.dtype == np.int64 and not part.order.flags.writeable
+    for members, per_file in groups.items():
+        assert len(per_file) == N
+        for i, ref in enumerate(per_file, start=1):
+            got = part.positions(members, i)
+            assert got.dtype == np.int64 and not got.flags.writeable
+            assert np.array_equal(got, ref)
+            assert (np.diff(got) > 0).all()
+    every = (S for r in range(K + 1) for S in itertools.combinations(range(1, K + 1), r))
+    for absent in {next((S for S in every if S not in groups), (K + 1,)), (K + 1,), (1, K + 1)}:
+        assert all(len(part.positions(absent, i)) == 0 for i in range(1, N + 1))
+    return want
 
 
 def assert_engine_exact(db, placement, d):
     N, F, K = db.N, db.F, placement.K
     part = decentralized.level_partition(placement, N, F)
-    want = oracle_level_partition(placement, N, F)
-    assert list(part.groups) == list(want.groups)
-    for members, per_file in part.groups.items():
-        assert len(per_file) == N
-        for got, ref in zip(per_file, want.groups[members]):
-            assert got.dtype == np.int64
-            assert np.array_equal(got, ref)
-            assert (np.diff(got) > 0).all()
-    assert_groups_read_only(part)
+    want = assert_runs_match_oracle(part, placement)
 
     messages = decentralized.encode_delivery(db, part, d)
     expected = oracle_encode_delivery(db, want, d)
@@ -145,20 +158,37 @@ def test_k64_groups_match_oracle_as_sets():
     placement = decentralized.random_placement(N, K, Fraction(1, 2), F, seed=7)
     assert placement.cached(K).any()
     part = decentralized.level_partition(placement, N, F)
-    want = oracle_level_partition(placement, N, F)
-
-    def as_set(p):
-        return {(members, tuple(map(tuple, per_file))) for members, per_file in p.groups.items()}
-
-    assert as_set(part) == as_set(want)
-    assert any(K in members for members in part.groups)
-    assert_groups_read_only(part)
+    assert part.codes.dtype == np.uint64
+    assert_runs_match_oracle(part, placement)
+    assert any(K in members_of(code, K) for code in part.codes.tolist())
 
     db = make_database(N, F, seed=8)
     d = tuple(np.random.default_rng(9).integers(1, N + 1, size=K).tolist())
     messages = decentralized.encode_delivery(db, part, d)
     for k in (1, 2, K - 1, K):
         assert np.array_equal(decentralized.decode_user(k, db, placement, part, messages, d), db.file(d[k - 1]))
+
+
+@pytest.mark.parametrize("shape, d", [((3, 100), (1, 2, 2, 1)), ((3, 100), (1, 2, 3, 3))])
+def test_encode_refuses_database_of_another_shape(shape, d):
+    # a third file would be encoded silently, or its demand would index past the partition
+    part = decentralized.random_placement(2, 4, 1, 100, seed=1).partition
+    with pytest.raises(ValueError, match=re.escape(f"database has (N, F) = {shape}, but the partition has (2, 100)")):
+        decentralized.encode_delivery(make_database(*shape, seed=2), part, d)
+
+
+@pytest.mark.parametrize("shape", [(2, 120), (2, 80), (1, 100)])
+def test_decode_refuses_database_of_another_shape(shape):
+    N, K, F, d = 2, 4, 100, (1, 2, 2, 1)
+    placement = decentralized.random_placement(N, K, 1, F, seed=1)
+    messages = decentralized.encode_delivery(make_database(N, F, seed=2), placement.partition, d)
+    with pytest.raises(ValueError, match=re.escape(f"database has (N, F) = {shape}, but the partition has (2, 100)")):
+        decentralized.decode_users([1, 2], make_database(*shape, seed=2), placement, placement.partition, messages, d)
+    # the placement's codes must have the database's shape as well
+    db = make_database(N, F, seed=2)
+    with pytest.raises(ValueError, match=re.escape(f"database has (N, F) = (2, 100), but the placement has {shape}")):
+        decentralized.decode_users([1, 2], db, Placement(K, np.zeros(shape, dtype=np.uint8)), placement.partition,
+                                   messages, d)
 
 
 # --- oracle: batch delivery by subfile slicing ------------------------------------

@@ -2,8 +2,8 @@
 users, on a lost message, and its index built once per partition.
 
 Transcripts are checked against `oracle_encode_delivery`, which walks all
-2^K user subsets, and, at any K, against an oracle that walks the groups of
-the partition's `groups` dict and XORs each chunk straight from the
+2^K user subsets, and, at any K, against an oracle that walks the groups
+present in the partition's `codes` and XORs each chunk straight from the
 database; decodes must give every user its file bit for bit.
 """
 
@@ -18,7 +18,7 @@ from cachekit import batch_placement, binomial, centralized, decentralized, leve
 from cachekit.centralized import DecodeError, select_leaders
 from cachekit.combinatorics import subset_rank
 
-from conftest import oracle_level_partition
+from conftest import members_of, oracle_level_partition
 from test_delivery_exactness import oracle_encode_delivery
 
 
@@ -27,7 +27,8 @@ def groups_oracle_transcript(db, partition, d, leaders):
     T = S + {x} of a group S and a user x outside it that holds a leader and
     a non-empty chunk, its chunks XORed from the database, zero-padded."""
     K = partition.K
-    subsets = {tuple(sorted(S + (x,))) for S in partition.groups for x in range(1, K + 1) if x not in S}
+    groups = [members_of(code, K) for code in partition.codes.tolist()]
+    subsets = {tuple(sorted(S + (x,))) for S in groups for x in range(1, K + 1) if x not in S}
     out = []
     for T in sorted(subsets, key=lambda T: (len(T), T)):
         if leaders.isdisjoint(T):
@@ -146,9 +147,9 @@ def test_index_is_built_once_per_partition(monkeypatch):
     built = []
     build = level_index.build_levels
 
-    def counting(*args):
-        built.append(args[:3])
-        return build(*args)
+    def counting(partition):
+        built.append((partition.K, partition.N, partition.F))
+        return build(partition)
 
     monkeypatch.setattr(level_index, "build_levels", counting)
     N, K, F = 3, 5, 60

@@ -2,20 +2,15 @@
 arrays, tradeoff formulas, and converse bounds."""
 
 from .combinatorics import (
-    EnvelopePoints,
     SubsetId,
     binomial,
     enumerate_subsets,
-    lower_convex_envelope,
     lower_convex_envelope_many,
     subset_rank,
-    subset_unrank,
-    surjection_count,
 )
 from .model import (
     Database,
     DemandStats,
-    NeDistribution,
     Placement,
     all_demands,
     demand_stats,
@@ -23,7 +18,6 @@ from .model import (
     expected_distinct,
     load_placement,
     make_database,
-    ne_distribution,
     ne_weights,
     save_placement,
     type_size,
@@ -45,15 +39,9 @@ from .rate_analysis import (
     SCHEMES,
     CacheProfile,
     RateCurve,
-    avg_rate_optimal,
-    baseline_centralized_avg,
-    baseline_decentralized_avg,
     converse_bound,
-    dec_avg_rate,
-    dec_peak_rate,
     dec_rate_for_distinct,
     delivery_rate_value,
-    peak_rate_optimal,
     rate_curve,
 )
 

@@ -28,6 +28,7 @@ from .model import (
     PlacementParseError,
     all_demands,
     code_dtype,
+    count_types,
     demand_at,
     demand_stats,
     enumerate_types,
@@ -67,6 +68,10 @@ MAX_BATCH_BYTES = 2**30
 # 1.1 KB per group over 12,870 to 184,756 groups. Kept at 4 KB: a smaller
 # figure would admit larger instances, whose run time nothing bounds yet.
 BYTES_PER_SUBFILE = 4096
+# Most demand types `bound` prints a line for, counted before any is built.
+# A type costs about 40 µs (14,888 types of a K=N=35 placement took 0.57 s),
+# so an admitted run stays within about 4 s; K=N=100 would be 1.9e8 types.
+MAX_BOUND_TYPES = 10**5
 
 
 class UsageError(ValueError):
@@ -155,16 +160,19 @@ def parse_demand(spec: str, N: int, K: int) -> tuple[int, ...]:
 
 
 def _resolve_t(args, N: int, K: int) -> int:
-    if args.t is not None:
-        if not 0 <= args.t <= K:
-            raise UsageError(f"t must be in 0..{K}")
+    """--t, or the integer t = K*M/N of --m; given both, they must agree."""
+    if args.t is None and args.m is None:
+        raise UsageError("need --t or --m")
+    if args.t is not None and not 0 <= args.t <= K:
+        raise UsageError(f"t must be in 0..{K}")
+    if args.m is None:
         return args.t
-    if args.m is not None:
-        t = Fraction(K) * parse_m(args.m, N) / N
-        if t.denominator != 1 or not 0 <= t <= K:
-            raise UsageError(f"M={args.m} gives non-integer t={t}; pass --t or an integer-t M")
-        return int(t)
-    raise UsageError("need --t or --m")
+    t = Fraction(K) * parse_m(args.m, N) / N
+    if args.t is not None and t != args.t:
+        raise UsageError(f"--t {args.t} contradicts --m {args.m}, which gives t = K*M/N = {t}")
+    if t.denominator != 1:
+        raise UsageError(f"M={args.m} gives non-integer t={t}; pass --t or an integer-t M")
+    return int(t)
 
 
 def batch_bytes_estimate(N: int, K: int, t: int, F: int) -> int:
@@ -360,6 +368,8 @@ def cmd_simulate(args) -> int:
     else:
         if args.m is None:
             raise UsageError("decentralized simulate requires --m")
+        if args.t is not None:
+            raise UsageError("decentralized simulate takes --m, not --t")
         F = args.f if args.f is not None else 10_000
         M = parse_m(args.m, N)
         placement = decentralized.random_placement(N, K, M, F, place_seed)
@@ -420,6 +430,10 @@ def cmd_bound(args) -> int:
     except OSError as exc:
         raise UsageError(f"cannot read {args.placement}: {exc}") from None
     K = placement.K
+    types = count_types(N, K)
+    if types > MAX_BOUND_TYPES:
+        raise UsageError(f"K={K} users and N={N} files give {types} demand types, "
+                         f"more than the limit of {MAX_BOUND_TYPES}")
     profile = CacheProfile.from_placement(placement)
     print(f"placement: K={K} N={N} F={F} M={M}")
     print("coverage profile (bits cached by exactly n users):")

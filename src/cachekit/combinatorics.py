@@ -38,15 +38,6 @@ def surjection_counts(universe: int, max_onto: int) -> list[int]:
     ]
 
 
-def surjection_count(universe: int, onto: int) -> int:
-    """Number of functions from a `universe`-set onto an `onto`-set."""
-    if onto < 0 or universe < 0:
-        raise ValueError("surjection_count requires non-negative arguments")
-    if onto > universe:
-        return 0
-    return surjection_counts(universe, onto)[onto]
-
-
 @dataclass(frozen=True)
 class SubsetId:
     """A size-`k` subset of users {1..K}, with its lexicographic rank.
@@ -81,26 +72,6 @@ def subset_rank(members: Sequence[int], k_users: int) -> int:
     return rank
 
 
-def subset_unrank(rank: int, k_users: int, size: int) -> tuple[int, ...]:
-    """Inverse of subset_rank: the subset of {1..k_users} at `rank`."""
-    if not 0 <= size <= k_users:
-        raise ValueError(f"size {size} out of range 0..{k_users}")
-    if not 0 <= rank < binomial(k_users, size):
-        raise ValueError(f"rank {rank} out of range for C({k_users},{size})")
-    members = []
-    candidate = 1
-    remaining = size
-    while remaining > 0:
-        below = binomial(k_users - candidate, remaining - 1)
-        if rank < below:
-            members.append(candidate)
-            remaining -= 1
-        else:
-            rank -= below
-        candidate += 1
-    return tuple(members)
-
-
 def enumerate_subsets(k_users: int, size: int) -> list[SubsetId]:
     """All size-`size` subsets of {1..k_users} in lexicographic order.
 
@@ -115,20 +86,6 @@ def enumerate_subsets(k_users: int, size: int) -> list[SubsetId]:
 
 
 Number = int | float | Fraction
-
-
-@dataclass(frozen=True)
-class EnvelopePoints:
-    """Sampled (t, value) points, t strictly increasing, to be enveloped."""
-
-    points: tuple[tuple[Number, Number], ...]
-
-    def __post_init__(self):
-        if not self.points:
-            raise ValueError("EnvelopePoints requires at least one point")
-        ts = [t for t, _ in self.points]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("t values must be strictly increasing")
 
 
 def _cross(o, a, b) -> Number:
@@ -152,16 +109,14 @@ def _exact_ratio(num: Number, den: Number) -> Number:
     return Fraction(num) / Fraction(den)
 
 
-def lower_convex_envelope_many(
-    pts: EnvelopePoints | Sequence[tuple[Number, Number]], xs: Iterable[Number]
-) -> list[Number]:
+def lower_convex_envelope_many(pts: Sequence[tuple[Number, Number]], xs: Iterable[Number]) -> list[Number]:
     """Values at each of `xs` of the lower convex envelope of the given points.
 
     The hull is built once; each x finds its segment by bisection, so `xs`
     may come in any order. Every x must lie within [min t, max t]. Exact when
     points and xs are rational.
     """
-    points = pts.points if isinstance(pts, EnvelopePoints) else tuple(pts)
+    points = tuple(pts)
     if not points:
         raise ValueError("no points to envelope")
     lo, hi = points[0][0], points[-1][0]
@@ -179,11 +134,3 @@ def lower_convex_envelope_many(
         t0, v0 = hull[i - 1]
         values.append(v0 + (v1 - v0) * _exact_ratio(x - t0, t1 - t0))
     return values
-
-
-def lower_convex_envelope(pts: EnvelopePoints | Sequence[tuple[Number, Number]], x: Number) -> Number:
-    """Value at `x` of the lower convex envelope of the given points.
-
-    `x` must lie within [min t, max t]. Exact when points and x are rational.
-    """
-    return lower_convex_envelope_many(pts, [x])[0]

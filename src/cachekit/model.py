@@ -162,6 +162,18 @@ def enumerate_types(N: int, K: int) -> list[DemandStats]:
     return out
 
 
+def count_types(N: int, K: int) -> int:
+    """`len(enumerate_types(N, K))` without building the list: partitions of K
+    with no part above N (conjugates of those into at most N parts)."""
+    if N < 1 or K < 1:
+        raise ValueError("need N >= 1 and K >= 1")
+    ways = [1] + [0] * K  # ways[n]: partitions of n into the part sizes seen so far
+    for part in range(1, min(N, K) + 1):
+        for n in range(part, K + 1):
+            ways[n] += ways[n - part]
+    return ways[K]
+
+
 def type_size(stats: DemandStats, K: int) -> int:
     """Number of demands with the given statistics.
 
@@ -203,28 +215,6 @@ def type_representative(stats: DemandStats) -> tuple[int, ...]:
     return tuple(f for f, c in enumerate(stats.counts, start=1) for _ in range(c))
 
 
-@dataclass(frozen=True)
-class NeDistribution:
-    """Exact distribution of the number of distinct requested files.
-
-    Entries are (e, P(distinct == e)) for e in 1..min(N, K) under a demand
-    drawn uniformly from {1..N}^K.
-    """
-
-    entries: tuple[tuple[int, Fraction], ...]
-
-    def __post_init__(self):
-        if sum(p for _, p in self.entries) != 1:
-            raise ValueError("probabilities must sum to 1")
-
-    def mean(self) -> Fraction:
-        return sum((Fraction(e) * p for e, p in self.entries), Fraction(0))
-
-    def expect(self, fn) -> Fraction:
-        """Exact expectation of fn(e) over the distribution."""
-        return sum((p * fn(e) for e, p in self.entries), Fraction(0))
-
-
 def ne_weights(N: int, K: int) -> tuple[tuple[int, int], ...]:
     """(e, C(N,e) * surjections(K -> e)) for e in 1..min(N, K): the number of
     demands in {1..N}^K with exactly e distinct files. The counts sum to N^K."""
@@ -233,12 +223,6 @@ def ne_weights(N: int, K: int) -> tuple[tuple[int, int], ...]:
     E = min(N, K)
     onto = surjection_counts(K, E)
     return tuple((e, binomial(N, e) * onto[e]) for e in range(1, E + 1))
-
-
-def ne_distribution(N: int, K: int) -> NeDistribution:
-    """P(distinct = e) = C(N,e) * surjections(K -> e) / N^K, exact."""
-    total = N**K
-    return NeDistribution(tuple((e, Fraction(w, total)) for e, w in ne_weights(N, K)))
 
 
 def expected_distinct(N: int, K: int) -> Fraction:

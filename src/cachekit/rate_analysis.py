@@ -1,6 +1,10 @@
 """Exact rate-memory tradeoff formulas, prior-art baselines, and the
 converse bound for arbitrary uncoded placements.
 
+Every rate is read from a curve: each `SCHEMES` entry maps (N, K, Ms) to the
+rates at every cache size in Ms, and `rate_curve` evaluates one by name. A
+one-point value is `SCHEMES[label](N, K, [M])[0]`.
+
 All arithmetic is over `fractions.Fraction`; callers convert to float at
 output time. Non-integer cache parameters are handled by the lower convex
 envelope over the integer operating points (memory sharing).
@@ -8,7 +12,6 @@ envelope over the integer operating points (memory sharing).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -39,7 +42,7 @@ def _cache_parameters(N: int, K: int, Ms: Iterable) -> list[Fraction]:
 
 def dec_rate_for_distinct(N: int, M, n_distinct: int) -> Fraction:
     """Decentralized delivery rate predicted for one demand with
-    `n_distinct` distinct files (the quantity averaged by dec_avg_rate)."""
+    `n_distinct` distinct files (the quantity `dec_avg_curve` averages)."""
     M = _as_fraction(M, N)
     if M == 0:
         return Fraction(n_distinct)
@@ -87,29 +90,33 @@ def optimal_peak_curve(N: int, K: int, Ms: Iterable) -> list[Fraction]:
     return lower_convex_envelope_many(optimal_peak_points(N, K), xs)
 
 
-def man_avg_curve(N: int, K: int, Ms: Iterable, method: str = "envelope-of-min") -> list[Fraction]:
-    """Prior-art centralized average rate at each cache size M.
-
-    The construction admits two interpolations, depending on where the
-    envelope is taken; both are provided:
-
-    * "envelope-of-min": lower convex envelope of the per-integer-t values
-      min{(K-t)/(t+1), E[distinct]*(1-t/K)}  (default);
-    * "min-of-envelopes": pointwise min of the two terms' own envelopes.
-    """
-    xs = _cache_parameters(N, K, Ms)
+def _man_points(N: int, K: int) -> tuple[list, list]:
+    """Per-integer-t points of the prior-art centralized scheme's two terms:
+    coded delivery (K-t)/(t+1) and uncoded delivery E[distinct]*(1-t/K)."""
     mean = expected_distinct(N, K)
     coded = [(t, Fraction(K - t, t + 1)) for t in range(K + 1)]
     uncoded = [(t, mean * (1 - Fraction(t, K))) for t in range(K + 1)]
-    if method == "envelope-of-min":
-        pts = [(t, min(a[1], b[1])) for t, (a, b) in enumerate(zip(coded, uncoded))]
-        return lower_convex_envelope_many(pts, xs)
-    if method == "min-of-envelopes":
-        return [
-            min(a, b)
-            for a, b in zip(lower_convex_envelope_many(coded, xs), lower_convex_envelope_many(uncoded, xs))
-        ]
-    raise ValueError(f"unknown method {method!r}")
+    return coded, uncoded
+
+
+def man_avg_curve(N: int, K: int, Ms: Iterable) -> list[Fraction]:
+    """Prior-art centralized average rate at each cache size M: the lower
+    convex envelope of the per-integer-t values min{coded, uncoded}."""
+    xs = _cache_parameters(N, K, Ms)
+    coded, uncoded = _man_points(N, K)
+    pts = [(t, min(a, b)) for (t, a), (_, b) in zip(coded, uncoded)]
+    return lower_convex_envelope_many(pts, xs)
+
+
+def man_avg_minconv_curve(N: int, K: int, Ms: Iterable) -> list[Fraction]:
+    """The other interpolation of the prior-art centralized average rate:
+    the pointwise min of the coded and uncoded terms' own envelopes."""
+    xs = _cache_parameters(N, K, Ms)
+    coded, uncoded = _man_points(N, K)
+    return [
+        min(a, b)
+        for a, b in zip(lower_convex_envelope_many(coded, xs), lower_convex_envelope_many(uncoded, xs))
+    ]
 
 
 def dec_avg_curve(N: int, K: int, Ms: Iterable) -> list[Fraction]:
@@ -126,7 +133,7 @@ def dec_avg_curve(N: int, K: int, Ms: Iterable) -> list[Fraction]:
     rates = []
     for M in Ms:
         if M == 0:
-            rates.append(Fraction(sum(e * w for e, w in weights), total))
+            rates.append(expected_distinct(N, K))
             continue
         q = Fraction(N - M, N)
         a, b = q.numerator, q.denominator
@@ -150,44 +157,11 @@ def man_dec_avg_curve(N: int, K: int, Ms: Iterable) -> list[Fraction]:
     rates = []
     for M in Ms:
         if M == 0:
-            rates.append(min(Fraction(K), mean))
+            rates.append(mean)  # unicast of each distinct request; mean <= min(N, K)
             continue
         coded = Fraction(N, M) * (1 - (1 - Fraction(M, N)) ** K)
         rates.append(Fraction(N - M, N) * min(coded, mean))
     return rates
-
-
-def avg_rate_optimal(N: int, K: int, M) -> Fraction:
-    """Minimum average rate over uniform demands at cache size M."""
-    return optimal_avg_curve(N, K, [M])[0]
-
-
-def peak_rate_optimal(N: int, K: int, M) -> Fraction:
-    """Minimum worst-demand rate at cache size M."""
-    return optimal_peak_curve(N, K, [M])[0]
-
-
-def baseline_centralized_avg(N: int, K: int, M, method: str = "envelope-of-min") -> Fraction:
-    """Prior-art centralized average rate at cache size M (see man_avg_curve
-    for the two interpolation methods)."""
-    return man_avg_curve(N, K, [M], method)[0]
-
-
-def dec_avg_rate(N: int, M, K: int) -> Fraction:
-    """Decentralized minimum average rate; M = 0 degenerates to unicast of
-    each distinct request."""
-    return dec_avg_curve(N, K, [M])[0]
-
-
-def dec_peak_rate(N: int, M, K: int) -> Fraction:
-    """Decentralized minimum peak rate."""
-    return dec_peak_curve(N, K, [M])[0]
-
-
-def baseline_decentralized_avg(N: int, M, K: int) -> Fraction:
-    """Prior-art decentralized average rate: the better of coded delivery
-    and plain multicast of distinct requests, scaled by the uncached share."""
-    return man_dec_avg_curve(N, K, [M])[0]
 
 
 @dataclass(frozen=True)
@@ -242,7 +216,7 @@ SCHEMES: dict[str, Callable[[int, int, Sequence[Fraction]], list[Fraction]]] = {
     "optimal-avg": optimal_avg_curve,
     "optimal-peak": optimal_peak_curve,
     "man-avg": man_avg_curve,
-    "man-avg-minconv": functools.partial(man_avg_curve, method="min-of-envelopes"),
+    "man-avg-minconv": man_avg_minconv_curve,
     "dec-avg": dec_avg_curve,
     "dec-peak": dec_peak_curve,
     "man-dec-avg": man_dec_avg_curve,

@@ -15,14 +15,9 @@ import pytest
 from cachekit import (
     CacheProfile,
     all_demands,
-    avg_rate_optimal,
-    baseline_centralized_avg,
-    baseline_decentralized_avg,
     batch_placement,
     binomial,
     converse_bound,
-    dec_avg_rate,
-    dec_peak_rate,
     dec_rate_for_distinct,
     decode_user,
     delivered_rate,
@@ -31,12 +26,12 @@ from cachekit import (
     encode_delivery,
     enumerate_types,
     make_database,
-    peak_rate_optimal,
     reconstruct_message,
     select_leaders,
     verify_message_cancellation,
 )
 from cachekit import decentralized
+from cachekit.rate_analysis import SCHEMES
 
 from conftest import CURVE_CASES, FILE_LETTERS, SIX_USER_TABLE, direct_payload
 
@@ -76,8 +71,8 @@ def exhaustive_sweep():
 
 def test_criterion_1_closed_form_anchors():
     started = time.perf_counter()
-    optimal = avg_rate_optimal(30, 30, 1)
-    baseline = baseline_centralized_avg(30, 30, 1)
+    optimal = SCHEMES["optimal-avg"](30, 30, [1])[0]
+    baseline = SCHEMES["man-avg"](30, 30, [1])[0]
     elapsed = time.perf_counter() - started
     assert abs(float(optimal) - 12.67) <= 0.005
     assert abs(float(baseline) - 14.12) <= 0.15  # interpolation ambiguity documented
@@ -139,8 +134,8 @@ def test_criterion_4_formula_matches_simulation(exhaustive_sweep):
         rates = exhaustive_sweep[(N, K, t)]["rates"]
         M = Fraction(t * N, K)
         average = sum(rates.values(), Fraction(0)) / len(rates)
-        assert average == avg_rate_optimal(N, K, M)
-        assert max(rates.values()) == peak_rate_optimal(N, K, M)
+        assert average == SCHEMES["optimal-avg"](N, K, [M])[0]
+        assert max(rates.values()) == SCHEMES["optimal-peak"](N, K, [M])[0]
         checked += 1
     print(f"ACCEPTANCE 4: PASS - exact rational equality on {checked} instances (avg and peak)")
 
@@ -246,25 +241,14 @@ def test_criterion_7_decentralized_concentration():
     )
 
 
+CURVE_SCHEMES = ["optimal-avg", "optimal-peak", "man-avg", "dec-avg", "dec-peak", "man-dec-avg"]
 CONVEX_SCHEMES = ["optimal-avg", "optimal-peak", "man-avg", "dec-avg", "dec-peak"]
 
 
-def values_on_grid(fn, N, K):
-    grid = [Fraction(j * N, 2 * K) for j in range(2 * K + 1)]
-    return grid, [fn(N, K, M) for M in grid]
-
-
 def test_criterion_8_curve_properties():
-    fns = {
-        "optimal-avg": avg_rate_optimal,
-        "optimal-peak": peak_rate_optimal,
-        "man-avg": baseline_centralized_avg,
-        "dec-avg": lambda N, K, M: dec_avg_rate(N, M, K),
-        "dec-peak": lambda N, K, M: dec_peak_rate(N, M, K),
-        "man-dec-avg": lambda N, K, M: baseline_decentralized_avg(N, M, K),
-    }
     for N, K in CURVE_CASES:
-        values = {label: values_on_grid(fn, N, K)[1] for label, fn in fns.items()}
+        grid = [Fraction(j * N, 2 * K) for j in range(2 * K + 1)]
+        values = {label: SCHEMES[label](N, K, grid) for label in CURVE_SCHEMES}
         for label, vals in values.items():
             assert all(a >= b for a, b in zip(vals, vals[1:])), (label, N, K)
         for label in CONVEX_SCHEMES:

@@ -216,6 +216,20 @@ class TestVerify:
         assert code == 2
         assert "non-integer" in err
 
+    def test_contradictory_t_and_m_refused(self, capsys):
+        # M=2 gives t = K*M/N = 4; --t 1 used to be checked and --m ignored
+        code, out, err = run_cli(capsys, "verify", "--n", "2", "--k", "4", "--t", "1", "--m", "2")
+        assert (code, out) == (2, "")
+        assert "--t 1" in err and "--m 2" in err and "t = K*M/N = 4" in err
+
+    def test_consistent_t_and_m_run(self, capsys):
+        outs = [
+            run_cli(capsys, "verify", "--n", "2", "--k", "4", *flags)
+            for flags in (["--t", "2", "--m", "1"], ["--t", "2"], ["--m", "1"])
+        ]
+        assert outs[0][0] == 0 and "PASS" in outs[0][1]
+        assert outs[0] == outs[1] == outs[2]
+
     def test_golden_stdout(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--n", "3", "--k", "9", "--t", "7", "--seed", "7", "--sample", "4")
         assert (code, out) == (0, VERIFY_PER_TYPE_GOLDEN)
@@ -393,6 +407,27 @@ class TestSimulate:
         )
         assert code == 2
 
+    def test_contradictory_t_and_m_refused(self, capsys):
+        # M=1 gives t = 2; the run used to go ahead at --t 3
+        code, out, err = run_cli(capsys, "simulate", "--n", "2", "--k", "4", "--m", "1", "--t", "3")
+        assert (code, out) == (2, "")
+        assert "--t 3" in err and "--m 1" in err and "t = K*M/N = 2" in err
+
+    def test_consistent_t_and_m_run(self, capsys):
+        outs = [
+            run_cli(capsys, "simulate", "--n", "2", "--k", "4", "--seed", "3", "--dump", *flags)
+            for flags in (["--t", "2", "--m", "1"], ["--t", "2"], ["--m", "1"])
+        ]
+        assert outs[0][0] == 0 and "t=2" in outs[0][1]
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_decentralized_refuses_t(self, capsys):
+        # decentralized placement reads only --m; --t used to be ignored
+        code, out, err = run_cli(capsys, "simulate", "--schemes", "decentralized",
+                                 "--n", "2", "--k", "4", "--m", "1", "--t", "3")
+        assert (code, out) == (2, "")
+        assert "--t" in err
+
 
 class TestBound:
     def test_batch_placement_bound_and_achieved(self, capsys, tmp_path):
@@ -465,6 +500,24 @@ class TestBound:
         code, out, _ = run_cli(capsys, "bound", str(path))
         assert code == 0 and "batch-structured with t=2" in out
         assert len(calls) == 1
+
+    def test_type_count_limit(self, capsys, tmp_path, monkeypatch):
+        # N=3, K=4 has the 4 types (4), (3,1), (2,2), (2,1,1)
+        N, K, t, F = 3, 4, 2, 12
+        path = tmp_path / "batch.placement"
+        save_placement(path, batch_placement(N, K, t, F), N, F, M=Fraction(t * N, K))
+        monkeypatch.setattr(cli, "MAX_BOUND_TYPES", 4)
+        code, out, _ = run_cli(capsys, "bound", str(path))
+        assert code == 0 and out.count("  type ") == 4
+
+        def never(N, K):
+            raise AssertionError("types enumerated past the limit")
+
+        monkeypatch.setattr(cli, "MAX_BOUND_TYPES", 3)
+        monkeypatch.setattr(cli, "enumerate_types", never)
+        code, out, err = run_cli(capsys, "bound", str(path))
+        assert (code, out) == (2, "")
+        assert "4 demand types" in err and "limit of 3" in err
 
     def test_malformed_file_reports_line(self, capsys, tmp_path):
         path = tmp_path / "bad.placement"

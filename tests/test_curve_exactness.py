@@ -1,8 +1,8 @@
 """Exactness gate for the rate curves.
 
 Every scheme's curve must be `Fraction`-equal to an oracle that evaluates
-the per-M formulas one M at a time: the N_e expectation through
-`ne_distribution` and one `lower_convex_envelope` call per point.
+the per-M formulas one M at a time: the N_e expectation through the
+distribution of the number of distinct files, and one envelope per point.
 """
 
 import functools
@@ -12,8 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import cachekit
-from cachekit import delivery_rate_value, lower_convex_envelope
+from cachekit import delivery_rate_value, lower_convex_envelope_many, ne_weights
 from cachekit.rate_analysis import SCHEMES, rate_curve
 
 from conftest import CURVE_CASES
@@ -22,11 +21,27 @@ from conftest import CURVE_CASES
 
 # The distribution and the optimal-avg points are memoized per (N, K) only to
 # keep the oracle's run time down; every M still builds its own envelope.
-ne_distribution = functools.lru_cache(maxsize=None)(cachekit.ne_distribution)
+@functools.lru_cache(maxsize=None)
+def ne_distribution(N, K):
+    """{e: P(distinct = e)} = C(N,e) * surjections(K -> e) / N^K, exact."""
+    total = N**K
+    dist = {e: Fraction(w, total) for e, w in ne_weights(N, K)}
+    assert sum(dist.values()) == 1, (N, K)
+    return dist
+
+
+def expect(dist, fn):
+    """Exact expectation of fn(e) over the distribution."""
+    return sum((p * fn(e) for e, p in dist.items()), Fraction(0))
+
+
+def envelope_at(points, x):
+    """The lower convex envelope of `points` at one x, its hull built for x alone."""
+    return lower_convex_envelope_many(points, [x])[0]
 
 
 def expected_distinct(N, K):
-    return ne_distribution(N, K).mean()
+    return expect(ne_distribution(N, K), lambda e: e)
 
 
 def _as_fraction(M, N):
@@ -43,7 +58,7 @@ def _cache_parameter(N, K, M):
 @functools.lru_cache(maxsize=None)
 def optimal_avg_points(N, K):
     dist = ne_distribution(N, K)
-    return [(t, dist.expect(lambda e: delivery_rate_value(K, t, e))) for t in range(K + 1)]
+    return [(t, expect(dist, lambda e: delivery_rate_value(K, t, e))) for t in range(K + 1)]
 
 
 def optimal_peak_points(N, K):
@@ -51,47 +66,54 @@ def optimal_peak_points(N, K):
     return [(t, delivery_rate_value(K, t, worst)) for t in range(K + 1)]
 
 
-def avg_rate_optimal(N, K, M):
-    return lower_convex_envelope(optimal_avg_points(N, K), _cache_parameter(N, K, M))
+def optimal_avg(N, K, M):
+    return envelope_at(optimal_avg_points(N, K), _cache_parameter(N, K, M))
 
 
-def peak_rate_optimal(N, K, M):
-    return lower_convex_envelope(optimal_peak_points(N, K), _cache_parameter(N, K, M))
+def optimal_peak(N, K, M):
+    return envelope_at(optimal_peak_points(N, K), _cache_parameter(N, K, M))
 
 
-def baseline_centralized_avg(N, K, M, method="envelope-of-min"):
-    x = _cache_parameter(N, K, M)
+def _man_terms(N, K):
     mean = expected_distinct(N, K)
     coded = [(t, Fraction(K - t, t + 1)) for t in range(K + 1)]
     uncoded = [(t, mean * (1 - Fraction(t, K))) for t in range(K + 1)]
-    if method == "envelope-of-min":
-        pts = [(t, min(a[1], b[1])) for t, (a, b) in enumerate(zip(coded, uncoded))]
-        return lower_convex_envelope(pts, x)
-    if method == "min-of-envelopes":
-        return min(lower_convex_envelope(coded, x), lower_convex_envelope(uncoded, x))
-    raise ValueError(f"unknown method {method!r}")
+    return coded, uncoded
+
+
+def man_avg(N, K, M):
+    """The envelope of the per-t minimum of the two terms."""
+    coded, uncoded = _man_terms(N, K)
+    pts = [(t, min(a[1], b[1])) for t, (a, b) in enumerate(zip(coded, uncoded))]
+    return envelope_at(pts, _cache_parameter(N, K, M))
+
+
+def man_avg_minconv(N, K, M):
+    """The minimum of the two terms' own envelopes."""
+    x = _cache_parameter(N, K, M)
+    coded, uncoded = _man_terms(N, K)
+    return min(envelope_at(coded, x), envelope_at(uncoded, x))
 
 
 def _dec_integrand(N, M, e):
     return Fraction(N - M, M) * (1 - (Fraction(N - M, N)) ** e)
 
 
-def dec_avg_rate(N, M, K):
+def dec_avg(N, K, M):
     M = _as_fraction(M, N)
-    dist = ne_distribution(N, K)
     if M == 0:
-        return dist.mean()
-    return dist.expect(lambda e: _dec_integrand(N, M, e))
+        return expected_distinct(N, K)
+    return expect(ne_distribution(N, K), lambda e: _dec_integrand(N, M, e))
 
 
-def dec_peak_rate(N, M, K):
+def dec_peak(N, K, M):
     M = _as_fraction(M, N)
     if M == 0:
         return Fraction(min(N, K))
     return _dec_integrand(N, M, min(N, K))
 
 
-def baseline_decentralized_avg(N, M, K):
+def man_dec_avg(N, K, M):
     M = _as_fraction(M, N)
     mean = expected_distinct(N, K)
     if M == 0:
@@ -101,24 +123,13 @@ def baseline_decentralized_avg(N, M, K):
 
 
 ORACLE = {
-    "optimal-avg": avg_rate_optimal,
-    "optimal-peak": peak_rate_optimal,
-    "man-avg": baseline_centralized_avg,
-    "man-avg-minconv": lambda N, K, M: baseline_centralized_avg(N, K, M, method="min-of-envelopes"),
-    "dec-avg": lambda N, K, M: dec_avg_rate(N, M, K),
-    "dec-peak": lambda N, K, M: dec_peak_rate(N, M, K),
-    "man-dec-avg": lambda N, K, M: baseline_decentralized_avg(N, M, K),
-}
-
-# the package's single-M public functions, by scheme
-SINGLE_M = {
-    "optimal-avg": cachekit.avg_rate_optimal,
-    "optimal-peak": cachekit.peak_rate_optimal,
-    "man-avg": cachekit.baseline_centralized_avg,
-    "man-avg-minconv": lambda N, K, M: cachekit.baseline_centralized_avg(N, K, M, method="min-of-envelopes"),
-    "dec-avg": lambda N, K, M: cachekit.dec_avg_rate(N, M, K),
-    "dec-peak": lambda N, K, M: cachekit.dec_peak_rate(N, M, K),
-    "man-dec-avg": lambda N, K, M: cachekit.baseline_decentralized_avg(N, M, K),
+    "optimal-avg": optimal_avg,
+    "optimal-peak": optimal_peak,
+    "man-avg": man_avg,
+    "man-avg-minconv": man_avg_minconv,
+    "dec-avg": dec_avg,
+    "dec-peak": dec_peak,
+    "man-dec-avg": man_dec_avg,
 }
 
 # --- the gate ------------------------------------------------------------------
@@ -134,7 +145,7 @@ def assert_curves_exact(N, K, grid):
 
 
 def test_oracle_covers_every_scheme():
-    assert set(ORACLE) == set(SINGLE_M) == set(SCHEMES)
+    assert set(ORACLE) == set(SCHEMES)
 
 
 @pytest.mark.parametrize("N,K", CURVE_CASES)
@@ -162,10 +173,10 @@ def unsorted_grids(draw):
 @example((1, 4, [Fraction(1, 3), Fraction(1)]))
 @example((5, 1, [Fraction(5), Fraction(0), Fraction(5, 2), Fraction(5, 2)]))
 def test_unsorted_grids(case):
-    """The curve functions take any grid order, repeats included; the
-    single-M public functions agree at every point."""
+    """The curve functions take any grid order, repeats included; a
+    one-point call agrees with the grid call at every point."""
     N, K, grid = case
     for scheme, fn in SCHEMES.items():
         assert fn(N, K, grid) == [ORACLE[scheme](N, K, M) for M in grid], (scheme, N, K, grid)
-        assert [SINGLE_M[scheme](N, K, M) for M in grid] == fn(N, K, grid), (scheme, N, K, grid)
+        assert [fn(N, K, [M])[0] for M in grid] == fn(N, K, grid), (scheme, N, K, grid)
     assert_curves_exact(N, K, sorted(set(grid)))

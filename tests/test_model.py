@@ -14,12 +14,12 @@ from cachekit import (
     expected_distinct,
     load_placement,
     make_database,
-    ne_distribution,
+    ne_weights,
     save_placement,
     type_size,
 )
 from cachekit.decentralized import random_placement
-from cachekit.model import DemandStats, PlacementParseError, validate_demand
+from cachekit.model import DemandStats, PlacementParseError, count_types, validate_demand
 
 
 class TestDatabase:
@@ -97,6 +97,16 @@ class TestTypes:
     def test_three_files_two_users(self):
         assert [t.counts for t in enumerate_types(3, 2)] == [(2, 0, 0), (1, 1, 0)]
 
+    def test_count_matches_enumeration(self):
+        for N in range(1, 10):
+            for K in range(1, 13):
+                assert count_types(N, K) == len(enumerate_types(N, K)), (N, K)
+        # p(K) once N >= K: p(20) = 627, p(45) = 89,134; never enumerated here
+        assert count_types(25, 20) == 627
+        assert count_types(45, 45) == 89_134
+        with pytest.raises(ValueError):
+            count_types(0, 3)
+
     @pytest.mark.parametrize("N,K", [(2, 2), (3, 2), (2, 4), (4, 3), (3, 5), (6, 6)])
     def test_grouping_demands_reproduces_types(self, N, K):
         groups = defaultdict(list)
@@ -110,17 +120,18 @@ class TestTypes:
 
 
 class TestNeDistribution:
+    """`ne_weights`: the number of demands with each number of distinct files."""
+
     def test_examples(self):
-        assert dict(ne_distribution(2, 2).entries) == {1: Fraction(1, 2), 2: Fraction(1, 2)}
-        assert dict(ne_distribution(5, 1).entries) == {1: Fraction(1)}
-        assert dict(ne_distribution(3, 2).entries) == {1: Fraction(1, 3), 2: Fraction(2, 3)}
+        assert ne_weights(2, 2) == ((1, 2), (2, 2))
+        assert ne_weights(5, 1) == ((1, 5),)
+        assert ne_weights(3, 2) == ((1, 3), (2, 6))
 
     @pytest.mark.parametrize("N,K", [(2, 3), (3, 3), (4, 2), (2, 6), (5, 4), (6, 6)])
     def test_matches_exhaustive_histogram(self, N, K):
         hist = Counter(len(set(d)) for d in all_demands(N, K))
-        dist = dict(ne_distribution(N, K).entries)
-        total = N**K
-        assert dist == {e: Fraction(c, total) for e, c in hist.items()}
+        assert dict(ne_weights(N, K)) == hist
+        assert sum(w for _, w in ne_weights(N, K)) == N**K
 
     @given(st.integers(1, 8), st.integers(1, 8))
     def test_mean_matches_occupancy_identity(self, N, K):

@@ -6,14 +6,9 @@ import pytest
 from cachekit import (
     CacheProfile,
     all_demands,
-    avg_rate_optimal,
-    baseline_centralized_avg,
-    baseline_decentralized_avg,
     batch_placement,
     binomial,
     converse_bound,
-    dec_avg_rate,
-    dec_peak_rate,
     delivered_rate,
     delivery_rate_value,
     demand_stats,
@@ -21,29 +16,33 @@ from cachekit import (
     enumerate_types,
     expected_distinct,
     make_database,
-    peak_rate_optimal,
     rate_curve,
 )
 from cachekit import decentralized
 from cachekit.rate_analysis import SCHEMES, write_curves_csv
 
 
+def rate_at(scheme, N, K, M):
+    """One point of a scheme's curve."""
+    return SCHEMES[scheme](N, K, [M])[0]
+
+
 class TestOptimalAverage:
     def test_thirty_by_thirty_anchor(self):
-        assert abs(float(avg_rate_optimal(30, 30, 1)) - 12.67) <= 0.005
+        assert abs(float(rate_at("optimal-avg", 30, 30, 1)) - 12.67) <= 0.005
 
     def test_full_cache_is_free(self):
-        assert avg_rate_optimal(4, 6, 4) == 0
-        assert peak_rate_optimal(4, 6, 4) == 0
+        assert rate_at("optimal-avg", 4, 6, 4) == 0
+        assert rate_at("optimal-peak", 4, 6, 4) == 0
 
     def test_two_by_two(self):
-        assert avg_rate_optimal(2, 2, 1) == Fraction(1, 2)
+        assert rate_at("optimal-avg", 2, 2, 1) == Fraction(1, 2)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            avg_rate_optimal(2, 2, -1)
+            rate_at("optimal-avg", 2, 2, -1)
         with pytest.raises(ValueError):
-            avg_rate_optimal(2, 2, Fraction(5, 2))
+            rate_at("optimal-avg", 2, 2, Fraction(5, 2))
 
     @pytest.mark.parametrize("N,K", [(2, 3), (3, 4), (2, 4), (4, 4)])
     def test_equals_exhaustive_average_and_max(self, N, K):
@@ -55,59 +54,55 @@ class TestOptimalAverage:
                 delivered_rate(encode_delivery(db, placement, d), F) for d in all_demands(N, K)
             ]
             M = Fraction(t * N, K)
-            assert sum(rates, Fraction(0)) / len(rates) == avg_rate_optimal(N, K, M)
-            assert max(rates) == peak_rate_optimal(N, K, M)
+            assert sum(rates, Fraction(0)) / len(rates) == rate_at("optimal-avg", N, K, M)
+            assert max(rates) == rate_at("optimal-peak", N, K, M)
 
 
 class TestOptimalPeak:
     def test_no_cache_is_distinct_files(self):
-        assert peak_rate_optimal(3, 5, 0) == 3
-        assert peak_rate_optimal(7, 4, 0) == 4
+        assert rate_at("optimal-peak", 3, 5, 0) == 3
+        assert rate_at("optimal-peak", 7, 4, 0) == 4
 
     def test_memory_sharing_midpoint(self):
-        assert peak_rate_optimal(2, 2, Fraction(1, 2)) == Fraction(5, 4)
+        assert rate_at("optimal-peak", 2, 2, Fraction(1, 2)) == Fraction(5, 4)
 
     def test_more_files_than_users_closed_form(self):
         for N, K in [(5, 4), (8, 3), (4, 4)]:
             for t in range(K + 1):
-                assert peak_rate_optimal(N, K, Fraction(t * N, K)) == Fraction(K - t, t + 1)
+                assert rate_at("optimal-peak", N, K, Fraction(t * N, K)) == Fraction(K - t, t + 1)
 
 
 class TestCentralizedBaseline:
     def test_thirty_by_thirty_anchor(self):
-        assert abs(float(baseline_centralized_avg(30, 30, 1)) - 14.12) <= 0.15
+        assert abs(float(rate_at("man-avg", 30, 30, 1)) - 14.12) <= 0.15
 
     def test_alternate_interpolation_differs(self):
-        default = baseline_centralized_avg(30, 30, 1)
-        alt = baseline_centralized_avg(30, 30, 1, method="min-of-envelopes")
+        default = rate_at("man-avg", 30, 30, 1)
+        alt = rate_at("man-avg-minconv", 30, 30, 1)
         assert alt == Fraction(29, 2)
         assert default < alt
 
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            baseline_centralized_avg(2, 2, 1, method="other")
-
     def test_corners(self):
-        assert baseline_centralized_avg(3, 4, 3) == 0
+        assert rate_at("man-avg", 3, 4, 3) == 0
         mean = expected_distinct(3, 4)
-        assert baseline_centralized_avg(3, 4, 0) == min(Fraction(4), mean)
+        assert rate_at("man-avg", 3, 4, 0) == min(Fraction(4), mean)
 
 
 class TestDecentralizedFormulas:
     def test_examples(self):
-        assert dec_avg_rate(2, 1, 2) == Fraction(5, 8)
-        assert dec_peak_rate(2, 1, 2) == Fraction(3, 4)
-        assert baseline_decentralized_avg(2, 1, 2) == Fraction(3, 4)
+        assert rate_at("dec-avg", 2, 2, 1) == Fraction(5, 8)
+        assert rate_at("dec-peak", 2, 2, 1) == Fraction(3, 4)
+        assert rate_at("man-dec-avg", 2, 2, 1) == Fraction(3, 4)
 
     def test_full_cache(self):
-        assert dec_avg_rate(3, 3, 5) == 0
-        assert dec_peak_rate(3, 3, 5) == 0
-        assert baseline_decentralized_avg(3, 3, 5) == 0
+        assert rate_at("dec-avg", 3, 5, 3) == 0
+        assert rate_at("dec-peak", 3, 5, 3) == 0
+        assert rate_at("man-dec-avg", 3, 5, 3) == 0
 
     def test_no_cache(self):
-        assert dec_avg_rate(3, 0, 4) == expected_distinct(3, 4)
-        assert dec_peak_rate(3, 0, 4) == 3
-        assert dec_peak_rate(5, 0, 3) == 3
+        assert rate_at("dec-avg", 3, 4, 0) == expected_distinct(3, 4)
+        assert rate_at("dec-peak", 3, 4, 0) == 3
+        assert rate_at("dec-peak", 5, 3, 0) == 3
 
     def test_matches_brute_force_expectation(self):
         for N, K in [(2, 3), (3, 3), (3, 5)]:
@@ -116,7 +111,7 @@ class TestDecentralizedFormulas:
                 e: Fraction(N - M, M) * (1 - Fraction(N - M, N) ** e) for e in range(1, N + 1)
             }
             total = sum(integrand[len(set(d))] for d in all_demands(N, K))
-            assert dec_avg_rate(N, M, K) == total / N**K
+            assert rate_at("dec-avg", N, K, M) == total / N**K
 
     def test_rate_independent_of_extra_users(self):
         # demands with the same distinct count cost the same regardless of how
@@ -148,8 +143,8 @@ class TestDecentralizedFormulas:
         for N, K in [(2, 2), (3, 4), (30, 30)]:
             for j in range(2 * K + 1):
                 M = Fraction(j * N, 2 * K)
-                assert baseline_decentralized_avg(N, M, K) >= dec_avg_rate(N, M, K)
-        assert baseline_decentralized_avg(2, 1, 2) > dec_avg_rate(2, 1, 2)
+                assert rate_at("man-dec-avg", N, K, M) >= rate_at("dec-avg", N, K, M)
+        assert rate_at("man-dec-avg", 2, 2, 1) > rate_at("dec-avg", 2, 2, 1)
 
 
 class TestConverseBound:

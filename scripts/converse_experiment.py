@@ -18,26 +18,47 @@ import sys
 from collections import defaultdict
 from fractions import Fraction
 
+import numpy as np
+
 from cachekit import (
     CacheProfile,
-    all_demands,
     batch_placement,
     binomial,
     converse_bound,
     delivery_rate_value,
-    demand_stats,
     enumerate_types,
     make_database,
 )
+from cachekit.model import demand_range
 from cachekit import cli, decentralized
 
 
 def per_type_rates(db, placement, N, K, F):
-    acc = defaultdict(list)
-    for d in all_demands(N, K):
-        messages = decentralized.encode_delivery(db, placement.partition, d)
-        acc[demand_stats(d, N).counts].append(decentralized.delivered_rate(messages, F))
-    return {counts: sum(rs, Fraction(0)) / len(rs) for counts, rs in acc.items()}
+    """Each demand type's average delivered rate: the N^K demands are encoded
+    a stack at a time, and only their payload bits are summed."""
+    partition = placement.partition
+    size = decentralized.stack_size(partition, 0)
+    bits, demands = defaultdict(int), defaultdict(int)
+    for start in range(0, N**K, size):
+        stack = demand_range(start, min(start + size, N**K), N, K)
+        sent = sum((lengths.sum(axis=1) for _, lengths in decentralized.encode_stack(db, partition, stack)),
+                   np.zeros(len(stack), dtype=np.int64))
+        for counts, b in zip(map(tuple, type_counts(stack, N).tolist()), sent.tolist()):
+            bits[counts] += b
+            demands[counts] += 1
+    return {counts: Fraction(bits[counts], F * demands[counts]) for counts in bits}
+
+
+def type_counts(stack, N):
+    """(n, N): each demand's per-file request counts, sorted descending."""
+    n, K = stack.shape
+    ranked = np.sort(stack, axis=1)
+    head = np.ones((n, K), dtype=bool)
+    head[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    run = np.cumsum(head, axis=1) - 1  # each request's file, numbered within its demand
+    counts = np.zeros((n, max(N, K)), dtype=np.int64)
+    counts[:, :K] = np.bincount((np.arange(n)[:, None] * K + run).reshape(-1), minlength=n * K).reshape(n, K)
+    return -np.sort(-counts, axis=1)[:, :N]
 
 
 def main(argv=None) -> int:

@@ -6,7 +6,6 @@ from .combinatorics import (
     binomial,
     enumerate_subsets,
     lower_convex_envelope_many,
-    subset_rank,
 )
 from .model import (
     Database,
@@ -20,7 +19,6 @@ from .model import (
     make_database,
     ne_weights,
     save_placement,
-    type_size,
 )
 from .decentralized import (
     BroadcastMessage,

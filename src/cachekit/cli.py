@@ -19,17 +19,16 @@ from . import decentralized
 from .centralized import (  # decode_user is not called here; perfbench's tracer test finds it here
     batch_placement,
     decode_user,
-    encode_delivery,
     verify_message_cancellation,
 )
 from .combinatorics import binomial
 from .decentralized import delivered_rate, select_leaders
 from .model import (
     PlacementParseError,
-    all_demands,
     code_dtype,
     count_types,
     demand_at,
+    demand_range,
     demand_stats,
     enumerate_types,
     load_placement,
@@ -49,8 +48,11 @@ from .rate_analysis import (
 
 EXHAUSTION_GUARD = 10**6
 # Full bit-exact decoding of every demand is done while the estimated work
-# stays under this many subfile operations (~30 s); beyond that, verify
-# bit-checks one representative per demand type plus a random sample.
+# stays under this many subfile operations; beyond that, verify bit-checks
+# one representative per demand type plus a random sample. Checked a block
+# of demands at a time, the largest full-mode runs take about 5 s on a
+# 2-vCPU x86-64 VM: `verify --n 10 --k 6 --t 0` (10^6 demands) 4.7 s,
+# `--n 3 --k 9 --t 2` 3.3 s (20 s when each demand was checked alone).
 FULL_WORK_LIMIT = 4 * 10**7
 DEFAULT_SAMPLE = 200
 # Largest M grid `rates` and `compare` evaluate; every point costs exact
@@ -61,11 +63,12 @@ MAX_GRID_POINTS = 10**5
 # of it is allocated.
 MAX_BATCH_BYTES = 2**30
 # Peak memory per subfile group beyond its bits' codes and sort order: its
-# run in the partition, its message and its share of the engine's index and
-# of the K cache views one decode call holds (K·N·(F+1) bytes). Peak RSS of
-# `simulate --n 2` is 50, 86 and 233 MB at (K, t) = (16, 8), (18, 9) and
-# (20, 10); less the 30 MB the imported package takes, that is 1.6, 1.2 and
-# 1.1 KB per group over 12,870 to 184,756 groups. Kept at 4 KB: a smaller
+# run in the partition, its message and its share of the engine's index, of
+# the K cache views one decode call holds (K·N·(F+1) bytes) and of the
+# omitted messages' cancellation terms. Peak RSS of `simulate --n 2` is 51,
+# 92 and 245 MB at (K, t) = (16, 8), (18, 9) and (20, 10); less the 30 MB
+# the imported package takes, that is 1.6, 1.3 and 1.2 KB per group over
+# 12,870 to 184,756 groups. Kept at 4 KB: a smaller
 # figure would admit larger instances, whose run time nothing bounds yet.
 BYTES_PER_SUBFILE = 4096
 # Most demand types `bound` prints a line for, counted before any is built.
@@ -264,19 +267,38 @@ def _wrong_users(db, placement, messages, d, leaders) -> list[int]:
     return (np.logical_or.reduce(decoded, axis=1).nonzero()[0] + 1).tolist()
 
 
-def _check_demand(db, placement, d, leaders, t) -> tuple[bool, str]:
-    K = placement.K
-    stats = demand_stats(d, db.N)
-    messages = encode_delivery(db, placement, d, leaders)
-    expected = binomial(K, t + 1) - binomial(K - stats.distinct, t + 1)
-    if len(messages) != expected:
-        return False, f"message count {len(messages)} != {expected}"
-    if delivered_rate(messages, db.F) != delivery_rate_value(K, t, stats.distinct):
-        return False, "delivered rate does not match the closed form"
-    bad = _wrong_users(db, placement, messages, d, leaders)
-    if bad:
-        return False, f"user {bad[0]} decoded the wrong bits"
-    return True, ""
+def _check_block(db, placement, t: int, demands: np.ndarray) -> list[str]:
+    """Why each demand of a block ((n, K), files 1..N) fails, "" where it
+    passes: its message count against the closed form, else its payload
+    bits against `delivery_rate_value`·F, else the first user whose file
+    decodes wrong. One stacked encode and one stacked decode of all K users
+    from their caches and the sent rows."""
+    K, F, partition = placement.K, db.F, placement.partition
+    leaders = decentralized.first_requesters(demands)
+    delivery = decentralized.encode_stack(db, partition, demands, leaders)
+    counts = np.zeros(len(demands), dtype=np.int64)
+    sent_bits = np.zeros(len(demands), dtype=np.int64)
+    for _, lengths in delivery:
+        counts += np.count_nonzero(lengths, axis=1)
+        sent_bits += lengths.sum(axis=1)
+    decoded = decentralized.decode_stack(range(1, K + 1), db, placement, partition, delivery, demands, leaders)
+    wrong = np.logical_or.reduce(decoded != db.bits[demands - 1], axis=2)
+    first_wrong = np.where(wrong.any(axis=1), wrong.argmax(axis=1) + 1, 0)  # 0: every user decoded right
+    distinct = np.count_nonzero(leaders, axis=1).tolist()
+    expected = {e: (binomial(K, t + 1) - binomial(K - e, t + 1), delivery_rate_value(K, t, e) * F)
+                for e in set(distinct)}
+    reasons = []
+    for count, bits, e, user in zip(counts.tolist(), sent_bits.tolist(), distinct, first_wrong.tolist()):
+        count_form, bits_form = expected[e]
+        if count != count_form:
+            reasons.append(f"message count {count} != {count_form}")
+        elif bits != bits_form:
+            reasons.append("delivered rate does not match the closed form")
+        elif user:
+            reasons.append(f"user {user} decoded the wrong bits")
+        else:
+            reasons.append("")
+    return reasons
 
 
 def _sampled_demands(N: int, K: int, sample: int, seed: int) -> list[tuple[int, ...]]:
@@ -310,19 +332,24 @@ def cmd_verify(args) -> int:
 
     # the lexicographically first demand of each type, in first-appearance order
     reps = [type_representative(stats) for stats in enumerate_types(N, K)]
+    # demands are checked a block at a time, in order: in full mode each block
+    # is a run of consecutive indices, in per-type mode a run of the
+    # representatives, then of the sample
+    size = decentralized.stack_size(placement.partition, K)
     if full:
-        to_check = all_demands(N, K)
+        blocks = (demand_range(lo, min(lo + size, total), N, K) for lo in range(0, total, size))
         checked = total
     else:
-        to_check = reps + _sampled_demands(N, K, args.sample, sample_seed)
+        to_check = np.array(reps + _sampled_demands(N, K, args.sample, sample_seed))
+        blocks = (to_check[lo : lo + size] for lo in range(0, len(to_check), size))
         checked = len(to_check)
 
     failures = []
-    for d in to_check:
-        leaders = select_leaders(d)
-        ok, why = _check_demand(db, placement, d, leaders, t)
-        if not ok:
-            failures.append((d, why))
+    for demands in blocks:
+        reasons = _check_block(db, placement, t, demands)
+        bad = next((i for i, why in enumerate(reasons) if why), None)
+        if bad is not None:
+            failures.append((tuple(demands[bad].tolist()), reasons[bad]))
             break
 
     cancel_checks = 0

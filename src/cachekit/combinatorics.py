@@ -49,28 +49,6 @@ class SubsetId:
     members: tuple[int, ...]
     rank: int
 
-    def __contains__(self, user: int) -> bool:
-        return user in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def subset_rank(members: Sequence[int], k_users: int) -> int:
-    """Lexicographic rank of a sorted subset of {1..k_users}."""
-    members = tuple(members)
-    size = len(members)
-    if any(b <= a for a, b in zip(members, members[1:])):
-        raise ValueError(f"subset members must be strictly increasing: {members}")
-    if members and (members[0] < 1 or members[-1] > k_users):
-        raise ValueError(f"members {members} not within 1..{k_users}")
-    # the subsets after this one are those whose first difference from it
-    # replaces members[i] by a larger user: C(k_users - members[i], size - i)
-    rank = math.comb(k_users, size) - 1
-    for i, c in enumerate(members):
-        rank -= math.comb(k_users - c, size - i)
-    return rank
-
 
 def enumerate_subsets(k_users: int, size: int) -> list[SubsetId]:
     """All size-`size` subsets of {1..k_users} in lexicographic order.

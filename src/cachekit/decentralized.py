@@ -7,27 +7,29 @@ code (`LevelPartition`). For every (j+1)-subset T holding a leader (one
 requester per distinct requested file) the broadcast XORs the chunks T's
 members want from each other, user x's chunk being file d_x's bits cached
 by exactly T minus x, zero-padded to the longest. The engine works a level
-at a time over a demand-free index built once per partition
-(`LevelPartition.levels`): encoding is one gather of every chunk of the
-level's sent subsets and one XOR-reduce over their members. Decoding
+at a time, on a stack of demands, over a demand-free index built once per
+partition (`LevelPartition.levels`): encoding (`encode_stack`) is one
+gather of every chunk of the level's sent subsets, for every demand of the
+stack, and one XOR-reduce over their members. Decoding (`decode_stack`)
 gathers each requested user's partner chunks from its own cache view,
 XOR-reduces them with the payloads and scatters the result into the user's
 file; padding lands in a zero sentinel column. Omitted leaderless messages
 are rebuilt by the cancellation identity, each once per decode call for
-all its members. Batch (centralized) delivery is the one-level,
+all its members, one gather of their terms per level. The one-demand
+functions (`encode_delivery`, `decode_users`, `decode_user`) are calls
+with a stack of one. Batch (centralized) delivery is the one-level,
 equal-chunk case: `centralized` hands its subfiles to this engine.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import floor
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -120,6 +122,11 @@ class LevelPartition:
         return np.empty(0, dtype=np.int64)
 
     @cached_property
+    def term_cache(self) -> dict:
+        """The decoder's cancellation terms for the last stack of demands."""
+        return {}
+
+    @cached_property
     def levels(self) -> list[Level]:
         """The delivery index: a `Level` for each level below K that has
         groups, in send order. Demand-free, so built once per partition."""
@@ -161,9 +168,100 @@ def _blocks(count: int, per_item: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
-def _demand_rows(d: tuple[int, ...]) -> np.ndarray:
-    """Each user's wanted file row, indexed by 1-based user (entry 0 unused)."""
-    return np.array((1, *d)) - 1
+def first_requesters(demands: np.ndarray) -> np.ndarray:
+    """(n, K) booleans for a stack of n demands: whether each user is the
+    lowest-indexed requester of its file, `select_leaders`' rule."""
+    demands = np.asarray(demands)
+    leaders = np.ones(demands.shape, dtype=bool)
+    for x in range(1, demands.shape[1]):
+        leaders[:, x] = (demands[:, :x] != demands[:, x, None]).all(axis=1)
+    return leaders
+
+
+def stack_size(partition: LevelPartition, users: int) -> int:
+    """Demands per stack that keep a stacked encode and decode of `users`
+    users to about half a MB of temporaries: a stack's rows, chunk cells
+    and payloads, level by level, and its users' decoded files come to at
+    most _BLOCK / 4 elements, since the decode holds several int64 index
+    arrays of that many elements at once."""
+    per_demand = partition.K + users * (partition.F + 1) + sum(
+        level.members.size + level.positions.shape[1] * len(level.members) for level in partition.levels)
+    return max(_BLOCK // (4 * per_demand), 1)
+
+
+def _stack(partition: LevelPartition, demands, leaders) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each user's wanted file row per demand ((n, K+1), column 0 unused), the
+    leader flags ((n, K), `first_requesters` if None), each demand's leader
+    code and each 1-based user's code bit (entry 0 is 0)."""
+    demands = np.asarray(demands)
+    if demands.ndim != 2 or demands.shape[1] != partition.K:
+        raise ValueError(f"demands have shape {demands.shape}, expected (n, K={partition.K})")
+    if demands.dtype.kind not in "iu" or demands.size and not 1 <= demands.min() <= demands.max() <= partition.N:
+        raise ValueError(f"demand entries must be integers in 1..{partition.N}")
+    if leaders is not None and np.shape(leaders) != demands.shape:
+        raise ValueError(f"leader flags have shape {np.shape(leaders)}, expected {demands.shape}")
+    leaders = first_requesters(demands) if leaders is None else np.asarray(leaders, dtype=bool)
+    wanted = np.empty((len(demands), partition.K + 1), dtype=np.intp)
+    wanted[:, 0] = 0
+    np.subtract(demands, 1, out=wanted[:, 1:])
+    bits = _user_bits(partition.K, partition.codes.dtype)
+    return wanted, leaders, np.bitwise_or.reduce(bits[1:] * leaders, axis=1), bits
+
+
+@lru_cache(maxsize=None)
+def _user_bits(K: int, dtype: np.dtype) -> np.ndarray:
+    """Each 1-based user's code bit, entry 0 being 0 (read-only)."""
+    bits = np.array([0] + [1 << k for k in range(K)], dtype=dtype)
+    bits.setflags(write=False)
+    return bits
+
+
+def _one(d, K: int, leaders) -> tuple[np.ndarray, np.ndarray]:
+    """A stack of the one demand `d` and its leader flags (`select_leaders` if None)."""
+    flags = np.zeros((1, K), dtype=bool)
+    for x in select_leaders(d) if leaders is None else leaders:
+        if not 1 <= x <= K:
+            raise ValueError(f"leader {x} is not in 1..{K}")
+        flags[0, x - 1] = True
+    return np.array([d]), flags
+
+
+def _check_shape(db: Database, **shapes) -> None:
+    for name, shape in shapes.items():
+        if db.bits.shape != shape:
+            raise ValueError(f"database has (N, F) = {db.bits.shape}, but the {name} has {shape}")
+
+
+def encode_stack(
+    db: Database,
+    partition: LevelPartition,
+    demands: np.ndarray,
+    leaders: np.ndarray | None = None,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Leader-based delivery of a stack of n demands ((n, K), files 1..N)
+    with leader flags `leaders` ((n, K), `first_requesters` if None). For
+    each level of the partition: the payloads (n, n_T, L), zero-padded, and
+    each row's payload length (n, n_T). A row is sent when it holds a leader
+    and a non-empty chunk; a row not sent is zero, with length 0. Each level
+    is one gather of the sent rows' chunks and one XOR-reduce."""
+    _check_shape(db, partition=partition.order.shape)
+    wanted, _, lead, _ = _stack(partition, demands, leaders)
+    F = partition.F
+    bits = np.zeros((db.N, F + 1), dtype=np.uint8)  # column F is the padding's zero
+    bits[:, :F] = db.bits
+    flat = bits.reshape(-1)
+    delivery = []
+    for level in partition.levels:
+        cells, sizes = level.chunks(wanted)
+        lengths = np.maximum.reduce(sizes, axis=2)
+        lengths[(level.codes & lead[:, None]) == 0] = 0
+        payloads = np.zeros((*lengths.shape, level.positions.shape[1]), dtype=np.uint8)
+        s, r = lengths.nonzero()
+        for block in _blocks(len(s), level.members.shape[1] * level.positions.shape[1]):
+            s_b, r_b = s[block], r[block]
+            payloads[s_b, r_b] = np.bitwise_xor.reduce(np.take(flat, level.positions[cells[s_b, r_b]]), axis=1)
+        delivery.append((payloads, lengths))
+    return delivery
 
 
 def encode_delivery(
@@ -172,43 +270,19 @@ def encode_delivery(
     d: Demand,
     leaders: frozenset[int] | None = None,
 ) -> list[BroadcastMessage]:
-    """Leader-based delivery over every level of the partition. Messages that
-    would be empty are not sent; the rest go by subset size, then lexicographic.
-    Each level's payloads are one gather of their chunks and one XOR-reduce."""
-    if db.bits.shape != partition.order.shape:
-        raise ValueError(f"database has (N, F) = {db.bits.shape}, but the partition has {partition.order.shape}")
+    """Leader-based delivery over every level of the partition: `encode_stack`
+    for the one demand. Messages that would be empty are not sent; the rest
+    go by subset size, then lexicographic."""
+    _check_shape(db, partition=partition.order.shape)
     d = validate_demand(d, db.N)
     if len(d) != partition.K:
         raise ValueError(f"demand length {len(d)} != K={partition.K}")
-    if leaders is None:
-        leaders = select_leaders(d)
-    F = partition.F
-    bits = np.zeros((db.N, F + 1), dtype=np.uint8)  # column F is the padding's zero
-    bits[:, :F] = db.bits
-    flat = bits.reshape(-1)
-    wanted, lead = _demand_rows(d), _user_code(leaders)
     messages = []
-    for level in partition.levels:
-        cells, sizes = level.chunks(wanted)
-        rows, lengths = level.sent(sizes, lead)
-        for block in _blocks(len(rows), level.members.shape[1] * level.positions.shape[1]):
-            block = rows[block]
-            payloads = np.bitwise_xor.reduce(np.take(flat, level.positions[cells[block]]), axis=1)
-            for members, rank, n, payload in zip(
-                level.members[block].tolist(), level.ranks[block].tolist(), lengths[block].tolist(), payloads
-            ):
+    for level, (payloads, lengths) in zip(partition.levels, encode_stack(db, partition, *_one(d, partition.K, leaders))):
+        for members, rank, n, payload in zip(level.members.tolist(), level.ranks.tolist(), lengths[0].tolist(), payloads[0]):
+            if n:
                 messages.append(BroadcastMessage(SubsetId(tuple(members), rank), payload[:n]))
     return messages
-
-
-def _xor_into(acc: np.ndarray, parts: Sequence[np.ndarray]) -> np.ndarray:
-    """XOR each array into the front of `acc`, which is no shorter; returns `acc`."""
-    for c in parts:
-        if len(c) == len(acc):
-            acc ^= c
-        else:
-            acc[: len(c)] ^= c
-    return acc
 
 
 def _user_code(users) -> int:
@@ -216,19 +290,68 @@ def _user_code(users) -> int:
     return sum(1 << (k - 1) for k in users)
 
 
-def payload_map(messages) -> Mapping[tuple[int, ...], np.ndarray]:
-    """Payloads by subset members; build it once to decode several users."""
-    if isinstance(messages, Mapping):
-        return messages
-    return {m.subset.members: m.payload for m in messages}
+def _received(messages: Sequence[BroadcastMessage]) -> dict[tuple[int, int], np.ndarray]:
+    """A received broadcast as a delivery of one demand for `decode_stack`:
+    each message's payload by its subset's size and rank."""
+    return {(len(m.subset.members), m.subset.rank): m.payload for m in messages}
 
 
-def _requester_groups(d: Demand, pool: Sequence[int]) -> list[list[int]]:
-    """Users of `pool` grouped by requested file, one group per distinct file."""
-    groups: dict[int, list[int]] = {}
-    for x in pool:
-        groups.setdefault(d[x - 1], []).append(x)
-    return [groups[f] for f in sorted(groups)]
+def _payload_rows(delivery, i: int, level: Level, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The payloads, zero-padded ((len(rows), L)), and the lengths of level
+    i's rows, numbered demand * n_T + row: gathered from `encode_stack`'s
+    arrays, or for one demand copied from a received broadcast (length 0
+    where no message names a row)."""
+    width = level.positions.shape[1]
+    if not isinstance(delivery, Mapping):
+        payloads, lengths = delivery[i]
+        return payloads.reshape(-1, width)[rows], lengths.reshape(-1)[rows]
+    out = np.zeros((len(rows), width), dtype=np.uint8)
+    lengths = []
+    size = level.members.shape[1]
+    for j, rank in enumerate(level.ranks[rows].tolist()):
+        y = delivery.get((size, rank))
+        if y is None:
+            lengths.append(0)
+            continue
+        if len(y) > width:
+            y = y[:width]
+        out[j, : len(y)] = y
+        lengths.append(len(y))
+    return out, np.array(lengths, dtype=np.intp)
+
+
+def _cancellation_terms(codes: np.ndarray, files: np.ndarray, swaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cancellation identity's terms for R leaderless subsets A, from each
+    A's code (R,), its members' requested files (R, m) and each member's swap
+    bits (its own code bit and its file's leader's, (R, m)). A column whose
+    swap is 0 pads A to the widest subset; its file must sort last.
+
+    With B = A + leaders, the identity XORs the messages of B minus V over
+    every choice V of one requester per file but the all-leaders one. Such
+    a term is A with a non-empty set of members, at most one per file,
+    swapped for their file's leader: A has prod_f (1 + a_f) - 1 terms, a_f
+    its members requesting file f, each in A's level and holding a leader.
+    Term k = 1, 2, ... is k in mixed radix, one digit per file (0 for no
+    swap, i for the file's i-th member). Returns the terms' codes, (R, C)
+    for the most terms C of any A, and which of them are terms."""
+    R, m = files.shape
+    at = np.arange(R)[:, None]
+    order = files.argsort(axis=1, kind="stable")
+    ranked, swaps = files[at, order], swaps[at, order]
+    head = np.ones((R, m), dtype=bool)
+    head[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    group = head.cumsum(axis=1) - 1  # each member's file, numbered within A
+    weights = (swaps != 0).reshape(-1).astype(float)  # a pad counts for no file
+    size = np.bincount((at * m + group).reshape(-1), weights, minlength=R * m).astype(np.intp).reshape(R, m)
+    first = size.cumsum(axis=1) - size
+    count = (size + 1).prod(axis=1) - 1
+    k = np.arange(1, count.max(initial=0) + 1)[None, :]
+    valid = k <= count[:, None]
+    terms = np.repeat(codes[:, None], valid.shape[1], axis=1)
+    for g in range(np.count_nonzero(size, axis=1).max(initial=0)):
+        k, digit = np.divmod(k, size[:, g, None] + 1)
+        terms ^= np.where(digit > 0, swaps[at, np.maximum(first[:, g, None] + digit - 1, 0)], 0)
+    return terms, valid
 
 
 def reconstruct_message(
@@ -236,35 +359,252 @@ def reconstruct_message(
     d: Demand,
     leaders: frozenset[int],
     subset: SubsetId | Sequence[int],
-    sent=None,
 ) -> np.ndarray:
-    """Rebuild the omitted message of a leaderless subset A.
-
-    With B = A ∪ leaders, XOR the broadcast messages of B minus V over every
-    selection V of one requester per requested file, the all-leaders
-    selection excluded; shorter terms are zero-padded. Equals the direct
-    XOR-of-chunks payload. A term missing from `messages` is lost
-    (`DecodeError`), unless `sent()`, the members of every message the
-    encoder sent, lacks it: the encoder skipped it as empty, so it is zero.
-    """
+    """Rebuild the omitted message of a leaderless subset A: the XOR of its
+    cancellation terms' messages (see `_cancellation_terms`), shorter ones
+    zero-padded. Equals the direct XOR-of-chunks payload. Every term must be
+    among `messages` (a list, or a mapping from members to payloads), or it
+    is lost (`DecodeError`)."""
     members = tuple(subset.members) if isinstance(subset, SubsetId) else tuple(sorted(subset))
     leaders = frozenset(leaders)
     if not leaders.isdisjoint(members):
         raise ValueError(f"subset {members} contains a leader; message was broadcast")
-    payloads = payload_map(messages)
-    block = sorted(leaders.union(members))
-    terms = []
-    for choice in itertools.product(*_requester_groups(d, block)):
-        if leaders.issuperset(choice):
-            continue  # one requester per file: the all-leaders selection
-        key = tuple([x for x in block if x not in choice])
-        term = payloads.get(key)
-        if term is not None:
-            terms.append(term)
-        elif sent is None or key in sent():
+    leader_of = {}
+    for x in sorted(leaders, reverse=True):
+        leader_of[d[x - 1]] = x
+    files = [d[x - 1] for x in members]
+    if not leader_of.keys() >= set(files):
+        raise ValueError(f"leaders {sorted(leaders)} hold no requester of a file {members} request")
+    swaps = [(1 << (x - 1)) | (1 << (leader_of[f] - 1)) for x, f in zip(members, files)]
+    terms, _ = _cancellation_terms(np.array([_user_code(members)], dtype=object), np.array([files]),
+                                   np.array([swaps], dtype=object))
+    payloads = messages if isinstance(messages, Mapping) else {m.subset.members: m.payload for m in messages}
+    parts = []
+    for code in terms[0].tolist():
+        key = tuple(k + 1 for k in range(code.bit_length()) if code >> k & 1)
+        if key not in payloads:
             raise DecodeError(key)
-    terms.sort(key=len, reverse=True)
-    return _xor_into(terms[0].copy(), terms[1:]) if terms else np.zeros(0, dtype=np.uint8)
+        parts.append(payloads[key])
+    parts.sort(key=len, reverse=True)
+    acc = parts[0].copy()
+    for y in parts[1:]:
+        acc[: len(y)] ^= y
+    return acc
+
+
+def _leader_of(wanted: np.ndarray, leaders: np.ndarray) -> np.ndarray:
+    """(n, K + 1): the lowest-indexed leader requesting each user's file in
+    each demand, 0 if none; column 0, no user, is 0."""
+    n, K = leaders.shape
+    # whether user y leads user x's file, (n, x, y)
+    leads = (wanted[:, 1:, None] == wanted[:, None, 1:]) & leaders[:, None, :]
+    out = np.zeros((n, K + 1), dtype=np.intp)
+    out[:, 1:] = np.where(leads.any(axis=2), leads.argmax(axis=2) + 1, 0)
+    return out
+
+
+class _Plan(NamedTuple):
+    """One level's share of a decode: the chunk cells and sizes of every
+    row (numbered demand * n_T + row), the (row, member) pairs to decode,
+    the rows they need and those rows' payloads."""
+
+    level: Level
+    cells: np.ndarray
+    sizes: np.ndarray
+    mine: np.ndarray
+    rows: np.ndarray
+    payloads: np.ndarray
+
+
+class _Terms(NamedTuple):
+    """One level's omitted rows for a stack of demands: the rows with no
+    leader and a non-empty chunk (numbered demand * n_T + row, ascending),
+    and per row the rows of its cancellation terms (R, C), which of them
+    are terms of it and which of those have a chunk, so were sent."""
+
+    rows: np.ndarray
+    term_rows: np.ndarray
+    valid: np.ndarray
+    sent: np.ndarray
+
+
+def _omitted_terms(partition, plans, wanted, leaders, lead, bits) -> list[_Terms | None]:
+    """The `_Terms` of every level of a stack (None where no row is
+    omitted), from its plans' chunk sizes. The terms of every omitted row
+    are counted at once, a block of rows at a time, each row padded with
+    user 0 to the widest level; then each level's terms are found by one
+    lookup. Kept with the partition for the last stack it was built for,
+    so decoding one demand's users one call at a time builds it once."""
+    key = (wanted.tobytes(), leaders.tobytes())
+    cache = partition.term_cache
+    if cache.get("key") == key:
+        return cache["terms"]
+    omitted = []
+    for level, plan in zip(partition.levels, plans):
+        n_T = len(level.members)
+        led = (np.tile(level.codes, len(wanted)) & np.repeat(lead, n_T)) != 0
+        omitted.append((~led & np.logical_or.reduce(plan.sizes > 0, axis=1)).nonzero()[0])
+    terms = [None] * len(omitted)
+    if any(len(rows) for rows in omitted):
+        ends = np.cumsum([len(rows) for rows in omitted])
+        width = max(level.members.shape[1] for level, rows in zip(partition.levels, omitted) if len(rows))
+        members = np.zeros((ends[-1], width), dtype=np.intp)  # user 0 pads
+        codes = np.empty(ends[-1], dtype=bits.dtype)
+        s = np.empty(ends[-1], dtype=np.intp)
+        for level, rows, hi in zip(partition.levels, omitted, ends):
+            if not len(rows):
+                continue
+            lo = hi - len(rows)
+            s[lo:hi], r = np.divmod(rows, len(level.members))
+            members[lo:hi, : level.members.shape[1]] = level.members[r]
+            codes[lo:hi] = level.codes[r]
+        files = np.where(members > 0, wanted[s[:, None], members], partition.N)  # a pad's file, N, sorts last
+        leads = _leader_of(wanted, leaders)[s[:, None], members]
+        if not (leads > 0)[members > 0].all():
+            raise ValueError("the leaders hold no requester of a file that an omitted subset's member requests")
+        swaps = bits[members] | bits[leads]
+        parts = [[] for _ in omitted]
+        # a block's terms are (rows, C) int64 arrays, and C, the most terms
+        # of a row, grows about as the square of its width
+        for block in _blocks(ends[-1], 4 * width * width):
+            b0, b1 = range(ends[-1])[block].start, range(ends[-1])[block].stop
+            codes_b, valid_b = _cancellation_terms(codes[block], files[block], swaps[block])
+            for i, (level, rows, end) in enumerate(zip(partition.levels, omitted, ends)):
+                lo, hi = max(end - len(rows), b0), min(end, b1)
+                if lo < hi:
+                    found = level.rows_of(codes_b[lo - b0 : hi - b0].reshape(-1)).reshape(hi - lo, -1)
+                    valid = valid_b[lo - b0 : hi - b0] & (found >= 0)
+                    found = np.where(valid, (s[lo:hi] * len(level.members))[:, None] + found, 0)
+                    if len(wanted) * len(level.members) < 2**31:
+                        found = found.astype(np.int32)  # the table is kept: halve it
+                    parts[i].append((found, valid, valid & np.logical_or.reduce(plans[i].sizes[found] > 0, axis=2)))
+        for i, rows in enumerate(omitted):
+            if len(parts[i]) == 1:
+                terms[i] = _Terms(rows, *parts[i][0])
+            elif parts[i]:
+                # blocks count up to their own most terms: pad to the level's
+                C = max(found.shape[1] for found, _, _ in parts[i])
+                terms[i] = _Terms(rows, *(np.concatenate([np.pad(a, ((0, 0), (0, C - a.shape[1]))) for a in part])
+                                          for part in zip(*parts[i])))
+    cache.clear()
+    cache.update(key=key, terms=terms)
+    return terms
+
+
+def _rebuild(plan, terms: _Terms, delivery, i: int, places: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Write the message of each of level i's omitted `rows` into its plan's
+    payloads at `places`: per block of rows, one gather of their terms' rows
+    and one XOR-reduce. Returns the term rows that were sent but not
+    received."""
+    at = np.searchsorted(terms.rows, rows)
+    width = plan.payloads.shape[1]
+    lost = []
+    for block in _blocks(len(rows), terms.term_rows.shape[1] * width):
+        valid = terms.valid[at[block]]
+        term_rows = terms.term_rows[at[block]][valid]
+        parts = np.zeros((*valid.shape, width), dtype=np.uint8)
+        parts[valid], lengths = _payload_rows(delivery, i, plan.level, term_rows)
+        plan.payloads[places[block]] = np.bitwise_xor.reduce(parts, axis=1)
+        lost.append(term_rows[terms.sent[at[block]][valid] & (lengths == 0)])
+    return np.concatenate(lost)
+
+
+def decode_stack(
+    users: Sequence[int],
+    db: Database,
+    placement: Placement,
+    partition: LevelPartition,
+    delivery,
+    demands: np.ndarray,
+    leaders: np.ndarray | None = None,
+) -> np.ndarray:
+    """Recover file d_k for each user k of `users` in each demand of a stack
+    ((n, K), leader flags `leaders` as for `encode_stack`) from its cache
+    plus the delivery: (n, len(users), F). `delivery` is `encode_stack`'s,
+    or for one demand `_received`'s map of a broadcast; a row of length 0
+    was not received.
+
+    Every (demand, row, member) with a requested member and a non-empty own
+    chunk is decoded, a level at a time, by one gather from the users' cache
+    views, one XOR-reduce over the partners and one scatter. The views do
+    not depend on the demand, so they are built once per stack. Each
+    needed leaderless row that was not received is rebuilt once per stack
+    by the cancellation identity. A needed row that holds a leader, directly
+    or as a term, but was not received is lost: `DecodeError` names the
+    first such in send order. Each user's bits are read from the database
+    only through its own cache (the rest are zeroed), so any decoding gap
+    shows up as a bit mismatch.
+    """
+    _check_shape(db, partition=partition.order.shape, placement=placement.codes.shape)
+    N, F = db.N, partition.F
+    wanted, leaders, lead, bits = _stack(partition, demands, leaders)
+    n = len(wanted)
+    users = list(users)
+    U = len(users)
+    requested = np.zeros(partition.K + 1, dtype=bool)
+    requested[users] = True
+    # the rows each level needs, with their payloads: received, lost or to rebuild
+    plans, lost, omitted = [], [], []
+    for i, level in enumerate(partition.levels):
+        n_T, m = level.members.shape
+        cells, sizes = level.chunks(wanted)
+        # (row, member) of a requested member and its non-empty chunk
+        mine = (requested[level.members] & (sizes > 0)).reshape(-1, m)
+        rows = np.logical_or.reduce(mine, axis=1).nonzero()[0]
+        payloads, lengths = _payload_rows(delivery, i, level, rows)
+        plans.append(_Plan(level, cells.reshape(-1, m), sizes.reshape(-1, m), mine, rows, payloads))
+        places = (lengths == 0).nonzero()[0]  # needed rows not received
+        if len(places):
+            s, r = np.divmod(rows[places], n_T)
+            led = (level.codes[r] & lead[s]) != 0
+            lost.append((i, rows[places[led]]))
+            if not led.all():
+                omitted.append((i, places[~led], rows[places[~led]]))
+    if omitted:
+        terms = _omitted_terms(partition, plans, wanted, leaders, lead, bits)
+        lost += [(i, _rebuild(plans[i], terms[i], delivery, i, places, rows)) for i, places, rows in omitted]
+    for i in sorted({i for i, rows in lost if len(rows)}):
+        level, first = plans[i].level, min(rows.min() for j, rows in lost if j == i and len(rows))
+        raise DecodeError(tuple(level.members[first % len(level.members)].tolist()))
+    # every user's cache view, flat per user; column F of each file stays zero
+    views = _cache_views(db, placement, users, F)
+    flat = views.reshape(-1)
+    if n == 1:
+        # decoded in place: a user's own chunks lie where its view holds no
+        # partner chunk, and user u's view starts at u * N * (F + 1)
+        decoded, row = views, N * (F + 1)
+    else:
+        # each user's view of its file in each demand, row s * U + u, where a
+        # chunk of file i lands i * (F + 1) before its place in the views
+        decoded, row = views[np.arange(U), wanted[:, users]], F + 1
+    decoded_flat = decoded.reshape(-1)
+    slot = np.zeros(partition.K + 1, dtype=np.intp)  # each requested user's row of the views
+    slot[users] = np.arange(U)
+    for level, cells, _, mine, rows, payloads in plans:
+        if not len(rows):
+            continue
+        at, c = mine[rows].nonzero()
+        width = level.positions.shape[1]
+        for block in _blocks(len(at), level.members.shape[1] * width):
+            at_b, c_b = at[block], c[block]
+            pos = level.positions[cells[rows[at_b, None], level.partners[c_b]]].astype(np.intp)
+            own = level.positions[cells[rows[at_b], c_b]].astype(np.intp)
+            if n * U > 1:
+                # one user's view of one demand starts at 0, and this pass over
+                # the positions costs about what widening them does, so a call
+                # for one user and one demand skips it
+                s, r = np.divmod(rows[at_b], len(level.members))
+                x = level.members[r, c_b]
+                pos += (slot[x] * (N * (F + 1)))[:, None, None]
+                own += ((s * U + slot[x]) * row - (wanted[s, x] * (F + 1) if n > 1 else 0))[:, None]
+            acc = np.bitwise_xor.reduce(flat[pos], axis=1)
+            acc ^= payloads[at_b]
+            # the chunks' padding lands in column F, which is zeroed again
+            decoded_flat[own] = acc
+            decoded_flat[F :: F + 1] = 0
+    if n == 1:
+        return views[np.arange(U), wanted[0, users], :F][None]
+    return decoded[..., :F]
 
 
 def decode_users(
@@ -277,86 +617,25 @@ def decode_users(
     leaders: frozenset[int] | None = None,
 ) -> np.ndarray:
     """Recover file d_k for each user k of `users` from its cache plus the
-    broadcast: a (len(users), F) array, one row per user in that order.
-
-    Level by level, every requested user's chunk of every subset is decoded
-    by one gather from the users' cache views, one XOR-reduce over the
-    partners and one scatter; each omitted message is rebuilt once and
-    shared by the members that need it. Each user's bits are read from the
-    database only through its own cache (the rest are zeroed), so any
-    decoding gap shows up as a bit mismatch. `messages` may be a list or a
-    `payload_map` of it.
+    broadcast `messages`, a list of `BroadcastMessage`s: a (len(users), F)
+    array, one row per user in that order; `decode_stack` for the one
+    demand.
     """
-    for name, shape in (("partition", partition.order.shape), ("placement", placement.codes.shape)):
-        if db.bits.shape != shape:
-            raise ValueError(f"database has (N, F) = {db.bits.shape}, but the {name} has {shape}")
+    _check_shape(db, partition=partition.order.shape, placement=placement.codes.shape)
     d = validate_demand(d, db.N)
-    K, N, F = partition.K, db.N, partition.F
+    K = partition.K
     if len(d) != K:
         raise ValueError(f"demand length {len(d)} != K={K}")
     users = [operator.index(k) for k in users]
-    slot = [-1] * (K + 1)  # each requested user's row of the views
-    for u, k in enumerate(users):
+    seen = set()
+    for k in users:
         if not 1 <= k <= K:
             raise ValueError(f"user {k} is not in 1..{K}")
-        if slot[k] >= 0:
+        if k in seen:
             raise ValueError(f"user {k} is requested twice")
-        slot[k] = u
-    slot = np.array(slot)
-    requested = slot >= 0
-    leaders = select_leaders(d) if leaders is None else frozenset(leaders)
-    wanted = _demand_rows(d)
-    # every user's cache view, flat per user; column F of each file stays zero
-    views = _cache_views(db, placement, users, F)
-    flat, view_start = views.reshape(-1), slot * (N * (F + 1))
-    payloads = payload_map(messages)
-    sent_set = None
-
-    def sent() -> set[tuple[int, ...]]:
-        nonlocal sent_set  # built on the first missing term only
-        if sent_set is None:
-            lead, sent_set = _user_code(leaders), set()
-            for level in partition.levels:
-                rows, _ = level.sent(level.chunks(wanted)[1], lead)
-                sent_set.update(map(tuple, level.members[rows].tolist()))
-        return sent_set
-
-    for level in partition.levels:
-        cells, sizes = level.chunks(wanted)
-        # (row, member) pairs of a requested user and its non-empty chunk
-        mine = requested[level.members] & (sizes > 0)
-        rows = np.logical_or.reduce(mine, axis=1).nonzero()[0]
-        if not len(rows):
-            continue
-        # the rows' payloads, zero-padded to the level's width
-        Y = np.zeros((len(rows), level.positions.shape[1]), dtype=np.uint8)
-        width = Y.shape[1]
-        for i, members in enumerate(map(tuple, level.members[rows].tolist())):
-            y = payloads.get(members)
-            if y is None:
-                if not leaders.isdisjoint(members):
-                    raise DecodeError(members)  # a chunk of it is non-empty, so it was sent
-                y = reconstruct_message(payloads, d, leaders, members, sent)
-            Y[i, : len(y)] = y[:width]
-        at, column = mine[rows].nonzero()
-        for block in _blocks(len(at), level.members.shape[1] * width):
-            pair_rows, c = rows[at[block]], column[block]
-            pos = level.positions[cells[pair_rows[:, None], level.partners[c]]].astype(np.intp)
-            own = level.positions[cells[pair_rows, c]].astype(np.intp)
-            if len(users) > 1:
-                # each pair's user's view starts at view_start in `flat`. One
-                # user's starts at 0, and this pass over the positions costs
-                # about what widening them does, so a one-user call skips it
-                start = view_start[level.members[pair_rows, c]][:, None]
-                pos += start[:, :, None]
-                own += start
-            acc = np.bitwise_xor.reduce(flat[pos], axis=1)
-            acc ^= Y[at[block]]
-            # decoded in place, where the user's view holds no partner chunk;
-            # the chunks' padding lands in column F, which is zeroed again
-            flat[own] = acc
-            flat[F :: F + 1] = 0
-    return views[np.arange(len(users)), wanted[users], :F]
+        seen.add(k)
+    demands, flags = _one(d, K, leaders)
+    return decode_stack(users, db, placement, partition, _received(messages), demands, flags)[0]
 
 
 def _cache_views(db: Database, placement: Placement, users: Sequence[int], F: int) -> np.ndarray:

@@ -18,7 +18,9 @@ class Level(NamedTuple):
     the (j+1)-subsets T = S + {x} of such a group S and a user x outside it.
 
     `members` is (n_T, j+1), T's users in send order (lexicographic), with
-    `codes` their user-set codes and `ranks` their `SubsetId` ranks.
+    `codes` their user-set codes and `ranks` their `SubsetId` ranks;
+    `by_code` lists the rows in ascending code order and `sorted_codes`
+    their codes, to find a subset's row by its code.
     `groups[T, c]` is the level's index of group T minus its c-th member,
     or G_j if that group is empty; the level has `slots` = G_j + 1 groups.
     A cell is file i's part of group g, numbered i * slots + g: `sizes` is
@@ -34,6 +36,8 @@ class Level(NamedTuple):
     members: np.ndarray
     codes: np.ndarray
     ranks: np.ndarray
+    by_code: np.ndarray
+    sorted_codes: np.ndarray
     groups: np.ndarray
     slots: int
     sizes: np.ndarray
@@ -41,16 +45,16 @@ class Level(NamedTuple):
     partners: np.ndarray
 
     def chunks(self, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """For a demand (`wanted[x]` is user x's file row): the cell and the
-        bit count of each member's chunk, both (n_T, j+1)."""
-        cells = wanted[self.members] * self.slots + self.groups
+        """For a stack of n demands (`wanted[s, x]` is user x's file row in
+        demand s): the cell and the bit count of each member's chunk, both
+        (n, n_T, j+1)."""
+        cells = wanted[:, self.members] * self.slots + self.groups
         return cells, self.sizes[cells]
 
-    def sent(self, sizes: np.ndarray, lead_code: int) -> tuple[np.ndarray, np.ndarray]:
-        """The rows the encoder sends, those with a leader and a non-empty
-        chunk, and every row's payload length, for `chunks`' sizes."""
-        lengths = np.maximum.reduce(sizes, axis=1)
-        return (((self.codes & lead_code) != 0) & (lengths > 0)).nonzero()[0], lengths
+    def rows_of(self, codes: np.ndarray) -> np.ndarray:
+        """The row of each user-set code, or -1 where no row has it."""
+        at = np.minimum(np.searchsorted(self.sorted_codes, codes), len(self.codes) - 1)
+        return np.where(self.sorted_codes[at] == codes, self.by_code[at], -1)
 
 
 def _held(codes: np.ndarray, user_bits: np.ndarray) -> np.ndarray:
@@ -99,6 +103,7 @@ def build_levels(partition) -> list[Level]:
     for j in counts.nonzero()[0].tolist():
         n = int(np.count_nonzero(size == j + 1))
         at = slice(pairs, pairs + n * (j + 1))
+        by_code = np.argsort(subsets[rows : rows + n], kind="stable")
         local[G] = counts[j]  # an empty group: the level's zero-size sentinel
         sized = np.zeros((N, counts[j] + 1), dtype=small)
         sized[:, :-1] = sizes[:, by_level[level[by_level] == j]]
@@ -106,6 +111,8 @@ def build_levels(partition) -> list[Level]:
             members[at].reshape(n, j + 1),
             subsets[rows : rows + n],
             ranks[rows : rows + n],
+            by_code,
+            subsets[rows : rows + n][by_code],
             local[groups[at]].reshape(n, j + 1).astype(small),
             int(counts[j]) + 1,
             sized.reshape(-1),

@@ -174,24 +174,6 @@ def count_types(N: int, K: int) -> int:
     return ways[K]
 
 
-def type_size(stats: DemandStats, K: int) -> int:
-    """Number of demands with the given statistics.
-
-    Choose which file carries each count (multiplicities of equal counts,
-    zeros included, collapse), then which users request what (multinomial).
-    """
-    N = len(stats.counts)
-    if sum(stats.counts) != K:
-        raise ValueError("counts must sum to K")
-    file_assignments = math.factorial(N)
-    for c in set(stats.counts):
-        file_assignments //= math.factorial(stats.counts.count(c))
-    user_assignments = math.factorial(K)
-    for c in stats.counts:
-        user_assignments //= math.factorial(c)
-    return file_assignments * user_assignments
-
-
 def all_demands(N: int, K: int) -> Iterable[tuple[int, ...]]:
     """Every demand in {1..N}^K, lexicographic order."""
     return itertools.product(range(1, N + 1), repeat=K)
@@ -206,6 +188,17 @@ def demand_at(index: int, N: int, K: int) -> tuple[int, ...]:
     for j in range(K - 1, -1, -1):
         index, digits[j] = divmod(index, N)
     return tuple(x + 1 for x in digits)
+
+
+def demand_range(start: int, stop: int, N: int, K: int) -> np.ndarray:
+    """`list(all_demands(N, K))[start:stop]` as an (n, K) array, built from
+    the indices: each index's K base-N digits, most significant first, plus
+    1. The indices are int64, so N^K must be below 2^63."""
+    if N**K >= 2**63:
+        raise ValueError(f"N^K = {N**K} demands do not fit int64 indices")
+    if not 0 <= start <= stop <= N**K:
+        raise ValueError(f"demand indices must satisfy 0 <= start <= stop <= {N**K}, got {start}..{stop}")
+    return np.arange(start, stop)[:, None] // N ** np.arange(K - 1, -1, -1) % N + 1
 
 
 def type_representative(stats: DemandStats) -> tuple[int, ...]:

@@ -7,6 +7,8 @@ of the 20 possible three-user XOR messages, omitting the one for {2,4,6}.
 worked by hand: subset -> set of (file letter, subfile index subset).
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -107,3 +109,20 @@ def oracle_level_partition(placement, N, F):
     order = np.array([np.concatenate([g[i] for g in groups.values()]) for i in range(N)])
     sizes = np.array([[len(g[i]) for g in groups.values()] for i in range(N)])
     return LevelPartition(placement.K, N, F, codes, order, sizes)
+
+
+def subset_rank(members, k_users):
+    """Lexicographic rank of a sorted subset of {1..k_users}: the oracle for
+    `SubsetId.rank` (C(K, |T|) - 1 less the same-size subsets after T)."""
+    members = tuple(members)
+    size = len(members)
+    if any(b <= a for a, b in zip(members, members[1:])):
+        raise ValueError(f"subset members must be strictly increasing: {members}")
+    if members and (members[0] < 1 or members[-1] > k_users):
+        raise ValueError(f"members {members} not within 1..{k_users}")
+    # the subsets after this one are those whose first difference from it
+    # replaces members[i] by a larger user: C(k_users - members[i], size - i)
+    rank = math.comb(k_users, size) - 1
+    for i, c in enumerate(members):
+        rank -= math.comb(k_users - c, size - i)
+    return rank

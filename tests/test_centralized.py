@@ -263,15 +263,18 @@ class TestDecode:
         leaders = select_leaders(d)
         messages = encode_delivery(db, placement, d, leaders)
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("decoding touched reconstruct_message")
+        def forbidden(plan, terms, delivery, i, places, rows):
+            raise AssertionError(f"decoding handed the rebuild {len(rows)} rows")
 
-        # the engine's decoder looks the reconstruct step up by this name
-        monkeypatch.setattr(decentralized, "reconstruct_message", forbidden)
+        # the engine's decoder hands each level's omitted rows to this function
+        monkeypatch.setattr(decentralized, "_rebuild", forbidden)
         for k in sorted(leaders):
             assert np.array_equal(decode_user(k, db, placement, messages, d, leaders), db.file(d[k - 1]))
+        assert np.array_equal(
+            decentralized.decode_users(sorted(leaders), db, placement, placement.partition, messages, d, leaders),
+            db.bits[[d[k - 1] - 1 for k in sorted(leaders)]])
         # a non-leader needs the omitted message of {2, 4, 6}, so the patch is live
-        with pytest.raises(AssertionError, match="touched reconstruct_message"):
+        with pytest.raises(AssertionError, match="handed the rebuild 1 rows"):
             decode_user(2, db, placement, messages, d, leaders)
 
 

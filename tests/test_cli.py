@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cachekit import CacheProfile, batch_placement, demand_stats, save_placement
-from cachekit import cli
+from cachekit import cli, decentralized, model
 from cachekit.cli import MAX_GRID_POINTS, main, parse_grid
 from cachekit.cli import UsageError
 from cachekit.combinatorics import binomial
@@ -240,21 +240,24 @@ class TestVerify:
         def refuse(*args):
             raise AssertionError("per-type mode enumerated all demands")
 
-        calls = []
+        blocks = []
+        check = cli._check_block
 
-        def counting_stats(d, N):
-            calls.append(tuple(d))
-            return demand_stats(d, N)
+        def counting_check(db, placement, t, demands):
+            blocks.append(len(demands))
+            return check(db, placement, t, demands)
 
-        monkeypatch.setattr(cli, "all_demands", refuse)
-        monkeypatch.setattr(cli, "demand_stats", counting_stats)
+        monkeypatch.setattr(model, "all_demands", refuse)
+        monkeypatch.setattr(cli, "demand_range", refuse)
+        monkeypatch.setattr(cli, "_check_block", counting_check)
         code, out, _ = run_cli(capsys, "verify", "--n", "10", "--k", "6", "--t", "2", "--seed", "3")
         assert code == 0
         checked = int(re.search(r"demands checked bit-exactly: (\d+)", out).group(1))
         assert checked == 211
-        assert len(calls) <= checked
+        # every demand checked went through one block check, and no other
+        assert sum(blocks) == checked
 
-    @pytest.mark.parametrize("argv, fails_on, named", [
+    FAILING = [
         # a type representative: the first demand of the first two-file type
         (["--n", "3", "--k", "9", "--t", "7", "--seed", "7", "--sample", "4"],
          lambda d: len(set(d)) == 2, "1,1,1,1,1,1,1,1,2"),
@@ -268,15 +271,83 @@ class TestVerify:
          lambda d: list(d) != sorted(d), "3,1,2,3,2,2,2,2,2"),
         (["--n", "3", "--k", "10", "--t", "3", "--seed", "5", "--sample", "30"],
          lambda d: list(d) != sorted(d), "1,1,3,2,1,3,2,3,2,1"),
-    ])
-    def test_failure_names_the_first_failing_demand(self, capsys, monkeypatch, argv, fails_on, named):
-        def check(db, placement, d, *rest):
-            return (False, "injected") if fails_on(d) else (True, "")
+    ]
 
-        monkeypatch.setattr(cli, "_check_demand", check)
+    @staticmethod
+    def failing_check(fails_on, blocks):
+        """A block check that fails exactly the demands `fails_on` picks,
+        recording each block it is handed."""
+        def check(db, placement, t, demands):
+            blocks.append([tuple(d) for d in demands.tolist()])
+            return ["injected" if fails_on(d) else "" for d in blocks[-1]]
+
+        return check
+
+    @pytest.mark.parametrize("argv, fails_on, named", FAILING)
+    def test_failure_names_the_first_failing_demand(self, capsys, monkeypatch, argv, fails_on, named):
+        blocks = []
+        monkeypatch.setattr(cli, "_check_block", self.failing_check(fails_on, blocks))
         code, out, _ = run_cli(capsys, "verify", *argv)
         assert code == 1
         assert out.splitlines()[-1] == f"FAIL: demand={named}: injected"
+        # checking stopped at the block that holds the named demand
+        named = tuple(map(int, named.split(",")))
+        assert named in blocks[-1] and all(named not in block for block in blocks[:-1])
+
+    @pytest.mark.parametrize("size", [1, 3, 7])
+    @pytest.mark.parametrize("argv, fails_on, named", FAILING)
+    def test_failure_in_a_later_block(self, capsys, monkeypatch, size, argv, fails_on, named):
+        # small blocks: the named demand is the first failing one in block
+        # order, whether it opens its block, sits mid-block or ends it
+        blocks = []
+        monkeypatch.setattr(cli, "_check_block", self.failing_check(fails_on, blocks))
+        monkeypatch.setattr(decentralized, "stack_size", lambda partition, users: size)
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        assert code == 1
+        assert out.splitlines()[-1] == f"FAIL: demand={named}: injected"
+        named = tuple(map(int, named.split(",")))
+        assert all(len(block) == size for block in blocks[:-1])
+        assert len(blocks) > 1 or size > 1  # no case fails on its first demand
+        assert named in blocks[-1] and not any(map(fails_on, sum(blocks[:-1], [])))
+        where = blocks[-1].index(named)
+        assert not any(map(fails_on, blocks[-1][:where]))
+
+    def test_failure_mid_block_and_in_a_later_block(self, capsys, monkeypatch):
+        # 2,1,1,1,1,1,1 is demand 64 of 128: mid-block in one block of all,
+        # and the second of the 22nd block of three
+        for size, (index, at) in [(128, (0, 64)), (3, (21, 1))]:
+            blocks = []
+            monkeypatch.setattr(cli, "_check_block", self.failing_check(lambda d: d[0] == 2 and d[-1] == 1, blocks))
+            monkeypatch.setattr(decentralized, "stack_size", lambda partition, users: size)
+            code, out, _ = run_cli(capsys, "verify", "--n", "2", "--k", "7", "--t", "2", "--seed", "7")
+            assert code == 1 and out.splitlines()[-1] == "FAIL: demand=2,1,1,1,1,1,1: injected"
+            assert (len(blocks) - 1, blocks[-1].index((2, 1, 1, 1, 1, 1, 1))) == (index, at)
+
+    def test_block_check_reasons_in_order(self, capsys, monkeypatch):
+        # the real block check, with each identity broken in turn on the
+        # demands of two distinct files: count first, then rate, then decode
+        N, K, t = 2, 4, 1
+        F = 2 * binomial(K, t)
+        db = model.make_database(N, F, seed=3)
+        placement = batch_placement(N, K, t, F)
+        demands = model.demand_range(0, N**K, N, K)
+        two = [len(set(d)) == 2 for d in demands.tolist()]
+        assert cli._check_block(db, placement, t, demands) == [""] * len(demands)
+        # a cache missing one bit that user 1 holds of file 1: user 1 decodes
+        # file 1 wrong wherever it wants file 1 and sees bit 0 in a partner's chunk
+        codes = placement.codes.copy()
+        codes[0, np.flatnonzero(codes[0] & 1)] ^= 1
+        forgetful = Placement(K, codes)
+        forgetful.__dict__["partition"] = placement.partition
+        ones = model.Database(N, F, np.ones((N, F), dtype=np.uint8))
+        reasons = cli._check_block(ones, forgetful, t, demands)
+        assert reasons[0] == "user 1 decoded the wrong bits" and set(reasons) >= {""}
+        monkeypatch.setattr(cli, "delivery_rate_value", lambda K, t, e, real=cli.delivery_rate_value: real(K, t, e) + (e == 2))
+        reasons = cli._check_block(ones, forgetful, t, demands)
+        assert [why == "delivered rate does not match the closed form" for why in reasons] == two
+        monkeypatch.setattr(cli, "binomial", lambda n, k, real=cli.binomial: real(n, k) + (n == K - 2))
+        reasons = cli._check_block(ones, forgetful, t, demands)
+        assert [why.startswith("message count") for why in reasons] == two
 
 
 class TestBatchCost:

@@ -9,9 +9,10 @@ from cachekit.combinatorics import (
     binomial,
     enumerate_subsets,
     lower_convex_envelope_many,
-    subset_rank,
     surjection_counts,
 )
+
+from conftest import subset_rank
 
 
 def pascal_table(n_max):
@@ -100,9 +101,13 @@ def test_enumerate_subsets_bad_size():
 
 
 def test_rank_unrank_roundtrip_exhaustive():
+    # the ranks `enumerate_subsets` gives, the tests' rank oracle and the
+    # lexicographic position all agree
     for K in range(13):
         for size in range(K + 1):
+            subsets = enumerate_subsets(K, size)
             for rank, members in enumerate(itertools.combinations(range(1, K + 1), size)):
+                assert subsets[rank].members == members and subsets[rank].rank == rank
                 assert subset_rank(members, K) == rank
 
 

@@ -382,25 +382,28 @@ def test_each_omitted_message_is_rebuilt_once(monkeypatch, N, K, t, d):
     leaders = select_leaders(d)
     messages = centralized.encode_delivery(db, placement, d, leaders)
     rebuilt = []
-    reconstruct = decentralized.reconstruct_message
+    rebuild = decentralized._rebuild
 
-    def counting(messages, d, leaders, subset, sent=None):
-        rebuilt.append(tuple(subset))
-        return reconstruct(messages, d, leaders, subset, sent)
+    def counting(plan, terms, delivery, i, places, rows):
+        assert (rows < len(plan.level.members)).all()  # rows of a stack of one demand
+        rebuilt.extend(tuple(members) for members in plan.level.members[rows].tolist())
+        return rebuild(plan, terms, delivery, i, places, rows)
 
-    # the engine's decoder looks the reconstruct step up by this name
-    monkeypatch.setattr(decentralized, "reconstruct_message", counting)
+    # the engine's decoder hands each level's omitted rows to this function
+    monkeypatch.setattr(decentralized, "_rebuild", counting)
     users = range(1, K + 1)
     decoded = decentralized.decode_users(users, db, placement, placement.partition, messages, d, leaders)
     assert all(np.array_equal(got, db.file(d[k - 1])) for k, got in zip(users, decoded))
     omitted = [sid.members for sid in enumerate_subsets(K, t + 1) if leaders.isdisjoint(sid.members)]
     assert len(omitted) == binomial(K - len(set(d)), t + 1) > 0
+    # one decode call hands the rebuild each omitted row once, in send order
     assert rebuilt == omitted
-    # one user per call rebuilds each omitted message once per member
-    rebuilt.clear()
+    # a call for one user hands it the omitted rows that user is a member of,
+    # so over the K calls each omitted row goes once per member
     for k in users:
+        rebuilt.clear()
         centralized.decode_user(k, db, placement, messages, d, leaders)
-    assert len(rebuilt) == (t + 1) * len(omitted)
+        assert rebuilt == [A for A in omitted if k in A]
 
 
 @pytest.mark.parametrize("forgetter", [1, 2, 5])

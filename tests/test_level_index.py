@@ -16,9 +16,7 @@ from hypothesis import strategies as st
 
 from cachekit import batch_placement, binomial, centralized, decentralized, level_index, make_database
 from cachekit.centralized import DecodeError, select_leaders
-from cachekit.combinatorics import subset_rank
-
-from conftest import members_of, oracle_level_partition
+from conftest import members_of, oracle_level_partition, subset_rank
 from test_delivery_exactness import oracle_encode_delivery
 
 

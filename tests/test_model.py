@@ -1,3 +1,4 @@
+import math
 from collections import Counter, defaultdict
 from fractions import Fraction
 
@@ -16,7 +17,6 @@ from cachekit import (
     make_database,
     ne_weights,
     save_placement,
-    type_size,
 )
 from cachekit.decentralized import random_placement
 from cachekit.model import DemandStats, PlacementParseError, count_types, validate_demand
@@ -107,6 +107,22 @@ class TestTypes:
         with pytest.raises(ValueError):
             count_types(0, 3)
 
+    @staticmethod
+    def type_size(stats, K):
+        """Number of demands of a type: which file carries each count
+        (equal counts, zeros included, collapse), then which users request
+        what (multinomial)."""
+        N = len(stats.counts)
+        if sum(stats.counts) != K:
+            raise ValueError("counts must sum to K")
+        file_assignments = math.factorial(N)
+        for c in set(stats.counts):
+            file_assignments //= math.factorial(stats.counts.count(c))
+        user_assignments = math.factorial(K)
+        for c in stats.counts:
+            user_assignments //= math.factorial(c)
+        return file_assignments * user_assignments
+
     @pytest.mark.parametrize("N,K", [(2, 2), (3, 2), (2, 4), (4, 3), (3, 5), (6, 6)])
     def test_grouping_demands_reproduces_types(self, N, K):
         groups = defaultdict(list)
@@ -115,7 +131,7 @@ class TestTypes:
         types = enumerate_types(N, K)
         assert set(groups) == {t.counts for t in types}
         for t in types:
-            assert len(groups[t.counts]) == type_size(t, K)
+            assert len(groups[t.counts]) == self.type_size(t, K)
         assert sum(map(len, groups.values())) == N**K
 
 

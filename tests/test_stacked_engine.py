@@ -1,0 +1,272 @@
+"""The demand-stacked delivery engine against a loop of one-demand calls, and
+corrupted deliveries and caches against the users they must spoil.
+
+`encode_stack`/`decode_stack` handle a stack of demands in one gather per
+level; `encode_delivery`/`decode_users` are their calls with a stack of one.
+On random stacks (degenerate corners and K = 65 included) the two must agree
+message for message, in count, payload bits, transcript lines and decoded
+files. A flipped bit of one sent payload must spoil exactly the users that
+read it, directly or through an omitted message it is a term of, in its
+demand only; a cleared cache bit must spoil only its user.
+"""
+
+import itertools
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from cachekit import batch_placement, binomial, decentralized, make_database
+from cachekit.centralized import BroadcastMessage
+from cachekit.combinatorics import SubsetId
+from cachekit.model import Placement, demand_range
+
+K65 = 65
+
+
+def flags_of(leader_sets, K):
+    return None if leader_sets is None else np.array([[k in L for k in range(1, K + 1)] for L in leader_sets])
+
+
+def stacked_messages(partition, delivery, s):
+    """Demand s's messages as the stacked encode sent them, in send order."""
+    return [BroadcastMessage(SubsetId(tuple(level.members[r].tolist()), level.ranks[r].item()),
+                             payloads[s, r, : lengths[s, r]])
+            for level, (payloads, lengths) in zip(partition.levels, delivery)
+            for r in lengths[s].nonzero()[0]]
+
+
+def assert_stack_matches_loop(db, placement, demands, leader_sets=None):
+    K, part = placement.K, placement.partition
+    flags = flags_of(leader_sets, K)
+    delivery = decentralized.encode_stack(db, part, demands, flags)
+    decoded = decentralized.decode_stack(range(1, K + 1), db, placement, part, delivery, demands, flags)
+    assert decoded.shape == (len(demands), K, db.F) and decoded.dtype == np.uint8
+    for s, d in enumerate(demands.tolist()):
+        leaders = None if leader_sets is None else leader_sets[s]
+        messages = decentralized.encode_delivery(db, part, d, leaders)
+        stacked = stacked_messages(part, delivery, s)
+        assert sum(np.count_nonzero(lengths[s]) for _, lengths in delivery) == len(messages) == len(stacked)
+        assert sum(int(lengths[s].sum()) for _, lengths in delivery) == sum(len(m.payload) for m in messages)
+        assert [m.transcript_line() for m in stacked] == [m.transcript_line() for m in messages]
+        assert [m.subset for m in stacked] == [m.subset for m in messages]
+        one = decentralized.decode_users(range(1, K + 1), db, placement, part, messages, d, leaders)
+        assert np.array_equal(decoded[s], one)
+        assert np.array_equal(decoded[s], db.bits[np.subtract(d, 1)])
+
+
+CORNERS = ["M=0", "M=N", "t=K", "K=1", "F=1", "any"]
+
+
+@st.composite
+def stacks(draw):
+    """A batch or random placement, often on a degenerate corner, a stack of
+    demands and either the default leaders or any one requester per file."""
+    corner = draw(st.sampled_from(CORNERS))
+    N = draw(st.integers(1, 4))
+    K = 1 if corner == "K=1" else draw(st.integers(1, 6))
+    if corner == "t=K" or draw(st.booleans()):
+        t = {"M=0": 0, "M=N": K, "t=K": K}.get(corner)
+        if t is None:
+            t = draw(st.sampled_from([0, K]) if corner == "F=1" else st.integers(0, K))
+        F = 1 if corner == "F=1" else binomial(K, t) * draw(st.integers(1, 3))
+        kind, param = "batch", t
+    else:
+        F = 1 if corner == "F=1" else draw(st.integers(1, 30))
+        kind, param = "random", {"M=0": Fraction(0), "M=N": Fraction(N)}.get(corner)
+        if param is None:
+            param = draw(st.fractions(0, N, max_denominator=6))
+    n = draw(st.integers(1, 5))
+    demands = [tuple(draw(st.lists(st.integers(1, N), min_size=K, max_size=K))) for _ in range(n)]
+    leader_sets = None
+    if draw(st.booleans()):
+        leader_sets = [frozenset(draw(st.sampled_from([x for x in range(1, K + 1) if d[x - 1] == f]))
+                                 for f in sorted(set(d))) for d in demands]
+    return kind, N, K, param, F, demands, leader_sets, draw(st.integers(0, 2**16))
+
+
+def placement_of(kind, N, K, param, F, seed):
+    if kind == "batch":
+        return batch_placement(N, K, param, F)
+    return decentralized.random_placement(N, K, param, F, seed)
+
+
+K65_DEMANDS = [tuple(k % 3 + 1 for k in range(K65)), tuple((k * 7) % 2 + 1 for k in range(K65)), (2,) * K65]
+
+
+@settings(max_examples=120, deadline=None)
+@given(stacks())
+@example(("random", 3, 4, Fraction(0), 9, [(1, 2, 3, 1), (3, 3, 3, 3)], None, 1))  # M = 0
+@example(("batch", 2, 5, 5, 3, [(2, 1, 2, 2, 1), (1, 1, 1, 1, 1)], None, 2))  # M = N, t = K
+@example(("batch", 3, 1, 0, 1, [(1,), (3,), (2,)], [frozenset({1})] * 3, 3))  # K = 1, F = 1
+@example(("random", 3, 6, Fraction(3, 2), 1, [(3, 1, 2, 3, 3, 1)], None, 4))  # F = 1
+@example(("batch", 3, K65, 64, K65, K65_DEMANDS, None, 5))  # K = 65: Python-int codes
+@example(("random", 3, K65, Fraction(1), 12, K65_DEMANDS, None, 6))
+@example(("batch", 2, 6, 2, 15, [(1, 1, 2, 2, 1, 2), (2, 2, 2, 2, 2, 1)],
+          [frozenset({2, 6}), frozenset({3, 6})], 7))  # leaders other than the first requesters
+def test_stack_equals_loop_of_one_demand_calls(instance):
+    kind, N, K, param, F, demands, leader_sets, seed = instance
+    db = make_database(N, F, seed)
+    placement = placement_of(kind, N, K, param, F, seed + 1)
+    assert_stack_matches_loop(db, placement, np.array(demands), leader_sets)
+
+
+def test_every_demand_of_an_instance_in_one_stack():
+    # a whole full-mode verify instance, in one stack and in stacks of 7
+    N, K, t = 2, 6, 2
+    F = 2 * binomial(K, t)
+    db = make_database(N, F, seed=5)
+    placement = batch_placement(N, K, t, F)
+    demands = demand_range(0, N**K, N, K)
+    assert_stack_matches_loop(db, placement, demands)
+    for lo in range(0, N**K, 7):
+        assert_stack_matches_loop(db, placement, demands[lo : lo + 7])
+
+
+# --- corruption ---------------------------------------------------------------------
+
+
+def terms_oracle(A, d, leaders):
+    """The subsets whose messages the cancellation identity XORs to rebuild
+    leaderless A: (A + leaders) minus V over every choice V of one requester
+    per requested file, the all-leaders choice excluded."""
+    block = sorted(set(A) | leaders)
+    by_file = {}
+    for x in block:
+        by_file.setdefault(d[x - 1], []).append(x)
+    return {tuple(x for x in block if x not in choice)
+            for choice in itertools.product(*by_file.values()) if frozenset(choice) != leaders}
+
+
+def readers_oracle(partition, d, leaders, T, bit):
+    """The users whose decode reads bit `bit` of T's payload: each member of T
+    whose own chunk is longer than `bit`, and each member of a leaderless
+    subset A, not sent, that has T as a term and a chunk longer than `bit`."""
+    def chunk(x, members):
+        return len(partition.positions(tuple(y for y in members if y != x), d[x - 1]))
+
+    readers = {x for x in T if chunk(x, T) > bit}
+    K = partition.K
+    for A in itertools.combinations([x for x in range(1, K + 1) if x not in leaders], len(T)):
+        if T in terms_oracle(A, d, leaders):
+            readers |= {x for x in A if chunk(x, A) > bit}
+    return readers
+
+
+@st.composite
+def corruptions(draw):
+    kind, N, K, param, F, demands, _, seed = draw(stacks())
+    return kind, N, K, param, F, demands, seed, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=80, deadline=None)
+@given(corruptions())
+@example(("batch", 3, 6, 2, 15, [(1, 1, 2, 2, 3, 3), (1, 2, 3, 1, 2, 3)], 1, 0))
+@example(("random", 2, 5, Fraction(1), 24, [(1, 1, 1, 2, 2), (2, 2, 2, 2, 2), (1, 2, 1, 2, 1)], 2, 3))
+def test_flipped_payload_bit_spoils_exactly_its_readers(instance):
+    kind, N, K, param, F, demands, seed, pick = instance
+    db = make_database(N, F, seed)
+    placement = placement_of(kind, N, K, param, F, seed + 1)
+    part, demands = placement.partition, np.array(demands)
+    delivery = decentralized.encode_stack(db, part, demands)
+    sent = [(i, s, r) for i, (_, lengths) in enumerate(delivery) for s, r in zip(*lengths.nonzero())]
+    if not sent:
+        return  # nothing is broadcast
+    i, s, r = sent[pick % len(sent)]
+    payloads, lengths = delivery[i]
+    bit = pick // len(sent) % lengths[s, r]
+    payloads[s, r, bit] ^= 1
+    decoded = decentralized.decode_stack(range(1, K + 1), db, placement, part, delivery, demands)
+    wrong = {(t, k) for t, d in enumerate(demands.tolist()) for k in range(1, K + 1)
+             if not np.array_equal(decoded[t, k - 1], db.bits[d[k - 1] - 1])}
+    d = tuple(demands[s].tolist())
+    T = tuple(part.levels[i].members[r].tolist())
+    readers = readers_oracle(part, d, decentralized.select_leaders(d), T, bit)
+    assert readers and wrong == {(s, k) for k in readers}
+    # the one-demand decode of the same corrupted broadcast spoils the same users
+    messages = stacked_messages(part, delivery, s)
+    one = decentralized.decode_users(range(1, K + 1), db, placement, part, messages, d)
+    assert {k for k in range(1, K + 1) if not np.array_equal(one[k - 1], db.bits[d[k - 1] - 1])} == readers
+
+
+@settings(max_examples=80, deadline=None)
+@given(corruptions())
+@example(("batch", 3, 6, 2, 15, [(1, 1, 2, 2, 3, 3), (2, 2, 1, 3, 3, 1)], 1, 4))
+@example(("random", 3, 4, Fraction(3, 2), 30, [(3, 1, 2, 3), (1, 1, 1, 1)], 2, 1))
+def test_cleared_cache_bit_spoils_only_its_user(instance):
+    kind, N, K, param, F, demands, seed, pick = instance
+    db = make_database(N, F, seed)
+    placement = placement_of(kind, N, K, param, F, seed + 1)
+    part, demands = placement.partition, np.array(demands)
+    user = pick % K + 1
+    wanted = demands[0, user - 1] - 1
+    # a bit of the file `user` wants in the first demand, cached by it and 1
+    held = np.flatnonzero(placement.cached(user)[wanted] & (db.bits[wanted] == 1))
+    if not len(held):
+        return  # the user caches no 1-bit of its file
+    j = int(held[pick // K % len(held)])
+    codes = placement.codes.copy()
+    codes[wanted, j] ^= codes.dtype.type(1 << (user - 1)) if codes.dtype != object else 1 << (user - 1)
+    forgetful = Placement(K, codes)
+    delivery = decentralized.encode_stack(db, part, demands)
+    decoded = decentralized.decode_stack(range(1, K + 1), db, forgetful, part, delivery, demands)
+    wrong = {(t, k) for t, d in enumerate(demands.tolist()) for k in range(1, K + 1)
+             if not np.array_equal(decoded[t, k - 1], db.bits[d[k - 1] - 1])}
+    # the user misses the bit in every demand in which it wants that file,
+    # and nobody else misses anything
+    assert {k for _, k in wrong} == {user}
+    assert {t for t, d in enumerate(demands.tolist()) if d[user - 1] - 1 == wanted} <= {t for t, _ in wrong}
+    assert all(decoded[t, user - 1, j] == 0 for t, d in enumerate(demands.tolist()) if d[user - 1] - 1 == wanted)
+    # and the one-demand decodes agree demand by demand
+    for t, d in enumerate(demands.tolist()):
+        one = decentralized.decode_user(user, db, forgetful, part, stacked_messages(part, delivery, t), d)
+        assert np.array_equal(one, decoded[t, user - 1])
+
+
+def test_stack_refuses_bad_demands():
+    N, K, t = 3, 4, 2
+    F = binomial(K, t)
+    db = make_database(N, F, seed=1)
+    placement = batch_placement(N, K, t, F)
+    part = placement.partition
+    for demands, message in [
+        (np.ones((2, 3), dtype=int), r"shape \(2, 3\), expected \(n, K=4\)"),
+        (np.ones(4, dtype=int), r"shape \(4,\), expected \(n, K=4\)"),
+        (np.array([[1, 2, 3, 4]]), r"integers in 1..3"),
+        (np.array([[0, 1, 1, 1]]), r"integers in 1..3"),
+        (np.ones((1, 4)), r"integers in 1..3"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            decentralized.encode_stack(db, part, demands)
+        with pytest.raises(ValueError, match=message):
+            decentralized.decode_stack([1], db, placement, part, [], demands)
+    with pytest.raises(ValueError, match=r"leader flags have shape \(1, 3\)"):
+        decentralized.encode_stack(db, part, np.ones((1, 4), dtype=int), np.ones((1, 3), dtype=bool))
+
+
+def test_each_omitted_message_of_a_stack_is_rebuilt_once(monkeypatch):
+    # one stacked decode of every user hands the rebuild each (demand,
+    # omitted subset) once: C(K - distinct, t + 1) rows per demand
+    N, K, t = 3, 7, 2
+    F = 2 * binomial(K, t)
+    db = make_database(N, F, seed=9)
+    placement = batch_placement(N, K, t, F)
+    demands = np.array([(1, 1, 2, 2, 3, 3, 1), (2, 2, 2, 2, 2, 2, 2), (1, 2, 3, 1, 2, 3, 1), (3, 1, 1, 1, 1, 2, 2)])
+    handed = []
+    rebuild = decentralized._rebuild
+
+    def counting(plan, terms, delivery, i, places, rows):
+        handed.extend(divmod(int(r), len(plan.level.members)) for r in rows)
+        return rebuild(plan, terms, delivery, i, places, rows)
+
+    monkeypatch.setattr(decentralized, "_rebuild", counting)
+    delivery = decentralized.encode_stack(db, placement.partition, demands)
+    decoded = decentralized.decode_stack(range(1, K + 1), db, placement, placement.partition, delivery, demands)
+    assert np.array_equal(decoded, db.bits[demands - 1])
+    assert len(handed) == len(set(handed)) == sum(binomial(K - len(set(d)), t + 1) for d in demands.tolist())
+    level = placement.partition.levels[0]
+    for s, r in handed:
+        leaders = decentralized.select_leaders(tuple(demands[s].tolist()))
+        assert leaders.isdisjoint(level.members[r].tolist())

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cachekit import cli
-from cachekit.model import all_demands, demand_at, demand_stats, enumerate_types, type_representative
+from cachekit.model import all_demands, demand_at, demand_range, demand_stats, enumerate_types, type_representative
 
 # every (N, K) with N^K <= 5*10^4 and N <= 10 (N = 1 up to K = 16); the oracle
 # costs O(N) per demand, so larger N at K <= 4 would only add run time
@@ -51,6 +51,21 @@ def test_demand_at_is_the_list_index():
     for bad in (-1, 3**4):
         with pytest.raises(ValueError):
             demand_at(bad, 3, 4)
+
+
+def test_demand_range_is_the_list_slice():
+    for N, K in [(1, 4), (2, 5), (3, 4), (5, 3), (7, 1), (1000, 2)]:
+        demands = list(all_demands(N, K)) if N**K <= 5000 else None
+        for start, stop in [(0, N**K), (0, 0), (1, min(7, N**K)), (N**K - 1, N**K)]:
+            got = demand_range(start, stop, N, K)
+            assert got.shape == (stop - start, K)
+            want = demands[start:stop] if demands is not None else [demand_at(i, N, K) for i in range(start, stop)]
+            assert list(map(tuple, got.tolist())) == want
+    for start, stop in [(-1, 2), (3, 2), (0, 3**4 + 1)]:
+        with pytest.raises(ValueError):
+            demand_range(start, stop, 3, 4)
+    with pytest.raises(ValueError, match="int64"):
+        demand_range(0, 1, 2, 63)
 
 
 @settings(max_examples=60, deadline=None)

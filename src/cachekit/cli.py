@@ -9,6 +9,7 @@ else 0), so identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -56,8 +57,21 @@ EXHAUSTION_GUARD = 10**6
 FULL_WORK_LIMIT = 4 * 10**7
 DEFAULT_SAMPLE = 200
 # Largest M grid `rates` and `compare` evaluate; every point costs exact
-# rational work per scheme, so a larger grid is refused, not built.
+# integer work per scheme, so a larger grid is refused, not built. At K=16
+# the six default schemes take about 65 µs a point, stdout included
+# (`compare --n 16 --k 16` on a 10^5-point grid: 6.5 s on a 2-vCPU x86-64 VM).
 MAX_GRID_POINTS = 10**5
+# Largest N and K `rates` and `compare` take, checked before anything is
+# built. The curves' setup (the N_e weights, the optimal-avg points and their
+# hull) grows about as K^3 in time: `compare` on a 3-point grid takes 0.9 s
+# at N=K=1000, 1.2 s at N=10^6, K=1000 and 7.2 s at N=K=2000.
+MAX_RATE_FILES = 10**6
+MAX_RATE_USERS = 1000
+# Most work of the per-point exact sums, in `rate_work_estimate` units. At
+# K=1000, where a `dec-avg` point takes 50 to 130 ms, the largest admitted
+# `compare` runs take 2.4 to 5.7 s (41 points at N=1000, 21 at N=10^6, one
+# point with a 10^100 denominator).
+MAX_RATE_WORK = 5 * 10**8
 # Largest estimated allocation of a batch (centralized) `verify`/`simulate`
 # run, see `batch_bytes_estimate`; a larger instance is refused before any
 # of it is allocated.
@@ -110,14 +124,34 @@ def parse_grid(spec: str) -> list[Fraction]:
     count = (stop - start) // step + 1
     if count > MAX_GRID_POINTS:
         raise UsageError(f"grid {spec!r} has {count} points, more than the limit of {MAX_GRID_POINTS}")
-    return [start + i * step for i in range(count)]
+    # start + i*step over one integer numerator: one Fraction per point
+    a, b, c, e = start.numerator, start.denominator, step.numerator, step.denominator
+    return [Fraction(a * e + i * c * b, b * e) for i in range(count)]
+
+
+def rate_work_estimate(N: int, K: int, grid: list[Fraction]) -> int:
+    """Bit operations of the exact `dec-avg` sums, the per-point work of
+    `rates`/`compare` that grows with the instance: at each M = p/r, min(N, K)
+    Horner steps, each on integers of about K * bitlen(N*r) bits. Every point
+    is counted at the grid's largest r."""
+    r = max(M.denominator for M in grid)
+    return len(grid) * min(N, K) * K * (N * r).bit_length()
 
 
 def _grid(args) -> list[Fraction]:
-    """The --grid of `rates`/`compare` (default 0:N:1), every M within [0, N]."""
+    """The --grid of `rates`/`compare` (default 0:N:1), every M within [0, N],
+    once N and K are within MAX_RATE_FILES and MAX_RATE_USERS and before the
+    grid's work passes MAX_RATE_WORK: nothing is built for a refused run."""
+    if args.n > MAX_RATE_FILES or args.k > MAX_RATE_USERS:
+        raise UsageError(f"N={args.n} files and K={args.k} users are more than the limits of "
+                         f"{MAX_RATE_FILES} files and {MAX_RATE_USERS} users")
     grid = parse_grid(args.grid if args.grid else f"0:{args.n}:1")
     if grid[0] < 0 or grid[-1] > args.n:
         raise UsageError(f"grid M values must be in [0, {args.n}], got {grid[0]}..{grid[-1]}")
+    work = rate_work_estimate(args.n, args.k, grid)
+    if work > MAX_RATE_WORK:
+        raise UsageError(f"{len(grid)} grid points at N={args.n} K={args.k} need an estimated {work} "
+                         f"bit operations of exact arithmetic, more than the limit of {MAX_RATE_WORK}")
     return grid
 
 
@@ -545,7 +579,10 @@ class _SubcommandParser(argparse.ArgumentParser):
         return namespace, stray + extras
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use: parsing leaves it
+    unchanged, and every `main` call gets its own namespace."""
     parser = argparse.ArgumentParser(
         prog="cachekit",
         description="Coded caching with uncoded prefetching: schemes, tradeoffs, bounds.",

@@ -1,9 +1,10 @@
 """Exact subset combinatorics and lower convex envelopes.
 
-Everything here is exact: binomials and surjection counts are arbitrary
-precision integers, and the envelope is evaluated in rational arithmetic
-whenever the inputs are rationals, so downstream rate formulas never lose
-a tie to rounding.
+Everything here is exact integer arithmetic: binomials are arbitrary
+precision integers, and the envelope reads every coordinate as an integer
+(numerator, denominator) pair, builds its hull from integer cross products
+and returns integer pairs, so downstream rate formulas never lose a tie to
+rounding. Only ints and `Fraction`s are accepted; there is no float path.
 """
 
 from __future__ import annotations
@@ -11,9 +12,12 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+Pair = tuple[int, int]  # (numerator, positive denominator) of a rational
 
 
 def binomial(n: int, k: int) -> int:
@@ -21,21 +25,6 @@ def binomial(n: int, k: int) -> int:
     if n < 0 or k < 0:
         raise ValueError(f"binomial requires non-negative arguments, got ({n}, {k})")
     return math.comb(n, k)
-
-
-def surjection_counts(universe: int, max_onto: int) -> list[int]:
-    """Numbers of functions from a `universe`-set onto an e-set, e = 0..max_onto.
-
-    Inclusion-exclusion: sum_i (-1)^i C(e, i) (e - i)^universe, with the
-    powers computed once for all e.
-    """
-    if max_onto < 0 or universe < 0:
-        raise ValueError("surjection_counts requires non-negative arguments")
-    powers = [j**universe for j in range(max_onto + 1)]
-    return [
-        sum((-1) ** i * binomial(e, i) * powers[e - i] for i in range(e + 1))
-        for e in range(max_onto + 1)
-    ]
 
 
 @dataclass(frozen=True)
@@ -63,52 +52,59 @@ def enumerate_subsets(k_users: int, size: int) -> list[SubsetId]:
     ]
 
 
-Number = int | float | Fraction
+def lower_envelope(points: Sequence[tuple[Pair, Pair]], xs: Iterable[Pair]) -> list[Pair]:
+    """Values at each of `xs` of the lower convex envelope of `points`, all
+    read as integer pairs (numerator, positive denominator).
 
-
-def _cross(o, a, b) -> Number:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def lower_hull(points: Iterable[tuple[Number, Number]]) -> list[tuple[Number, Number]]:
-    """Lower convex hull of points sorted by x (monotone chain)."""
-    hull: list[tuple[Number, Number]] = []
-    for p in points:
-        # pop while the previous point lies on or above the new chord
-        while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= 0:
-            hull.pop()
-        hull.append(p)
-    return hull
-
-
-def _exact_ratio(num: Number, den: Number) -> Number:
-    if isinstance(num, float) or isinstance(den, float):
-        return num / den
-    return Fraction(num) / Fraction(den)
-
-
-def lower_convex_envelope_many(pts: Sequence[tuple[Number, Number]], xs: Iterable[Number]) -> list[Number]:
-    """Values at each of `xs` of the lower convex envelope of the given points.
-
-    The hull is built once; each x finds its segment by bisection, so `xs`
-    may come in any order. Every x must lie within [min t, max t]. Exact when
-    points and xs are rational.
+    `points` are (x, y), each coordinate a pair, with strictly increasing x. Both
+    axes are put over one common denominator each, the hull is built from
+    integer cross products and each segment keeps four integers, so an x costs
+    one integer bisection and a few products. Each value comes back as an
+    unreduced (numerator, positive denominator) pair; `xs` may come in any
+    order, and every x must lie within [min x, max x].
     """
-    points = tuple(pts)
     if not points:
         raise ValueError("no points to envelope")
-    lo, hi = points[0][0], points[-1][0]
-    hull = lower_hull(points)  # keeps both end points, so it spans [lo, hi]
-    hull_ts = [t for t, _ in hull]
+    x_scale = math.lcm(*(b for (_, b), _ in points))
+    y_scale = math.lcm(*(e for _, (_, e) in points))
+    hull: list[Pair] = []  # the points on both common denominators, lower hull only
+    for (a, b), (c, e) in points:
+        X, Y = a * (x_scale // b), c * (y_scale // e)
+        if hull and X <= hull[-1][0]:
+            raise ValueError("envelope points must have strictly increasing x")
+        # pop while the last hull point lies on or above the chord to the new one
+        while len(hull) >= 2 and (
+            (hull[-1][0] - hull[-2][0]) * (Y - hull[-2][1]) <= (hull[-1][1] - hull[-2][1]) * (X - hull[-2][0])
+        ):
+            hull.pop()
+        hull.append((X, Y))
+    # segment (X0, Y0)-(X1, Y1) at x = n/d is
+    # (Y0*(X1-X0)*d + (Y1-Y0)*(n*x_scale - X0*d)) / (y_scale*(X1-X0)*d)
+    segments = [(X0, Y0 * (X1 - X0), Y1 - Y0, y_scale * (X1 - X0))
+                for (X0, Y0), (X1, Y1) in zip(hull, hull[1:])] or [(hull[0][0], hull[0][1], 0, y_scale)]
+    ends = [X for X, _ in hull]
+    lo, hi = ends[0], ends[-1]
     values = []
-    for x in xs:
-        if not lo <= x <= hi:
-            raise ValueError(f"x={x} outside envelope domain [{lo}, {hi}]")
-        i = bisect.bisect_left(hull_ts, x)
-        t1, v1 = hull[i]
-        if x == t1:
-            values.append(v1)
-            continue
-        t0, v0 = hull[i - 1]
-        values.append(v0 + (v1 - v0) * _exact_ratio(x - t0, t1 - t0))
+    for n, d in xs:
+        floor, rem = divmod(n * x_scale, d)
+        ceil = floor + (rem > 0)
+        if floor < lo or ceil > hi:
+            raise ValueError(f"x={Fraction(n, d)} outside envelope domain "
+                             f"[{Fraction(lo, x_scale)}, {Fraction(hi, x_scale)}]")
+        X0, P, B, Q = segments[max(bisect.bisect_left(ends, ceil) - 1, 0)]
+        values.append((P * d + B * (n * x_scale - X0 * d), Q * d))
     return values
+
+
+def _pair(v) -> Pair:
+    if not isinstance(v, numbers.Rational):
+        raise TypeError(f"envelope values must be ints or Fractions, got {type(v).__name__} {v!r}")
+    return int(v.numerator), int(v.denominator)
+
+
+def lower_convex_envelope_many(pts: Iterable[tuple[int | Fraction, int | Fraction]],
+                               xs: Iterable[int | Fraction]) -> list[Fraction]:
+    """`lower_envelope` over ints and Fractions (a float raises `TypeError`):
+    the envelope's value at each of `xs`, each one `Fraction`."""
+    values = lower_envelope([(_pair(x), _pair(y)) for x, y in pts], [_pair(x) for x in xs])
+    return [Fraction(n, d) for n, d in values]

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .combinatorics import binomial, surjection_counts
+from .combinatorics import binomial
 
 Demand = Sequence[int]
 
@@ -209,18 +209,31 @@ def type_representative(stats: DemandStats) -> tuple[int, ...]:
 
 
 def ne_weights(N: int, K: int) -> tuple[tuple[int, int], ...]:
-    """(e, C(N,e) * surjections(K -> e)) for e in 1..min(N, K): the number of
-    demands in {1..N}^K with exactly e distinct files. The counts sum to N^K."""
+    """(e, N(N-1)...(N-e+1) * S(K, e)) for e in 1..min(N, K): the number of
+    demands in {1..N}^K with exactly e distinct files, S(K, e) the Stirling
+    numbers of the second kind (partitions of the K users into e requester
+    groups, each given its own file in order). The counts sum to N^K."""
     if N < 1 or K < 1:
         raise ValueError("need N >= 1 and K >= 1")
     E = min(N, K)
-    onto = surjection_counts(K, E)
-    return tuple((e, binomial(N, e) * onto[e]) for e in range(1, E + 1))
+    stirling = [1] + [0] * E  # S(n, e) for e = 0..E, from n = 0 up to K
+    for _ in range(K):
+        # S(n+1, e) = e * S(n, e) + S(n, e-1)
+        stirling = [0] + [e * s + below for e, s, below in zip(range(1, E + 1), stirling[1:], stirling)]
+    weights, falling = [], 1
+    for e in range(1, E + 1):
+        falling *= N - e + 1
+        weights.append((e, falling * stirling[e]))
+    return tuple(weights)
 
 
 def expected_distinct(N: int, K: int) -> Fraction:
-    """E[number of distinct requested files] under a uniform demand."""
-    return Fraction(sum(e * w for e, w in ne_weights(N, K)), N**K)
+    """E[number of distinct requested files] under a uniform demand: each
+    file is missed by all K users with probability ((N-1)/N)^K, so the mean
+    is N * (1 - ((N-1)/N)^K) = (N^K - (N-1)^K) / N^(K-1)."""
+    if N < 1 or K < 1:
+        raise ValueError("need N >= 1 and K >= 1")
+    return Fraction(N**K - (N - 1) ** K, N ** (K - 1))
 
 
 # --- placement file format -------------------------------------------------

@@ -7,7 +7,9 @@ of the 20 possible three-user XOR messages, omitting the one for {2,4,6}.
 worked by hand: subset -> set of (file letter, subfile index subset).
 """
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -126,3 +128,39 @@ def subset_rank(members, k_users):
     for i, c in enumerate(members):
         rank -= math.comb(k_users - c, size - i)
     return rank
+
+
+# --- rate-layer oracles, independent of the library's rate code --------------
+
+
+def surjection_counts(universe, max_onto):
+    """Numbers of functions from a `universe`-set onto an e-set, e = 0..max_onto,
+    by inclusion-exclusion: sum_i (-1)^i C(e, i) (e - i)^universe."""
+    powers = [j**universe for j in range(max_onto + 1)]
+    return [sum((-1) ** i * math.comb(e, i) * powers[e - i] for i in range(e + 1))
+            for e in range(max_onto + 1)]
+
+
+def oracle_ne_weights(N, K):
+    """(e, C(N,e) * surjections(K -> e)) for e in 1..min(N, K): the demands
+    with exactly e distinct files, by inclusion-exclusion."""
+    E = min(N, K)
+    onto = surjection_counts(K, E)
+    return tuple((e, math.comb(N, e) * onto[e]) for e in range(1, E + 1))
+
+
+def chord_envelope(points, x):
+    """Envelope oracle: the LP optimum sits on a pair of points, so take the
+    minimum over all chords (and exact points) that straddle x."""
+    left = [(t, v) for t, v in points if t <= x]
+    right = [(t, v) for t, v in points if t >= x]
+    best = None
+    for t1, v1 in left:
+        for t2, v2 in right:
+            if t1 == t2:
+                value = Fraction(v1)
+            else:
+                value = v1 + (v2 - v1) * Fraction(x - t1) / Fraction(t2 - t1)
+            if best is None or value < best:
+                best = value
+    return best

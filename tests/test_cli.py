@@ -107,6 +107,55 @@ class TestGrid:
             assert "[0, 2]" in err
 
 
+def never(*args, **kwargs):
+    raise AssertionError("a refused run built something")
+
+
+class TestRateLimits:
+    """N, K and the exact sums' work are checked before a grid or curve is built."""
+
+    @pytest.mark.parametrize("command", ["rates", "compare"])
+    @pytest.mark.parametrize("n, k, refused", [(4, 3, False), (5, 3, True), (4, 4, True)])
+    def test_files_and_users_limits(self, capsys, monkeypatch, command, n, k, refused):
+        monkeypatch.setattr(cli, "MAX_RATE_FILES", 4)
+        monkeypatch.setattr(cli, "MAX_RATE_USERS", 3)
+        if refused:
+            monkeypatch.setattr(cli, "parse_grid", never)
+            monkeypatch.setattr(cli, "rate_curve", never)
+        code, out, err = run_cli(capsys, command, "--n", str(n), "--k", str(k), "--schemes", "dec-avg")
+        assert code == (2 if refused else 0)
+        assert ("more than the limits of 4 files and 3 users" in err) == refused
+        assert (out == "") == refused
+
+    @pytest.mark.parametrize("argv", [["--n", "1001", "--k", "1001"], ["--n", "1000", "--k", "1001"],
+                                      ["--n", str(10**6 + 1), "--k", "2"]])
+    def test_real_limits_refuse_at_once(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "parse_grid", never)
+        started = time.perf_counter()
+        code, _, err = run_cli(capsys, "compare", *argv, "--grid", "0:1:1")
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        assert "more than the limits of 1000000 files and 1000 users" in err
+
+    def test_work_estimate(self):
+        # 3 points x min(N, K) = 2 Horner steps x K = 3 x bitlen(N * 2) = 3 bits
+        assert cli.rate_work_estimate(2, 3, [Fraction(0), Fraction(1, 2), Fraction(2)]) == 3 * 2 * 3 * 3
+        assert cli.rate_work_estimate(5, 2, [Fraction(5)]) == 1 * 2 * 2 * 3
+
+    @pytest.mark.parametrize("command", ["rates", "compare"])
+    def test_work_limit(self, capsys, monkeypatch, command):
+        argv = [command, "--n", "2", "--k", "3", "--grid", "0:2:1/2", "--schemes", "dec-avg"]
+        work = cli.rate_work_estimate(2, 3, parse_grid("0:2:1/2"))
+        monkeypatch.setattr(cli, "MAX_RATE_WORK", work)
+        assert run_cli(capsys, *argv)[0] == 0
+        monkeypatch.setattr(cli, "MAX_RATE_WORK", work - 1)
+        monkeypatch.setattr(cli, "rate_curve", never)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"need an estimated {work} bit operations" in err
+        assert f"limit of {work - 1}" in err
+
+
 class TestRates:
     def test_csv_contains_anchor_row(self, capsys, tmp_path):
         out = tmp_path / "rates.csv"
@@ -683,6 +732,36 @@ FLAG_VALUES = {
 COMMON_FLAGS = [*FLAG_VALUES, "--dump"]
 REMOVED = [(command, flag) for command in VALID_ARGV for flag in COMMON_FLAGS
            if flag not in SUBCOMMAND_OPTIONS[command]]
+
+
+class TestParserOnce:
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_in_a_row_get_independent_namespaces(self, capsys, monkeypatch, tmp_path):
+        seen = []
+        monkeypatch.setattr(cli, "_check_sizes", seen.append)  # main hands it the namespace
+        out = tmp_path / "rates.csv"
+        assert main(["rates", "--n", "2", "--k", "2", "--schemes", "optimal-avg", "--out", str(out)]) == 0
+        assert main(["compare", "--n", "3", "--k", "2"]) == 0
+        first, second = seen
+        assert first is not second
+        assert (first.command, first.n, first.out, first.schemes) == ("rates", 2, str(out), "optimal-avg")
+        assert (second.command, second.n, second.out, second.schemes) == ("compare", 3, None, None)
+
+    def test_stray_flag_error_does_not_leak_into_the_next_call(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "_check_sizes", seen.append)
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "my.placement", "--f", "0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --f 0" in capsys.readouterr().err
+        assert seen == []
+        assert main(VALID_ARGV["compare"]) == 0
+        (args,) = seen
+        assert args.command == "compare"
+        assert not hasattr(args, "f") and not hasattr(args, "placement")
+        assert capsys.readouterr().err == ""
 
 
 class TestSubcommandFlags:

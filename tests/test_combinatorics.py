@@ -9,10 +9,11 @@ from cachekit.combinatorics import (
     binomial,
     enumerate_subsets,
     lower_convex_envelope_many,
-    surjection_counts,
+    lower_envelope,
 )
+from cachekit.model import ne_weights
 
-from conftest import subset_rank
+from conftest import chord_envelope, oracle_ne_weights, subset_rank, surjection_counts
 
 
 def pascal_table(n_max):
@@ -54,8 +55,14 @@ def test_pascal_identity(n, k):
 
 def surjection_count(universe, onto):
     """Surjections from a `universe`-set onto an `onto`-set: the last entry
-    of `surjection_counts`."""
+    of the tests' inclusion-exclusion `surjection_counts`."""
     return surjection_counts(universe, onto)[onto]
+
+
+def onto_weight(universe, onto):
+    """`ne_weights(onto, universe)` at e = onto: the maps from `universe`
+    users onto all `onto` files, 0 when there are fewer users than files."""
+    return dict(ne_weights(onto, universe)).get(onto, 0)
 
 
 def brute_surjections(universe, onto):
@@ -69,19 +76,22 @@ def brute_surjections(universe, onto):
 @pytest.mark.parametrize("universe,onto", [(3, 2), (2, 2), (4, 2), (4, 3), (5, 5), (5, 1)])
 def test_surjection_count_brute_force(universe, onto):
     assert surjection_count(universe, onto) == brute_surjections(universe, onto)
+    assert onto_weight(universe, onto) == brute_surjections(universe, onto)
 
 
 def test_surjection_corner_cases():
-    assert surjection_count(3, 2) == 6
-    assert surjection_count(2, 2) == 2
-    for K in range(1, 9):
-        assert surjection_count(K, 1) == 1
-    assert surjection_count(2, 3) == 0
+    for count in (surjection_count, onto_weight):
+        assert count(3, 2) == 6
+        assert count(2, 2) == 2
+        for K in range(1, 9):
+            assert count(K, 1) == 1
+        assert count(2, 3) == 0
 
 
 @given(st.integers(1, 8), st.integers(1, 8))
 def test_surjection_partition_of_all_maps(N, K):
     assert sum(binomial(N, e) * surjection_count(K, e) for e in range(N + 1)) == N**K
+    assert ne_weights(N, K) == oracle_ne_weights(N, K)
 
 
 def test_enumerate_subsets_examples():
@@ -118,22 +128,6 @@ def test_rank_validates_members():
         subset_rank((0, 1), 4)
 
 
-def chord_envelope(points, x):
-    """Envelope oracle: the LP optimum sits on a pair of points, so take the
-    minimum over all chords (and exact points) that straddle x."""
-    best = None
-    for (t1, v1), (t2, v2) in itertools.combinations_with_replacement(points, 2):
-        if not t1 <= x <= t2:
-            continue
-        if t1 == t2:
-            value = v1
-        else:
-            value = v1 + (v2 - v1) * Fraction(x - t1) / Fraction(t2 - t1)
-        if best is None or value < best:
-            best = value
-    return best
-
-
 def envelope_at(points, x):
     return lower_convex_envelope_many(points, [x])[0]
 
@@ -161,10 +155,37 @@ def test_envelope_domain_checked():
         envelope_at((), 0)
 
 
+def test_envelope_refuses_floats():
+    with pytest.raises(TypeError, match="ints or Fractions"):
+        envelope_at(((0, 1), (2, 0)), 0.5)
+    with pytest.raises(TypeError, match="ints or Fractions"):
+        envelope_at(((0, 1.0), (2, 0)), 1)
+    with pytest.raises(TypeError, match="ints or Fractions"):
+        envelope_at(((0.0, 1), (2, 0)), 1)
+
+
+def test_envelope_needs_strictly_increasing_x():
+    for pts in [((0, 1), (0, 2), (1, 0)), ((1, 1), (0, 2))]:
+        with pytest.raises(ValueError, match="strictly increasing"):
+            envelope_at(pts, 0)
+
+
+def test_envelope_single_point_and_returned_pairs():
+    point = (Fraction(-3, 2), Fraction(7, 3))
+    assert lower_convex_envelope_many((point,), [point[0]] * 2) == [point[1]] * 2
+    # the pair form: every value an unreduced (numerator, positive denominator)
+    values = lower_envelope((((0, 1), (4, 2)), ((2, 1), (0, 1))), [(1, 1), (2, 4), (6, 3)])
+    assert [Fraction(n, d) for n, d in values] == [1, Fraction(3, 2), 0]
+    assert all(d > 0 for _, d in values)
+
+
 @st.composite
 def envelope_instances(draw):
+    """Points with rational abscissas (negative ones too) and rational values,
+    and an x inside their span."""
     n = draw(st.integers(2, 8))
-    ts = sorted(draw(st.sets(st.integers(0, 40), min_size=n, max_size=n)))
+    abscissa = st.builds(Fraction, st.integers(-120, 120), st.integers(1, 6))
+    ts = sorted(draw(st.sets(abscissa, min_size=n, max_size=n)))
     values = [
         Fraction(draw(st.integers(-50, 50)), draw(st.integers(1, 8)))
         for _ in ts
@@ -181,15 +202,20 @@ def test_envelope_matches_chord_oracle(case):
     assert envelope_at(points, x) == chord_envelope(points, x)
 
 
-@settings(max_examples=25)
-@given(envelope_instances(), st.lists(st.fractions(0, 1), max_size=10))
-def test_envelope_many_any_order_matches_chord_oracle(case, lams):
+@settings(max_examples=50)
+@given(envelope_instances(), st.lists(st.fractions(0, 1), max_size=10), st.data())
+def test_envelope_many_any_order_matches_chord_oracle(case, lams, data):
+    """Any order, repeats and every point's own abscissa (hull vertices and
+    points above the hull alike) among the xs."""
     points, x = case
     lo, hi = points[0][0], points[-1][0]
-    xs = [x, hi, lo] + [lo + lam * (hi - lo) for lam in lams]
+    xs = [x, hi, lo] + [lo + lam * (hi - lo) for lam in lams] + [t for t, _ in points]
+    xs = data.draw(st.permutations(xs + data.draw(st.lists(st.sampled_from(xs), max_size=6))))
     assert lower_convex_envelope_many(points, xs) == [chord_envelope(points, v) for v in xs]
     with pytest.raises(ValueError):
         lower_convex_envelope_many(points, [x, hi + 1])
+    with pytest.raises(ValueError):
+        lower_convex_envelope_many(points, [lo - Fraction(1, 7)])
 
 
 def test_batch_rate_sequence_convex_and_touching():

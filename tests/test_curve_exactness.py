@@ -1,21 +1,25 @@
 """Exactness gate for the rate curves.
 
 Every scheme's curve must be `Fraction`-equal to an oracle that evaluates
-the per-M formulas one M at a time: the N_e expectation through the
-distribution of the number of distinct files, and one envelope per point.
+the per-M formulas one M at a time, in `Fraction`s: the N_e expectation
+through the distribution of the number of distinct files, its weights by
+inclusion-exclusion, and a chord envelope per point. None of it calls the
+library's rate code (`conftest.chord_envelope`, `conftest.oracle_ne_weights`).
 """
 
 import functools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cachekit import delivery_rate_value, lower_convex_envelope_many, ne_weights
+from cachekit import rate_analysis
+from cachekit.model import ne_weights
 from cachekit.rate_analysis import SCHEMES, rate_curve
 
-from conftest import CURVE_CASES
+from conftest import CURVE_CASES, chord_envelope, oracle_ne_weights
 
 # --- oracle: the per-M formulas -------------------------------------------------
 
@@ -25,7 +29,7 @@ from conftest import CURVE_CASES
 def ne_distribution(N, K):
     """{e: P(distinct = e)} = C(N,e) * surjections(K -> e) / N^K, exact."""
     total = N**K
-    dist = {e: Fraction(w, total) for e, w in ne_weights(N, K)}
+    dist = {e: Fraction(w, total) for e, w in oracle_ne_weights(N, K)}
     assert sum(dist.values()) == 1, (N, K)
     return dist
 
@@ -35,9 +39,8 @@ def expect(dist, fn):
     return sum((p * fn(e) for e, p in dist.items()), Fraction(0))
 
 
-def envelope_at(points, x):
-    """The lower convex envelope of `points` at one x, its hull built for x alone."""
-    return lower_convex_envelope_many(points, [x])[0]
+def delivery_rate_value(K, t, e):
+    return Fraction(math.comb(K, t + 1) - math.comb(K - e, t + 1), math.comb(K, t))
 
 
 def expected_distinct(N, K):
@@ -67,11 +70,11 @@ def optimal_peak_points(N, K):
 
 
 def optimal_avg(N, K, M):
-    return envelope_at(optimal_avg_points(N, K), _cache_parameter(N, K, M))
+    return chord_envelope(optimal_avg_points(N, K), _cache_parameter(N, K, M))
 
 
 def optimal_peak(N, K, M):
-    return envelope_at(optimal_peak_points(N, K), _cache_parameter(N, K, M))
+    return chord_envelope(optimal_peak_points(N, K), _cache_parameter(N, K, M))
 
 
 def _man_terms(N, K):
@@ -85,14 +88,14 @@ def man_avg(N, K, M):
     """The envelope of the per-t minimum of the two terms."""
     coded, uncoded = _man_terms(N, K)
     pts = [(t, min(a[1], b[1])) for t, (a, b) in enumerate(zip(coded, uncoded))]
-    return envelope_at(pts, _cache_parameter(N, K, M))
+    return chord_envelope(pts, _cache_parameter(N, K, M))
 
 
 def man_avg_minconv(N, K, M):
     """The minimum of the two terms' own envelopes."""
     x = _cache_parameter(N, K, M)
     coded, uncoded = _man_terms(N, K)
-    return min(envelope_at(coded, x), envelope_at(uncoded, x))
+    return min(chord_envelope(coded, x), chord_envelope(uncoded, x))
 
 
 def _dec_integrand(N, M, e):
@@ -180,3 +183,42 @@ def test_unsorted_grids(case):
         assert fn(N, K, grid) == [ORACLE[scheme](N, K, M) for M in grid], (scheme, N, K, grid)
         assert [fn(N, K, [M])[0] for M in grid] == fn(N, K, grid), (scheme, N, K, grid)
     assert_curves_exact(N, K, sorted(set(grid)))
+
+
+# --- large K: the weights and the optimal-avg points ---------------------------
+
+# K <= 150 keeps the oracle's inclusion-exclusion fast; N < K, N > K, N = K
+# and one file or one user all appear
+LARGE_K_CASES = [(150, 150), (2, 150), (1, 150), (150, 3), (150, 1), (97, 120)]
+
+
+@pytest.mark.parametrize("N,K", LARGE_K_CASES)
+def test_large_k_weights_and_points(N, K):
+    weights = oracle_ne_weights(N, K)
+    assert ne_weights(N, K) == weights
+    total = N**K
+    expected = [((t, 1), Fraction(sum(w * (math.comb(K, t + 1) - math.comb(K - e, t + 1)) for e, w in weights),
+                                  total * math.comb(K, t)))
+                for t in range(K + 1)]
+    points = rate_analysis.optimal_avg_points(N, K)
+    assert [(x, Fraction(*y)) for x, y in points] == expected
+    assert all(d > 0 for _, (_, d) in points)
+
+
+# --- degenerate corners ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("N,K", [(1, 1), (1, 5), (5, 1), (2, 5), (5, 2)])
+def test_degenerate_corners(N, K):
+    """M = 0, M = N, one file and one user, with N < K and N > K: every scheme
+    matches the oracle; at M = N nothing is sent, and at M = 0 the averages
+    are E[distinct] and the peaks min(N, K)."""
+    grid = [Fraction(0), Fraction(N, 3), Fraction(N)]
+    assert_curves_exact(N, K, grid)
+    mean = expected_distinct(N, K)
+    for scheme, fn in SCHEMES.items():
+        at_zero, _, at_full = fn(N, K, grid)
+        assert at_full == 0, scheme
+        assert at_zero == (min(N, K) if scheme.endswith("-peak") else mean), scheme
+        if 1 in (N, K):
+            assert mean == 1

@@ -1,9 +1,14 @@
-"""Byte-for-byte stdout of `verify`, `simulate --dump` and
-`scripts/converse_experiment.py`, against files in `tests/golden/` written
-by the delivery engine before its demand-stacked form: two full-mode
-`verify` runs, two runs with an injected failure, one `simulate --dump`
-transcript per scheme and one converse experiment. Regenerate a file only
-when its output is meant to change: `python tests/test_golden.py NAME...`."""
+"""Byte-for-byte stdout of `verify`, `simulate --dump`, `compare`, `rates`
+and `scripts/converse_experiment.py`, and the CSVs of
+`scripts/tradeoff_tables.py`, against files in `tests/golden/`. The delivery
+files were written by the engine before its demand-stacked form: two
+full-mode `verify` runs, two runs with an injected failure, one `simulate
+--dump` transcript per scheme and one converse experiment. The rate files
+were written by the rate layer before its integer-exact form: `compare` at
+K=16 on the perfbench grid for three N, one `rates` table over all seven
+schemes and the four default tradeoff tables. Regenerate a file only when
+its output is meant to change: `python tests/test_golden.py NAME...`
+(`tradeoff_tables` rewrites the four CSVs)."""
 
 import contextlib
 import importlib.util
@@ -16,6 +21,7 @@ import pytest
 
 from cachekit import cli
 from cachekit.model import Placement
+from cachekit.rate_analysis import SCHEMES
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -55,6 +61,10 @@ CASES = {
     "simulate_centralized": (["simulate", "--n", "3", "--k", "6", "--t", "2", "--f", "30", "--seed", "3", "--dump"], {}),
     "simulate_decentralized": (["simulate", "--schemes", "decentralized", "--n", "3", "--k", "5", "--m", "1",
                                 "--f", "300", "--seed", "2", "--dump"], {}),
+    **{f"compare_{N}_16": (["compare", "--n", str(N), "--k", "16", "--grid", f"0:{N}:{N}/40"], {})
+       for N in (16, 517, 4111)},
+    "rates_5_8_all_schemes": (["rates", "--n", "5", "--k", "8", "--grid", "0:5:5/24",
+                               "--schemes", ",".join(SCHEMES)], {}),
 }
 
 
@@ -77,12 +87,17 @@ def test_stdout_matches_golden(name, monkeypatch):
 CONVERSE_ARGV = ["--n", "2", "--k", "4", "--m", "1", "--f", "120", "--placements", "4"]
 
 
-def converse_experiment():
-    """`exit code N` and then the stdout of the converse experiment."""
-    path = GOLDEN.parent.parent / "scripts" / "converse_experiment.py"
-    spec = importlib.util.spec_from_file_location("converse_experiment", path)
+def load_script(name):
+    path = GOLDEN.parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def converse_experiment():
+    """`exit code N` and then the stdout of the converse experiment."""
+    script = load_script("converse_experiment")
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = script.main(CONVERSE_ARGV)
@@ -91,6 +106,25 @@ def converse_experiment():
 
 def test_converse_experiment_matches_golden():
     assert converse_experiment() == (GOLDEN / "converse_experiment.txt").read_text()
+
+
+TABLES_DIR = GOLDEN / "tradeoff_tables"
+
+
+def tradeoff_tables(outdir):
+    """Run `scripts/tradeoff_tables.py` at its default `--points-per-t` into
+    `outdir`; the names of the CSVs it writes."""
+    script = load_script("tradeoff_tables")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert script.main(["--outdir", str(outdir)]) == 0
+    return sorted(name for name, *_ in script.TABLES)
+
+
+def test_tradeoff_tables_match_golden(tmp_path):
+    names = tradeoff_tables(tmp_path)
+    assert sorted(p.name for p in TABLES_DIR.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (TABLES_DIR / name).read_bytes(), name
 
 
 def test_injected_cases_fail():
@@ -104,6 +138,9 @@ if __name__ == "__main__":
     for name in sys.argv[1:]:
         if name == "converse_experiment":
             (GOLDEN / f"{name}.txt").write_text(converse_experiment())
+            continue
+        if name == "tradeoff_tables":
+            tradeoff_tables(TABLES_DIR)
             continue
         saved = {attr: getattr(cli, attr) for attr in CASES[name][1]}
         try:

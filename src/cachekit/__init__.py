@@ -21,6 +21,7 @@ from .model import (
     save_placement,
 )
 from .decentralized import (
+    Broadcast,
     BroadcastMessage,
     DecodeError,
     delivered_rate,

@@ -12,41 +12,39 @@ leaderless messages by the cancellation identity, which
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from . import decentralized
-from .combinatorics import binomial, enumerate_subsets
+from .combinatorics import binomial
 # the engine's message types and leader rule are importable from here as well
-from .decentralized import BroadcastMessage, DecodeError, select_leaders
+from .decentralized import Broadcast, BroadcastMessage, DecodeError, select_leaders
 from .model import Database, Demand, Placement, code_dtype, validate_demand
-
-
-def subfile_ranges(K: int, t: int, F: int) -> dict[tuple[int, ...], tuple[int, int]]:
-    """Each t-subset's half-open bit range, in rank order; needs C(K,t) | F."""
-    if not 0 <= t <= K:
-        raise ValueError(f"t must be in 0..{K}, got {t}")
-    pieces = binomial(K, t)
-    if F % pieces != 0:
-        raise ValueError(f"F must be a multiple of C({K},{t}) = {pieces}, got F={F}")
-    size = F // pieces
-    return {sid.members: (sid.rank * size, (sid.rank + 1) * size) for sid in enumerate_subsets(K, t)}
 
 
 @lru_cache(maxsize=16)
 def batch_placement(N: int, K: int, t: int, F: int) -> Placement:
     """Symmetric batch prefetching for cache parameter t in {0..K}.
 
-    Requires C(K,t) | F so subfiles are equal-sized; each user ends up caching
-    exactly N*t*F/K bits. Built once per (N, K, t, F) and shared: the codes
-    are read-only, and the partition is kept with the placement.
+    Requires C(K,t) | F so subfiles are equal-sized: subfile r, the t-subset
+    of rank r, is bits r*F/C(K,t) up to (r+1)*F/C(K,t) of every file, and each
+    user ends up caching exactly N*t*F/K bits. Built once per (N, K, t, F)
+    and shared: the codes are read-only, and the partition is kept with the
+    placement.
     """
-    row = np.zeros(F, dtype=code_dtype(K))
-    for members, (lo, hi) in subfile_ranges(K, t, F).items():
-        row[lo:hi] = decentralized._user_code(members)
-    codes = np.tile(row, (N, 1))
+    if not 0 <= t <= K:
+        raise ValueError(f"t must be in 0..{K}, got {t}")
+    pieces = binomial(K, t)
+    if F % pieces != 0:
+        raise ValueError(f"F must be a multiple of C({K},{t}) = {pieces}, got F={F}")
+    # the t-subsets in rank (lexicographic) order, one row of users each
+    members = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(1, K + 1), t)),
+                          dtype=np.intp, count=pieces * t).reshape(pieces, t)
+    subsets = np.bitwise_or.reduce(decentralized._user_bits(K, code_dtype(K))[members], axis=1)
+    codes = np.tile(np.repeat(subsets, F // pieces), (N, 1))
     codes.setflags(write=False)
     return Placement(K, codes)
 
@@ -56,10 +54,10 @@ def encode_delivery(
     placement: Placement,
     d: Demand,
     leaders: frozenset[int] | None = None,
-) -> list[BroadcastMessage]:
+) -> Broadcast:
     """All messages for (t+1)-subsets that contain at least one leader,
-    in lexicographic subset order. Any other placement is delivered over
-    its level partition alike."""
+    in lexicographic subset order, as a `Broadcast`. Any other placement is
+    delivered over its level partition alike."""
     return decentralized.encode_delivery(db, placement.partition, d, leaders)
 
 

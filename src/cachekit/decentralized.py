@@ -17,8 +17,13 @@ file; padding lands in a zero sentinel column. Omitted leaderless messages
 are rebuilt by the cancellation identity, each once per decode call for
 all its members, one gather of their terms per level. The one-demand
 functions (`encode_delivery`, `decode_users`, `decode_user`) are calls
-with a stack of one. Batch (centralized) delivery is the one-level,
-equal-chunk case: `centralized` hands its subfiles to this engine.
+with a stack of one. A delivery has one representation, those arrays:
+`encode_delivery` returns them as a `Broadcast`, a sequence whose
+`BroadcastMessage`s are built only when it is read as one, and the decoders
+read a `Broadcast` of their partition from its arrays, placing any other
+message list into arrays first. Batch (centralized) delivery is the
+one-level, equal-chunk case: `centralized` hands its subfiles to this
+engine.
 """
 
 from __future__ import annotations
@@ -65,6 +70,50 @@ class BroadcastMessage:
         return f"{','.join(map(str, self.subset.members))} : {body}"
 
 
+class Broadcast(Sequence):
+    """One demand's broadcast as `encode_stack` sent it: the partition and,
+    for each of its levels, the payloads (1, n_T, L) and lengths (1, n_T); a
+    row of length 0 was not sent. A read-only sequence of the sent
+    `BroadcastMessage`s in send order, each built only when it is indexed or
+    iterated, its payload a view of the arrays. Its length and payload bits
+    are read from the lengths, and the decoders read the arrays themselves."""
+
+    def __init__(self, partition: LevelPartition, delivery: list[tuple[np.ndarray, np.ndarray]]):
+        self.partition = partition
+        self.delivery = delivery
+
+    @cached_property
+    def _sent(self) -> list[np.ndarray]:
+        """Each level's sent rows."""
+        return [lengths[0].nonzero()[0] for _, lengths in self.delivery]
+
+    def __len__(self) -> int:
+        return sum(len(rows) for rows in self._sent)
+
+    @property
+    def payload_bits(self) -> int:
+        return sum(int(lengths.sum()) for _, lengths in self.delivery)
+
+    def _messages(self, i: int, rows: np.ndarray) -> list[BroadcastMessage]:
+        level, (payloads, lengths) = self.partition.levels[i], self.delivery[i]
+        return [BroadcastMessage(SubsetId(tuple(members), rank), payloads[0, r, :n])
+                for r, members, rank, n in zip(rows.tolist(), level.members[rows].tolist(),
+                                               level.ranks[rows].tolist(), lengths[0, rows].tolist())]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[j] for j in range(len(self))[index]]
+        j = range(len(self))[index]  # IndexError past either end
+        for i, rows in enumerate(self._sent):
+            if j < len(rows):
+                return self._messages(i, rows[j : j + 1])[0]
+            j -= len(rows)
+
+    def __iter__(self):
+        for i, rows in enumerate(self._sent):
+            yield from self._messages(i, rows)
+
+
 def select_leaders(d: Demand) -> frozenset[int]:
     """One leader per distinct requested file: the lowest-indexed requester."""
     first_user: dict[int, int] = {}
@@ -81,9 +130,12 @@ def random_placement(N: int, K: int, M, F: int, seed: int) -> Placement:
     quota = floor(M * F / N)
     rng = np.random.default_rng(seed)
     codes = np.zeros((N, F), dtype=code_dtype(K))
-    for k in range(K):
-        for i in range(N):
-            codes[i, rng.choice(F, size=quota, replace=False)] |= 1 << k
+    bits = _user_bits(K, codes.dtype)
+    for k in range(1, K + 1):
+        for row in codes:
+            # the draws are distinct, so adding user k's bit sets it; a scatter
+            # through the file's row view costs about half a 2-D one
+            row[rng.choice(F, size=quota, replace=False)] += bits[k]
     codes.setflags(write=False)
     return Placement(K, codes)
 
@@ -145,9 +197,11 @@ def level_partition(placement: Placement, N: int, F: int) -> LevelPartition:
     K, codes = placement.K, placement.codes
     if codes.shape != (N, F):
         raise ValueError(f"placement codes have shape {codes.shape}, expected (N, F) = {(N, F)}")
+    # stable sorts: on small integer codes numpy sorts them by radix, where
+    # its default sort takes about 20 times as long on these few distinct codes
     order = np.argsort(codes, axis=1, kind="stable")
     order.setflags(write=False)
-    ranked = np.take_along_axis(codes, order, axis=1)
+    ranked = np.sort(codes, axis=1, kind="stable")
     heads = np.ones((N, F), dtype=bool)
     heads[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
     # the codes present in any file, ascending: one sort and a neighbour
@@ -269,7 +323,7 @@ def encode_delivery(
     partition: LevelPartition,
     d: Demand,
     leaders: frozenset[int] | None = None,
-) -> list[BroadcastMessage]:
+) -> Broadcast:
     """Leader-based delivery over every level of the partition: `encode_stack`
     for the one demand. Messages that would be empty are not sent; the rest
     go by subset size, then lexicographic."""
@@ -277,12 +331,7 @@ def encode_delivery(
     d = validate_demand(d, db.N)
     if len(d) != partition.K:
         raise ValueError(f"demand length {len(d)} != K={partition.K}")
-    messages = []
-    for level, (payloads, lengths) in zip(partition.levels, encode_stack(db, partition, *_one(d, partition.K, leaders))):
-        for members, rank, n, payload in zip(level.members.tolist(), level.ranks.tolist(), lengths[0].tolist(), payloads[0]):
-            if n:
-                messages.append(BroadcastMessage(SubsetId(tuple(members), rank), payload[:n]))
-    return messages
+    return Broadcast(partition, encode_stack(db, partition, *_one(d, partition.K, leaders)))
 
 
 def _user_code(users) -> int:
@@ -290,34 +339,48 @@ def _user_code(users) -> int:
     return sum(1 << (k - 1) for k in users)
 
 
-def _received(messages: Sequence[BroadcastMessage]) -> dict[tuple[int, int], np.ndarray]:
-    """A received broadcast as a delivery of one demand for `decode_stack`:
-    each message's payload by its subset's size and rank."""
-    return {(len(m.subset.members), m.subset.rank): m.payload for m in messages}
+def _as_delivery(partition: LevelPartition, messages) -> list[tuple[np.ndarray, np.ndarray]]:
+    """A received broadcast as `encode_stack`'s arrays for one demand: a
+    `Broadcast`'s own if it is of this partition, else each message's payload
+    at the row of its subset's size and rank, one pass per level. The last
+    message naming a row wins, a subset with no row is ignored, a payload is
+    cut to its level's width, and a row no message names (or named with an
+    empty payload) has length 0: it was not received."""
+    if isinstance(messages, Broadcast) and messages.partition is partition:
+        return messages.delivery
+    messages = list(messages)
+    sizes = np.array([len(m.subset.members) for m in messages], dtype=np.intp)
+    ranks = np.array([m.subset.rank for m in messages])  # object past int64
+    delivery = []
+    for level in partition.levels:
+        (n_T, m), width = level.members.shape, level.positions.shape[1]
+        payloads = np.zeros((1, n_T, width), dtype=np.uint8)
+        lengths = np.zeros((1, n_T), dtype=np.intp)
+        at = (sizes == m).nonzero()[0]
+        rows = np.minimum(np.searchsorted(level.ranks, ranks[at]), n_T - 1)  # ranks ascend in send order
+        hit = level.ranks[rows] == ranks[at]
+        at, rows = at[hit], rows[hit]
+        # a stable sort by row keeps each row's messages in order: take the last
+        order = np.argsort(rows, kind="stable")
+        at, rows = at[order], rows[order]
+        last = np.ones(len(rows), dtype=bool)
+        last[:-1] = rows[1:] != rows[:-1]
+        at, rows = at[last], rows[last]
+        if len(at):
+            parts = [np.asarray(messages[k].payload)[:width] for k in at.tolist()]
+            n = np.array([len(y) for y in parts], dtype=np.intp)
+            lengths[0, rows] = n
+            payloads.reshape(-1)[np.repeat(rows * width - (np.cumsum(n) - n), n) + np.arange(n.sum())] = \
+                np.concatenate(parts)
+        delivery.append((payloads, lengths))
+    return delivery
 
 
 def _payload_rows(delivery, i: int, level: Level, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The payloads, zero-padded ((len(rows), L)), and the lengths of level
-    i's rows, numbered demand * n_T + row: gathered from `encode_stack`'s
-    arrays, or for one demand copied from a received broadcast (length 0
-    where no message names a row)."""
-    width = level.positions.shape[1]
-    if not isinstance(delivery, Mapping):
-        payloads, lengths = delivery[i]
-        return payloads.reshape(-1, width)[rows], lengths.reshape(-1)[rows]
-    out = np.zeros((len(rows), width), dtype=np.uint8)
-    lengths = []
-    size = level.members.shape[1]
-    for j, rank in enumerate(level.ranks[rows].tolist()):
-        y = delivery.get((size, rank))
-        if y is None:
-            lengths.append(0)
-            continue
-        if len(y) > width:
-            y = y[:width]
-        out[j, : len(y)] = y
-        lengths.append(len(y))
-    return out, np.array(lengths, dtype=np.intp)
+    i's rows, numbered demand * n_T + row, gathered from a delivery's arrays."""
+    payloads, lengths = delivery[i]
+    return payloads.reshape(-1, level.positions.shape[1])[rows], lengths.reshape(-1)[rows]
 
 
 def _cancellation_terms(codes: np.ndarray, files: np.ndarray, swaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -520,9 +583,8 @@ def decode_stack(
 ) -> np.ndarray:
     """Recover file d_k for each user k of `users` in each demand of a stack
     ((n, K), leader flags `leaders` as for `encode_stack`) from its cache
-    plus the delivery: (n, len(users), F). `delivery` is `encode_stack`'s,
-    or for one demand `_received`'s map of a broadcast; a row of length 0
-    was not received.
+    plus the delivery: (n, len(users), F). `delivery` is `encode_stack`'s
+    arrays; a row of length 0 was not received.
 
     Every (demand, row, member) with a requested member and a non-empty own
     chunk is decoded, a level at a time, by one gather from the users' cache
@@ -617,9 +679,10 @@ def decode_users(
     leaders: frozenset[int] | None = None,
 ) -> np.ndarray:
     """Recover file d_k for each user k of `users` from its cache plus the
-    broadcast `messages`, a list of `BroadcastMessage`s: a (len(users), F)
-    array, one row per user in that order; `decode_stack` for the one
-    demand.
+    broadcast `messages`: a (len(users), F) array, one row per user in that
+    order; `decode_stack` for the one demand. A `Broadcast` of this partition
+    is read from its arrays; any other sequence of `BroadcastMessage`s is
+    placed into arrays first (see `_as_delivery`).
     """
     _check_shape(db, partition=partition.order.shape, placement=placement.codes.shape)
     d = validate_demand(d, db.N)
@@ -635,7 +698,7 @@ def decode_users(
             raise ValueError(f"user {k} is requested twice")
         seen.add(k)
     demands, flags = _one(d, K, leaders)
-    return decode_stack(users, db, placement, partition, _received(messages), demands, flags)[0]
+    return decode_stack(users, db, placement, partition, _as_delivery(partition, messages), demands, flags)[0]
 
 
 def _cache_views(db: Database, placement: Placement, users: Sequence[int], F: int) -> np.ndarray:
@@ -661,5 +724,8 @@ def decode_user(
 
 
 def delivered_rate(messages: Sequence[BroadcastMessage], F: int) -> Fraction:
-    """Total payload bits divided by the file size, exact."""
+    """Total payload bits divided by the file size, exact; a `Broadcast`'s
+    are read from its lengths."""
+    if isinstance(messages, Broadcast):
+        return Fraction(messages.payload_bits, F)
     return Fraction(sum(len(m.payload) for m in messages), F)

@@ -16,7 +16,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -208,11 +208,13 @@ def type_representative(stats: DemandStats) -> tuple[int, ...]:
     return tuple(f for f, c in enumerate(stats.counts, start=1) for _ in range(c))
 
 
+@lru_cache(maxsize=8)
 def ne_weights(N: int, K: int) -> tuple[tuple[int, int], ...]:
     """(e, N(N-1)...(N-e+1) * S(K, e)) for e in 1..min(N, K): the number of
     demands in {1..N}^K with exactly e distinct files, S(K, e) the Stirling
     numbers of the second kind (partitions of the K users into e requester
-    groups, each given its own file in order). The counts sum to N^K."""
+    groups, each given its own file in order). The counts sum to N^K. Kept
+    for the last few (N, K), since the curves of one comparison share them."""
     if N < 1 or K < 1:
         raise ValueError("need N >= 1 and K >= 1")
     E = min(N, K)

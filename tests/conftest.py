@@ -55,11 +55,23 @@ def canonical_instance():
     return db, placement, CANONICAL_DEMAND
 
 
+def subfile_ranges(K, t, F):
+    """Each t-subset's half-open bit range in a batch placement, in rank
+    order; needs C(K,t) | F."""
+    from cachekit.combinatorics import binomial, enumerate_subsets
+
+    if not 0 <= t <= K:
+        raise ValueError(f"t must be in 0..{K}, got {t}")
+    pieces = binomial(K, t)
+    if F % pieces != 0:
+        raise ValueError(f"F must be a multiple of C({K},{t}) = {pieces}, got F={F}")
+    size = F // pieces
+    return {sid.members: (sid.rank * size, (sid.rank + 1) * size) for sid in enumerate_subsets(K, t)}
+
+
 def direct_payload(db, placement, d, members):
     """XOR, over users x in `members`, of the batch subfile of file d_x indexed
     by the other members, sliced straight from the database."""
-    from cachekit.centralized import subfile_ranges
-
     members = tuple(members)
     ranges = subfile_ranges(placement.K, len(members) - 1, db.F)
     size = db.F // len(ranges)

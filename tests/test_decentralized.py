@@ -21,11 +21,10 @@ from cachekit import (
     make_database,
 )
 from cachekit import decentralized
-from cachekit.centralized import subfile_ranges
 from cachekit.combinatorics import enumerate_subsets
 from cachekit.model import Placement
 
-from conftest import members_of, placement_from_mask
+from conftest import members_of, placement_from_mask, subfile_ranges
 from test_delivery_exactness import assert_runs_match_oracle
 
 
@@ -34,7 +33,7 @@ def cached_mask(placement):
     return np.stack([placement.cached(k) for k in range(1, placement.K + 1)])
 
 
-# the mask loops the placements were once built with, kept to pin their codes
+# the mask and OR loops the placements were once built with, kept to pin their codes
 def mask_random_placement(N, K, M, F, seed):
     quota = math.floor(Fraction(M) * F / N)
     rng = np.random.default_rng(seed)
@@ -43,6 +42,16 @@ def mask_random_placement(N, K, M, F, seed):
         for i in range(N):
             mask[k, i, rng.choice(F, size=quota, replace=False)] = True
     return mask
+
+
+def or_loop_random_codes(N, K, M, F, seed):
+    quota = math.floor(Fraction(M) * F / N)
+    rng = np.random.default_rng(seed)
+    codes = np.zeros((N, F), dtype=np.min_scalar_type((1 << K) - 1))
+    for k in range(K):
+        for i in range(N):
+            codes[i, rng.choice(F, size=quota, replace=False)] |= 1 << k
+    return codes
 
 
 def mask_batch_placement(N, K, t, F):
@@ -65,6 +74,7 @@ def batch_cases(draw):
 class TestCodes:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 3), st.integers(1, 70), st.integers(1, 30), st.fractions(0, 1), st.integers(0, 2**16))
+    @example(2, 8, 24, Fraction(1, 2), 7)
     @example(2, 64, 24, Fraction(1, 2), 7)
     @example(2, 65, 24, Fraction(1, 2), 7)
     def test_random_placement_same_stream(self, N, K, F, share, seed):
@@ -73,6 +83,7 @@ class TestCodes:
         assert placement.codes.shape == (N, F) and not placement.codes.flags.writeable
         assert placement.codes.dtype == np.min_scalar_type((1 << K) - 1)
         assert np.array_equal(cached_mask(placement), mask_random_placement(N, K, M, F, seed))
+        assert np.array_equal(placement.codes, or_loop_random_codes(N, K, M, F, seed))
 
     @settings(max_examples=60, deadline=None)
     @given(batch_cases())
@@ -244,7 +255,7 @@ class TestEncodeDecode:
         part = decentralized.level_partition(placement, 2, 10)
         d = (1, 2, 2)
         messages = decentralized.encode_delivery(db, part, d)
-        assert messages == []
+        assert len(messages) == 0 and list(messages) == []
         assert decentralized.delivered_rate(messages, 10) == 0
         for k in (1, 2, 3):
             assert np.array_equal(

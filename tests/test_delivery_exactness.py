@@ -22,12 +22,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cachekit import all_demands, batch_placement, binomial, centralized, decentralized, make_database
-from cachekit.centralized import BroadcastMessage, DecodeError, select_leaders, subfile_ranges
+from cachekit.centralized import BroadcastMessage, DecodeError, select_leaders
 from cachekit.combinatorics import enumerate_subsets
 from cachekit.model import Placement, validate_demand
 
 from conftest import (
     CANONICAL_T, direct_payload, members_of, oracle_groups, oracle_level_partition, placement_from_mask,
+    subfile_ranges,
 )
 
 # --- oracle: one pass per code and file (conftest), all 2^K subsets ---------------

@@ -149,6 +149,15 @@ class TestNeDistribution:
         assert dict(ne_weights(N, K)) == hist
         assert sum(w for _, w in ne_weights(N, K)) == N**K
 
+    def test_curves_of_one_comparison_share_the_weights(self):
+        from cachekit import rate_curve
+
+        ne_weights.cache_clear()
+        grid = [Fraction(j, 4) for j in range(13)]
+        for label in ("optimal-avg", "man-avg", "dec-avg", "man-dec-avg"):
+            rate_curve(label, 3, 7, grid)
+        assert ne_weights.cache_info().misses == 1
+
     @given(st.integers(1, 8), st.integers(1, 8))
     def test_mean_matches_occupancy_identity(self, N, K):
         expected = N * (1 - Fraction(N - 1, N) ** K)

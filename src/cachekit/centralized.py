@@ -84,9 +84,11 @@ def verify_message_cancellation(
 
     `group` must contain every leader, one requester of each requested file.
     This identity is what makes the omitted leaderless messages
-    reconstructable, so it is checked as exactly that: fed the direct
-    messages, the engine's reconstruct step must rebuild the direct message
-    of `group` minus the leaders.
+    reconstructable. It is checked apart from the engine's rebuild: the
+    selections V come from `itertools.product`, and each message of
+    `group` minus V, as the engine sends it with every user a leader, must
+    equal the XOR of its members' chunks read straight from the batch
+    placement's codes; then the messages must cancel.
     """
     d = validate_demand(d, db.N)
     K = len(d)
@@ -96,11 +98,23 @@ def verify_message_cancellation(
         raise ValueError(f"group {members} must contain all leaders {sorted(leaders)}")
     if sorted(d[x - 1] for x in leaders) != sorted(set(d)):
         raise ValueError(f"leaders {sorted(leaders)} must be one requester of each requested file")
-    omitted = tuple(x for x in members if x not in leaders)
-    if not omitted:
+    if len(members) == len(leaders):
         return True  # group == leaders: the single term is the empty-set message, zero
-    # with every user a leader the engine sends each subset's direct payload
-    everyone = frozenset(range(1, K + 1))
-    partition = batch_placement(db.N, K, len(omitted) - 1, db.F).partition
-    direct = {m.subset.members: m.payload for m in decentralized.encode_delivery(db, partition, d, everyone)}
-    return np.array_equal(decentralized.reconstruct_message(direct, d, leaders, omitted), direct[omitted])
+    t = len(members) - len(leaders) - 1  # every message of the identity has t + 1 members
+    placement = batch_placement(db.N, K, t, db.F)
+    requesters = {}
+    for x in members:
+        requesters.setdefault(d[x - 1], []).append(x)
+    rests = [[x for x in members if x not in V] for V in itertools.product(*requesters.values())]
+    codes = [sum(1 << (x - 1) for x in rest) for rest in rests]
+    # each member's chunk of each message: its file's bits cached by exactly
+    # the message's other members, F / C(K, t) of them in position order
+    files = np.array([d[x - 1] - 1 for rest in rests for x in rest])
+    cached = np.array([code - (1 << (x - 1)) for rest, code in zip(rests, codes) for x in rest],
+                      dtype=placement.codes.dtype)
+    chunks = db.bits[files][placement.codes[files] == cached[:, None]].reshape(len(rests), t + 1, -1)
+    direct = np.bitwise_xor.reduce(chunks, axis=1)
+    broadcast = decentralized.encode_delivery(db, placement.partition, d, frozenset(range(1, K + 1)))
+    (level,), ((payloads, _),) = placement.partition.levels, broadcast.delivery
+    sent = payloads[0].take(level.rows_of(np.array(codes, dtype=level.codes.dtype)), axis=0)
+    return np.array_equal(sent, direct) and not np.bitwise_xor.reduce(direct, axis=0).any()

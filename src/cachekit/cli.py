@@ -316,22 +316,26 @@ def _check_block(db, placement, t: int, demands: np.ndarray) -> list[str]:
         counts += np.count_nonzero(lengths, axis=1)
         sent_bits += lengths.sum(axis=1)
     decoded = decentralized.decode_stack(range(1, K + 1), db, placement, partition, delivery, demands, leaders)
-    wrong = np.logical_or.reduce(decoded != db.bits[demands - 1], axis=2)
+    wrong = np.logical_or.reduce(decoded != db.bits.take(demands - 1, axis=0), axis=2)
     first_wrong = np.where(wrong.any(axis=1), wrong.argmax(axis=1) + 1, 0)  # 0: every user decoded right
-    distinct = np.count_nonzero(leaders, axis=1).tolist()
-    expected = {e: (binomial(K, t + 1) - binomial(K - e, t + 1), delivery_rate_value(K, t, e) * F)
-                for e in set(distinct)}
-    reasons = []
-    for count, bits, e, user in zip(counts.tolist(), sent_bits.tolist(), distinct, first_wrong.tolist()):
-        count_form, bits_form = expected[e]
-        if count != count_form:
-            reasons.append(f"message count {count} != {count_form}")
-        elif bits != bits_form:
-            reasons.append("delivered rate does not match the closed form")
-        elif user:
-            reasons.append(f"user {user} decoded the wrong bits")
+    # the closed forms by distinct-file count; -1 bits where they are not whole, which no delivery matches
+    distinct = np.count_nonzero(leaders, axis=1)
+    count_form = np.zeros(K + 1, dtype=np.int64)
+    bits_form = np.full(K + 1, -1, dtype=np.int64)
+    for e in set(distinct.tolist()):
+        count_form[e] = binomial(K, t + 1) - binomial(K - e, t + 1)
+        bits = delivery_rate_value(K, t, e) * F
+        if bits.denominator == 1:
+            bits_form[e] = bits.numerator
+    count_form, bits_form = count_form.take(distinct), bits_form.take(distinct)
+    reasons = [""] * len(demands)
+    for s in np.flatnonzero((counts != count_form) | (sent_bits != bits_form) | (first_wrong > 0)).tolist():
+        if counts[s] != count_form[s]:
+            reasons[s] = f"message count {counts[s]} != {count_form[s]}"
+        elif sent_bits[s] != bits_form[s]:
+            reasons[s] = "delivered rate does not match the closed form"
         else:
-            reasons.append("")
+            reasons[s] = f"user {first_wrong[s]} decoded the wrong bits"
     return reasons
 
 

@@ -15,15 +15,22 @@ gathers each requested user's partner chunks from its own cache view,
 XOR-reduces them with the payloads and scatters the result into the user's
 file; padding lands in a zero sentinel column. Omitted leaderless messages
 are rebuilt by the cancellation identity, each once per decode call for
-all its members, one gather of their terms per level. The one-demand
-functions (`encode_delivery`, `decode_users`, `decode_user`) are calls
-with a stack of one. A delivery has one representation, those arrays:
-`encode_delivery` returns them as a `Broadcast`, a sequence whose
-`BroadcastMessage`s are built only when it is read as one, and the decoders
-read a `Broadcast` of their partition from its arrays, placing any other
-message list into arrays first. Batch (centralized) delivery is the
-one-level, equal-chunk case: `centralized` hands its subfiles to this
-engine.
+all its members, one gather of their terms per level. Two rules keep the
+kernels fast on the short rows of small instances, where numpy's cost per
+call and per row, not the bits moved, sets the time. Every gather is an
+`ndarray.take` over a flat index: fancy indexing with a 2-D or paired
+index costs about 15 times as much. Each gather is laid out so that its
+XOR-reduce runs over the leading axis: (members, rows, L) to encode,
+(partners, pairs, L) to decode and (terms, rows, L) to rebuild; reducing
+over a middle axis of length 2-10 costs tens to hundreds of times as
+much. The one-demand functions (`encode_delivery`, `decode_users`,
+`decode_user`) are calls with a stack of one. A delivery has one
+representation, those arrays: `encode_delivery` returns them as a
+`Broadcast`, a sequence whose `BroadcastMessage`s are built only when it is
+read as one, and the decoders read a `Broadcast` of their partition from
+its arrays, placing any other message list into arrays first. Batch
+(centralized) delivery is the one-level, equal-chunk case: `centralized`
+hands its subfiles to this engine.
 """
 
 from __future__ import annotations
@@ -45,7 +52,8 @@ if TYPE_CHECKING:
     from .level_index import Level
 
 # Elements gathered per block of a level's rows, which bounds the index and
-# bit temporaries of a gather to under a MB however large the level is.
+# bit temporaries of a gather to under a MB however large the level is; a
+# stack of demands holds about this many elements per level (`stack_size`).
 _BLOCK = 1 << 16
 
 
@@ -234,13 +242,15 @@ def first_requesters(demands: np.ndarray) -> np.ndarray:
 
 def stack_size(partition: LevelPartition, users: int) -> int:
     """Demands per stack that keep a stacked encode and decode of `users`
-    users to about half a MB of temporaries: a stack's rows, chunk cells
-    and payloads, level by level, and its users' decoded files come to at
-    most _BLOCK / 4 elements, since the decode holds several int64 index
-    arrays of that many elements at once."""
+    users to about 2 MB of temporaries: a stack's rows, chunk cells and
+    payloads, level by level, and its users' decoded files come to at most
+    _BLOCK elements. The decode holds several int64 index arrays of that
+    many elements at once, and each of its gathers is blocked to _BLOCK
+    elements besides. Fewer, larger stacks matter: every stack pays the
+    same few hundred numpy calls, about a millisecond, however small."""
     per_demand = partition.K + users * (partition.F + 1) + sum(
         level.members.size + level.positions.shape[1] * len(level.members) for level in partition.levels)
-    return max(_BLOCK // (4 * per_demand), 1)
+    return max(_BLOCK // per_demand, 1)
 
 
 def _stack(partition: LevelPartition, demands, leaders) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -307,13 +317,16 @@ def encode_stack(
     delivery = []
     for level in partition.levels:
         cells, sizes = level.chunks(wanted)
-        lengths = np.maximum.reduce(sizes, axis=2)
+        lengths = np.maximum.reduce(sizes, axis=0)
         lengths[(level.codes & lead[:, None]) == 0] = 0
-        payloads = np.zeros((*lengths.shape, level.positions.shape[1]), dtype=np.uint8)
-        s, r = lengths.nonzero()
-        for block in _blocks(len(s), level.members.shape[1] * level.positions.shape[1]):
-            s_b, r_b = s[block], r[block]
-            payloads[s_b, r_b] = np.bitwise_xor.reduce(np.take(flat, level.positions[cells[s_b, r_b]]), axis=1)
+        m, width, rows = len(cells), level.positions.shape[1], lengths.reshape(-1).nonzero()[0]
+        payloads = np.zeros((*lengths.shape, width), dtype=np.uint8)
+        cells = cells.reshape(m, -1)
+        for block in _blocks(len(rows), m * width):
+            # (members, rows, L): the XOR runs over the leading axis
+            positions = level.positions.take(cells.take(rows[block], axis=1).reshape(-1), axis=0)
+            chunks = flat.take(positions.astype(np.intp))  # see `Level` on int32 positions
+            payloads.reshape(-1, width)[rows[block]] = np.bitwise_xor.reduce(chunks.reshape(m, -1, width), axis=0)
         delivery.append((payloads, lengths))
     return delivery
 
@@ -374,13 +387,6 @@ def _as_delivery(partition: LevelPartition, messages) -> list[tuple[np.ndarray, 
                 np.concatenate(parts)
         delivery.append((payloads, lengths))
     return delivery
-
-
-def _payload_rows(delivery, i: int, level: Level, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The payloads, zero-padded ((len(rows), L)), and the lengths of level
-    i's rows, numbered demand * n_T + row, gathered from a delivery's arrays."""
-    payloads, lengths = delivery[i]
-    return payloads.reshape(-1, level.positions.shape[1])[rows], lengths.reshape(-1)[rows]
 
 
 def _cancellation_terms(codes: np.ndarray, files: np.ndarray, swaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -467,27 +473,28 @@ def _leader_of(wanted: np.ndarray, leaders: np.ndarray) -> np.ndarray:
 
 
 class _Plan(NamedTuple):
-    """One level's share of a decode: the chunk cells and sizes of every
-    row (numbered demand * n_T + row), the (row, member) pairs to decode,
-    the rows they need and those rows' payloads."""
+    """One level's share of a decode: the chunk cells of every row
+    ((j+1, n * n_T), rows numbered demand * n_T + row), which of them are
+    non-empty, which (member, row) pairs to decode, and every row's payload
+    ((n * n_T + 1, L), received or rebuilt; the last row stays zero)."""
 
     level: Level
     cells: np.ndarray
-    sizes: np.ndarray
+    nonempty: np.ndarray
     mine: np.ndarray
-    rows: np.ndarray
     payloads: np.ndarray
 
 
 class _Terms(NamedTuple):
     """One level's omitted rows for a stack of demands: the rows with no
     leader and a non-empty chunk (numbered demand * n_T + row, ascending),
-    and per row the rows of its cancellation terms (R, C), which of them
-    are terms of it and which of those have a chunk, so were sent."""
+    and per row the rows of its cancellation terms (R, C), and which of them
+    have a chunk, so were sent. A term absent from the level has no chunk,
+    so its message is empty: it and the padding of a row with fewer than C
+    terms are the zero row n * n_T."""
 
     rows: np.ndarray
     term_rows: np.ndarray
-    valid: np.ndarray
     sent: np.ndarray
 
 
@@ -502,11 +509,12 @@ def _omitted_terms(partition, plans, wanted, leaders, lead, bits) -> list[_Terms
     cache = partition.term_cache
     if cache.get("key") == key:
         return cache["terms"]
-    omitted = []
+    omitted, nonempty = [], []
     for level, plan in zip(partition.levels, plans):
         n_T = len(level.members)
         led = (np.tile(level.codes, len(wanted)) & np.repeat(lead, n_T)) != 0
-        omitted.append((~led & np.logical_or.reduce(plan.sizes > 0, axis=1)).nonzero()[0])
+        nonempty.append(np.logical_or.reduce(plan.nonempty, axis=0))  # whether each row has a chunk
+        omitted.append((~led & nonempty[-1]).nonzero()[0])
     terms = [None] * len(omitted)
     if any(len(rows) for rows in omitted):
         ends = np.cumsum([len(rows) for rows in omitted])
@@ -519,14 +527,16 @@ def _omitted_terms(partition, plans, wanted, leaders, lead, bits) -> list[_Terms
                 continue
             lo = hi - len(rows)
             s[lo:hi], r = np.divmod(rows, len(level.members))
-            members[lo:hi, : level.members.shape[1]] = level.members[r]
-            codes[lo:hi] = level.codes[r]
-        files = np.where(members > 0, wanted[s[:, None], members], partition.N)  # a pad's file, N, sorts last
-        leads = _leader_of(wanted, leaders)[s[:, None], members]
+            members[lo:hi, : level.members.shape[1]] = level.members.take(r, axis=0)
+            codes[lo:hi] = level.codes.take(r)
+        at = (s * wanted.shape[1])[:, None] + members  # each member's entry of a flat (n, K + 1) table
+        files = np.where(members > 0, wanted.take(at), partition.N)  # a pad's file, N, sorts last
+        leads = _leader_of(wanted, leaders).take(at)
         if not (leads > 0)[members > 0].all():
             raise ValueError("the leaders hold no requester of a file that an omitted subset's member requests")
-        swaps = bits[members] | bits[leads]
+        swaps = bits.take(members) | bits.take(leads)
         parts = [[] for _ in omitted]
+        zero = len(wanted) * np.array([len(level.members) for level in partition.levels])  # each level's zero row
         # a block's terms are (rows, C) int64 arrays, and C, the most terms
         # of a row, grows about as the square of its width
         for block in _blocks(ends[-1], 4 * width * width):
@@ -537,38 +547,37 @@ def _omitted_terms(partition, plans, wanted, leaders, lead, bits) -> list[_Terms
                 if lo < hi:
                     found = level.rows_of(codes_b[lo - b0 : hi - b0].reshape(-1)).reshape(hi - lo, -1)
                     valid = valid_b[lo - b0 : hi - b0] & (found >= 0)
-                    found = np.where(valid, (s[lo:hi] * len(level.members))[:, None] + found, 0)
-                    if len(wanted) * len(level.members) < 2**31:
+                    found = np.where(valid, (s[lo:hi] * len(level.members))[:, None] + found, zero[i])
+                    if zero[i] < 2**31:
                         found = found.astype(np.int32)  # the table is kept: halve it
-                    parts[i].append((found, valid, valid & np.logical_or.reduce(plans[i].sizes[found] > 0, axis=2)))
+                    # a clipped zero row is no term: `valid` drops it
+                    parts[i].append((found, valid & nonempty[i].take(found, mode="clip")))
         for i, rows in enumerate(omitted):
-            if len(parts[i]) == 1:
-                terms[i] = _Terms(rows, *parts[i][0])
-            elif parts[i]:
+            if parts[i]:
                 # blocks count up to their own most terms: pad to the level's
-                C = max(found.shape[1] for found, _, _ in parts[i])
-                terms[i] = _Terms(rows, *(np.concatenate([np.pad(a, ((0, 0), (0, C - a.shape[1]))) for a in part])
-                                          for part in zip(*parts[i])))
+                C = max(found.shape[1] for found, _ in parts[i])
+                terms[i] = _Terms(rows, *(
+                    np.concatenate([np.pad(a, ((0, 0), (0, C - a.shape[1])), constant_values=pad) for a in part])
+                    for part, pad in zip(zip(*parts[i]), (zero[i], False))))
     cache.clear()
     cache.update(key=key, terms=terms)
     return terms
 
 
-def _rebuild(plan, terms: _Terms, delivery, i: int, places: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _rebuild(plan, terms: _Terms, delivery, i: int, rows: np.ndarray) -> np.ndarray:
     """Write the message of each of level i's omitted `rows` into its plan's
-    payloads at `places`: per block of rows, one gather of their terms' rows
-    and one XOR-reduce. Returns the term rows that were sent but not
-    received."""
+    payloads: per block of rows, one gather of their terms' payloads laid
+    out (terms, rows, L), a missing term being the zero row, and one
+    XOR-reduce over the leading axis. Returns the term rows that were sent
+    but not received."""
     at = np.searchsorted(terms.rows, rows)
-    width = plan.payloads.shape[1]
+    lengths = delivery[i][1].reshape(-1)
     lost = []
-    for block in _blocks(len(rows), terms.term_rows.shape[1] * width):
-        valid = terms.valid[at[block]]
-        term_rows = terms.term_rows[at[block]][valid]
-        parts = np.zeros((*valid.shape, width), dtype=np.uint8)
-        parts[valid], lengths = _payload_rows(delivery, i, plan.level, term_rows)
-        plan.payloads[places[block]] = np.bitwise_xor.reduce(parts, axis=1)
-        lost.append(term_rows[terms.sent[at[block]][valid] & (lengths == 0)])
+    for block in _blocks(len(rows), terms.term_rows.shape[1] * plan.payloads.shape[1]):
+        term_rows = terms.term_rows.take(at[block], axis=0)
+        plan.payloads[rows[block]] = np.bitwise_xor.reduce(plan.payloads.take(term_rows.T, axis=0), axis=0)
+        sent = term_rows[terms.sent.take(at[block], axis=0)]
+        lost.append(sent[lengths.take(sent) == 0])
     return np.concatenate(lost)
 
 
@@ -608,23 +617,26 @@ def decode_stack(
     # the rows each level needs, with their payloads: received, lost or to rebuild
     plans, lost, omitted = [], [], []
     for i, level in enumerate(partition.levels):
-        n_T, m = level.members.shape
+        (n_T, m), width = level.members.shape, level.positions.shape[1]
         cells, sizes = level.chunks(wanted)
-        # (row, member) of a requested member and its non-empty chunk
-        mine = (requested[level.members] & (sizes > 0)).reshape(-1, m)
-        rows = np.logical_or.reduce(mine, axis=1).nonzero()[0]
-        payloads, lengths = _payload_rows(delivery, i, level, rows)
-        plans.append(_Plan(level, cells.reshape(-1, m), sizes.reshape(-1, m), mine, rows, payloads))
-        places = (lengths == 0).nonzero()[0]  # needed rows not received
-        if len(places):
-            s, r = np.divmod(rows[places], n_T)
-            led = (level.codes[r] & lead[s]) != 0
-            lost.append((i, rows[places[led]]))
+        nonempty = sizes > 0
+        # (member, row) of a requested member and its non-empty chunk
+        mine = (requested.take(level.members.T)[:, None, :] & nonempty).reshape(m, -1)
+        payloads, lengths = delivery[i]
+        table = np.zeros((n * n_T + 1, width), dtype=np.uint8)
+        table[:-1] = payloads.reshape(-1, width)
+        plans.append(_Plan(level, cells.reshape(m, -1), nonempty.reshape(m, -1), mine, table))
+        # the needed rows not received
+        missing = np.flatnonzero(np.logical_or.reduce(mine, axis=0) & (lengths.reshape(-1) == 0))
+        if len(missing):
+            s, r = np.divmod(missing, n_T)
+            led = (level.codes.take(r) & lead.take(s)) != 0
+            lost.append((i, missing[led]))
             if not led.all():
-                omitted.append((i, places[~led], rows[places[~led]]))
+                omitted.append((i, missing[~led]))
     if omitted:
         terms = _omitted_terms(partition, plans, wanted, leaders, lead, bits)
-        lost += [(i, _rebuild(plans[i], terms[i], delivery, i, places, rows)) for i, places, rows in omitted]
+        lost += [(i, _rebuild(plans[i], terms[i], delivery, i, rows)) for i, rows in omitted]
     for i in sorted({i for i, rows in lost if len(rows)}):
         level, first = plans[i].level, min(rows.min() for j, rows in lost if j == i and len(rows))
         raise DecodeError(tuple(level.members[first % len(level.members)].tolist()))
@@ -638,32 +650,44 @@ def decode_stack(
     else:
         # each user's view of its file in each demand, row s * U + u, where a
         # chunk of file i lands i * (F + 1) before its place in the views
-        decoded, row = views[np.arange(U), wanted[:, users]], F + 1
+        decoded = views.reshape(U * N, F + 1).take(np.arange(U) * N + wanted.take(users, axis=1), axis=0)
+        row = F + 1
     decoded_flat = decoded.reshape(-1)
     slot = np.zeros(partition.K + 1, dtype=np.intp)  # each requested user's row of the views
     slot[users] = np.arange(U)
-    for level, cells, _, mine, rows, payloads in plans:
-        if not len(rows):
+    for level, cells, _, mine, payloads in plans:
+        pairs = np.flatnonzero(mine)  # member * n * n_T + row, by member
+        if not len(pairs):
             continue
-        at, c = mine[rows].nonzero()
-        width = level.positions.shape[1]
-        for block in _blocks(len(at), level.members.shape[1] * width):
-            at_b, c_b = at[block], c[block]
-            pos = level.positions[cells[rows[at_b, None], level.partners[c_b]]].astype(np.intp)
-            own = level.positions[cells[rows[at_b], c_b]].astype(np.intp)
+        (n_T, m), width, R = level.members.shape, level.positions.shape[1], mine.shape[1]
+        # a pair gathers m * width elements and holds about 16 entries of
+        # int64 index arrays besides, which bound a block of short chunks
+        for block in _blocks(len(pairs), m * width + 16):
+            p = pairs[block]
+            c, r = np.divmod(p, R)
+            # (partners, pairs, L): the XOR runs over the leading axis
+            pos = level.positions.take(cells.take(level.partners.take(c, axis=1) * R + r), axis=0)
+            pos = pos.reshape(m - 1, len(p) * width)
+            own = level.positions.take(cells.take(p), axis=0).reshape(-1)
             if n * U > 1:
-                # one user's view of one demand starts at 0, and this pass over
-                # the positions costs about what widening them does, so a call
-                # for one user and one demand skips it
-                s, r = np.divmod(rows[at_b], len(level.members))
-                x = level.members[r, c_b]
-                pos += (slot[x] * (N * (F + 1)))[:, None, None]
-                own += ((s * U + slot[x]) * row - (wanted[s, x] * (F + 1) if n > 1 else 0))[:, None]
-            acc = np.bitwise_xor.reduce(flat[pos], axis=1)
-            acc ^= payloads[at_b]
-            # the chunks' padding lands in column F, which is zeroed again
+                # one user's view of one demand starts at 0, so a call for one
+                # user and one demand adds no offsets; each offset is repeated
+                # along its chunk, as adding (pairs, 1) to (pairs, L) is slow
+                # for short chunks, and the sums are intp
+                s, t = np.divmod(r, n_T)
+                x = level.members.take(t * m + c)
+                pos = pos + np.repeat(slot.take(x) * (N * (F + 1)), width)
+                base = (s * U + slot.take(x)) * row
+                if n > 1:
+                    base -= wanted.take(s * wanted.shape[1] + x) * (F + 1)
+                own = own + np.repeat(base, width)
+            else:
+                pos, own = pos.astype(np.intp), own.astype(np.intp)  # see `Level` on int32 positions
+            acc = np.bitwise_xor.reduce(flat.take(pos), axis=0)
+            acc ^= payloads.take(r, axis=0).reshape(-1)
             decoded_flat[own] = acc
-            decoded_flat[F :: F + 1] = 0
+            if n == 1:
+                decoded_flat[F :: F + 1] = 0  # the chunks' padding lands in the views' zero column
     if n == 1:
         return views[np.arange(U), wanted[0, users], :F][None]
     return decoded[..., :F]

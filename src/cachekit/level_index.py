@@ -21,16 +21,18 @@ class Level(NamedTuple):
     `codes` their user-set codes and `ranks` their `SubsetId` ranks;
     `by_code` lists the rows in ascending code order and `sorted_codes`
     their codes, to find a subset's row by its code.
-    `groups[T, c]` is the level's index of group T minus its c-th member,
+    `groups[c, T]` is the level's index of group T minus its c-th member,
     or G_j if that group is empty; the level has `slots` = G_j + 1 groups.
     A cell is file i's part of group g, numbered i * slots + g: `sizes` is
     each cell's bit count and `positions` is (N * slots, L_j), L_j the
     largest count, each cell's bits as indices i*(F+1) + bit into an
     (N, F + 1) array, padded with i*(F+1) + F, a column kept zero.
-    `partners[c]` lists the columns of T other than c. Group indices, sizes
-    and positions are int32 while N*(F+1) < 2^31, to keep the index small;
-    the engine widens the positions it gathers through to intp (numpy
-    gathers through int32 indices at about a third of the speed).
+    `partners[:, c]` lists the columns of T other than c. Group indices,
+    sizes and positions are int32 while N*(F+1) < 2^31, to keep the index
+    small. The engine gathers rows of them with `take`, and widens the
+    positions it gathers bits through to intp before using them as an
+    index: numpy's own widening inside a `take` or a scatter is slower than
+    an `astype` and an intp gather (about 1.25 times at 10^5 positions).
     """
 
     members: np.ndarray
@@ -47,9 +49,13 @@ class Level(NamedTuple):
     def chunks(self, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For a stack of n demands (`wanted[s, x]` is user x's file row in
         demand s): the cell and the bit count of each member's chunk, both
-        (n, n_T, j+1)."""
-        cells = wanted[:, self.members] * self.slots + self.groups
-        return cells, self.sizes[cells]
+        (j+1, n, n_T), member-major so that a reduction over a row's members
+        runs over the leading axis."""
+        n, (n_T, m) = len(wanted), self.members.shape
+        cells = np.empty((m, n, n_T), dtype=np.intp)
+        np.multiply(wanted.take(self.members.T, axis=1).transpose(1, 0, 2), self.slots, out=cells)
+        cells += self.groups[:, None, :]
+        return cells, self.sizes.take(cells)
 
     def rows_of(self, codes: np.ndarray) -> np.ndarray:
         """The row of each user-set code, or -1 where no row has it."""
@@ -113,11 +119,11 @@ def build_levels(partition) -> list[Level]:
             ranks[rows : rows + n],
             by_code,
             subsets[rows : rows + n][by_code],
-            local[groups[at]].reshape(n, j + 1).astype(small),
+            local[groups[at]].reshape(n, j + 1).T.astype(small, order="C"),
             int(counts[j]) + 1,
             sized.reshape(-1),
             positions[base[j] : base[j] + extent[j]].reshape(-1, width[j]),
-            np.array([[x for x in range(j + 1) if x != c] for c in range(j + 1)], dtype=np.intp).reshape(j + 1, j),
+            np.arange(j)[:, None] + (np.arange(j)[:, None] >= np.arange(j + 1)),  # k, or k + 1 from column c on
         ))
         rows, pairs = rows + n, pairs + n * (j + 1)
     return levels

@@ -250,8 +250,10 @@ class RateCurve:
     points: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self):
-        ms = [m for m, _ in self.points]
-        if any(b <= a for a, b in zip(ms, ms[1:])):
+        # a/b < c/d as a*d < c*b (denominators are positive): integer
+        # products, without building a Fraction per comparison
+        ms = [(m.numerator, m.denominator) for m, _ in self.points]
+        if any(c * b <= a * d for (a, b), (c, d) in zip(ms, ms[1:])):
             raise ValueError("M values must be strictly increasing")
 
 

@@ -20,7 +20,7 @@ from cachekit import (
     verify_message_cancellation,
 )
 from cachekit import decentralized
-from cachekit.model import Database, Placement
+from cachekit.model import Database, Placement, enumerate_types, type_representative
 
 from conftest import FILE_LETTERS, SIX_USER_TABLE, direct_payload, subfile_ranges
 
@@ -263,7 +263,7 @@ class TestDecode:
         leaders = select_leaders(d)
         messages = encode_delivery(db, placement, d, leaders)
 
-        def forbidden(plan, terms, delivery, i, places, rows):
+        def forbidden(plan, terms, delivery, i, rows):
             raise AssertionError(f"decoding handed the rebuild {len(rows)} rows")
 
         # the engine's decoder hands each level's omitted rows to this function
@@ -307,6 +307,51 @@ class TestCancellationIdentity:
 
         monkeypatch.setattr(decentralized, "encode_delivery", corrupted)
         assert not verify_message_cancellation(db, d, select_leaders(d), range(1, 7))
+
+    def test_fails_on_a_database_with_one_flipped_subfile_bit(self, canonical_instance, monkeypatch):
+        db, placement, d = canonical_instance
+        # a bit of user 2's chunk of the omitted message (2, 4, 6): file d_2's
+        # subfile cached by exactly {4, 6}
+        f = d[1] - 1
+        j = np.flatnonzero(placement.codes[f] == (1 << 3) | (1 << 5))[0]
+        bits = db.bits.copy()
+        bits[f, j] ^= 1
+        flipped = Database(db.N, db.F, bits)
+        encode = decentralized.encode_delivery
+        # the engine encodes from the flipped database, the chunks come from the intact one
+        monkeypatch.setattr(decentralized, "encode_delivery", lambda _, *args: encode(flipped, *args))
+        assert not verify_message_cancellation(db, d, select_leaders(d), range(1, 7))
+        # read alike, the flipped database's messages still cancel
+        assert verify_message_cancellation(flipped, d, select_leaders(d), range(1, 7))
+
+    def test_agrees_with_the_engine_rebuild_on_every_type(self):
+        # the check the oracle replaced: the engine's direct messages with
+        # every user a leader, rebuilt through `reconstruct_message`
+        def rebuild_check(db, d, leaders, group):
+            omitted = tuple(x for x in sorted(group) if x not in leaders)
+            if not omitted:
+                return True
+            partition = batch_placement(db.N, len(d), len(omitted) - 1, db.F).partition
+            everyone = frozenset(range(1, len(d) + 1))
+            direct = {m.subset.members: m.payload for m in decentralized.encode_delivery(db, partition, d, everyone)}
+            return np.array_equal(reconstruct_message(direct, d, leaders, omitted), direct[omitted])
+
+        checks = 0
+        for N in range(1, 4):
+            for K in range(1, 8):
+                for t in range(K):
+                    db = make_database(N, binomial(K, t), seed=100 * N + 10 * K + t)
+                    for stats in enumerate_types(N, K):
+                        d = type_representative(stats)
+                        leaders = select_leaders(d)
+                        others = [k for k in range(1, K + 1) if k not in leaders]
+                        if len(others) < t + 1:
+                            continue
+                        group = tuple(sorted(set(others[: t + 1]) | leaders))
+                        assert verify_message_cancellation(db, d, leaders, group)
+                        assert rebuild_check(db, d, leaders, group)
+                        checks += 1
+        assert checks > 100
 
     def test_requires_one_leader_per_file(self, canonical_instance):
         db, _, d = canonical_instance

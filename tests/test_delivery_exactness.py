@@ -385,10 +385,10 @@ def test_each_omitted_message_is_rebuilt_once(monkeypatch, N, K, t, d):
     rebuilt = []
     rebuild = decentralized._rebuild
 
-    def counting(plan, terms, delivery, i, places, rows):
+    def counting(plan, terms, delivery, i, rows):
         assert (rows < len(plan.level.members)).all()  # rows of a stack of one demand
         rebuilt.extend(tuple(members) for members in plan.level.members[rows].tolist())
-        return rebuild(plan, terms, delivery, i, places, rows)
+        return rebuild(plan, terms, delivery, i, rows)
 
     # the engine's decoder hands each level's omitted rows to this function
     monkeypatch.setattr(decentralized, "_rebuild", counting)

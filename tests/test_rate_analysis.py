@@ -19,7 +19,7 @@ from cachekit import (
     rate_curve,
 )
 from cachekit import decentralized
-from cachekit.rate_analysis import SCHEMES, write_curves_csv
+from cachekit.rate_analysis import SCHEMES, RateCurve, write_curves_csv
 
 
 def rate_at(scheme, N, K, M):
@@ -202,6 +202,14 @@ class TestCurves:
     def test_rejects_non_increasing_grid(self):
         with pytest.raises(ValueError):
             rate_curve("optimal-avg", 2, 2, [0, 0, 1])
+
+    def test_curve_points_strictly_increase_in_m(self):
+        # compared by integer cross-products: 3/5 < 2/3 though 3 > 2
+        R = Fraction(1)
+        RateCurve("x", 2, 2, ((Fraction(0), R), (Fraction(3, 5), R), (Fraction(2, 3), R), (Fraction(2), R)))
+        for ms in ([Fraction(2, 3), Fraction(3, 5)], [Fraction(1, 2), Fraction(2, 4)], [0, Fraction(5, 7), 0]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                RateCurve("x", 2, 2, tuple((M, R) for M in ms))
 
     def test_monotone_and_dominance(self):
         N, K = 4, 6

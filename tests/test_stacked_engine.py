@@ -11,6 +11,7 @@ demand only; a cleared cache bit must spoil only its user.
 """
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cachekit import batch_placement, binomial, decentralized, make_database
+from cachekit import batch_placement, binomial, cli, decentralized, make_database
 from cachekit.centralized import BroadcastMessage
 from cachekit.combinatorics import SubsetId
 from cachekit.model import Placement, demand_range
@@ -257,9 +258,9 @@ def test_each_omitted_message_of_a_stack_is_rebuilt_once(monkeypatch):
     handed = []
     rebuild = decentralized._rebuild
 
-    def counting(plan, terms, delivery, i, places, rows):
+    def counting(plan, terms, delivery, i, rows):
         handed.extend(divmod(int(r), len(plan.level.members)) for r in rows)
-        return rebuild(plan, terms, delivery, i, places, rows)
+        return rebuild(plan, terms, delivery, i, rows)
 
     monkeypatch.setattr(decentralized, "_rebuild", counting)
     delivery = decentralized.encode_stack(db, placement.partition, demands)
@@ -270,3 +271,111 @@ def test_each_omitted_message_of_a_stack_is_rebuilt_once(monkeypatch):
     for s, r in handed:
         leaders = decentralized.select_leaders(tuple(demands[s].tolist()))
         assert leaders.isdisjoint(level.members[r].tolist())
+
+
+# --- block boundaries, sparse levels and the stack budget -----------------------------
+
+
+SMALL_BLOCK_CASES = [
+    # batch t = 0: a row's one member has no partners, an empty leading axis
+    ("batch", 3, 5, 0, 2, [(1, 2, 3, 1, 2), (3, 3, 3, 3, 3), (2, 1, 1, 2, 3)]),
+    # batch t = K - 1: one level of K-member rows
+    ("batch", 2, 6, 5, 12, [(1, 2, 1, 2, 1, 2), (2, 2, 2, 2, 2, 1), (1, 1, 2, 2, 2, 2)]),
+    ("batch", 3, 6, 2, 15, [(1, 1, 2, 2, 3, 3), (1, 2, 3, 1, 2, 3), (3, 1, 1, 1, 1, 2), (2, 2, 2, 2, 2, 2)]),
+    # decentralized F = 1, and a many-level placement whose omitted rows span blocks
+    ("random", 3, 6, Fraction(3, 2), 1, [(3, 1, 2, 3, 3, 1), (1, 1, 1, 2, 2, 2)]),
+    ("random", 3, 7, Fraction(1), 40, [(1, 2, 3, 1, 2, 3, 1), (2, 2, 1, 1, 3, 3, 3), (1, 1, 1, 1, 2, 2, 2)]),
+    # K = 65: Python-int codes
+    ("batch", 3, K65, 64, K65, K65_DEMANDS),
+    ("random", 3, K65, Fraction(1), 12, K65_DEMANDS),
+]
+
+
+@pytest.mark.parametrize("kind, N, K, param, F, demands", SMALL_BLOCK_CASES)
+def test_small_blocks_match_the_loop(monkeypatch, kind, N, K, param, F, demands):
+    # every gather, term count and rebuild split into blocks of a few rows
+    monkeypatch.setattr(decentralized, "_BLOCK", 64)
+    db = make_database(N, F, seed=K)
+    placement = placement_of(kind, N, K, param, F, K + 1)
+    assert_stack_matches_loop(db, placement, np.array(demands))
+
+
+def test_a_dropped_row_names_the_same_subset_in_small_blocks(monkeypatch):
+    N, K, F = 3, 7, 40
+    db = make_database(N, F, seed=3)
+    placement = decentralized.random_placement(N, K, 1, F, seed=4)
+    part = placement.partition
+    demands = np.array([(1, 2, 3, 1, 2, 3, 1), (2, 2, 1, 1, 3, 3, 3), (1, 1, 1, 1, 2, 2, 2), (3, 2, 1, 3, 2, 1, 1)])
+    sent = [(i, s, r) for i, (_, lengths) in enumerate(decentralized.encode_stack(db, part, demands))
+            for s, r in zip(*lengths.nonzero())]
+    rng = np.random.default_rng(5)
+    for _ in range(12):
+        dropped = [sent[k] for k in rng.choice(len(sent), size=2, replace=False)]
+        named = []
+        for block in (decentralized._BLOCK, 64):
+            monkeypatch.setattr(decentralized, "_BLOCK", block)
+            delivery = decentralized.encode_stack(db, part, demands)
+            for i, s, r in dropped:
+                delivery[i][1][s, r] = 0
+            with pytest.raises(decentralized.DecodeError) as lost:
+                decentralized.decode_stack(range(1, K + 1), db, placement, part, delivery, demands)
+            named.append(lost.value.subset)
+        # every sent row is needed by one of its members: the first dropped
+        # in send order (level, then demand, then row) is named
+        i, _, r = min(dropped)
+        assert named == [tuple(part.levels[i].members[r].tolist())] * 2
+
+
+def test_sparse_level_rebuilds_are_bit_exact():
+    # the level of 7-member rows holds 784 of the C(12, 7) = 792 subsets, so
+    # some omitted rows have a cancellation term absent from the index (an
+    # empty message) while terms that swap more of their members are present
+    N, K, F = 3, 12, 2000
+    placement = decentralized.random_placement(N, K, 1, F, seed=0)
+    part = placement.partition
+    d = (1, 2, 3, 1, 2, 3, 1, 1, 2, 3, 3, 2)
+    leaders = decentralized.select_leaders(d)
+    level = next(level for level in part.levels if level.members.shape[1] == 7)
+    present = {tuple(row) for row in level.members.tolist()}
+    assert len(present) == 784 < binomial(K, 7)
+
+    def chunk(x, members):
+        return len(part.positions(tuple(y for y in members if y != x), d[x - 1]))
+
+    sparse = set()
+    for A in present:
+        if not leaders.isdisjoint(A) or not any(chunk(x, A) for x in A):
+            continue  # sent, or empty: not rebuilt
+        swapped = {T: set(A) - set(T) for T in terms_oracle(A, d, leaders)}
+        if any(swapped[T] < swapped[S] for T in swapped if T not in present for S in swapped if S in present):
+            sparse.add(A)
+    assert {(4, 5, 6, 7, 8, 10, 11), (5, 6, 7, 8, 9, 10, 12)} <= sparse
+    db = make_database(N, F, seed=1)
+    messages = decentralized.encode_delivery(db, part, d)
+    decoded = decentralized.decode_users(range(1, K + 1), db, placement, part, messages, d)
+    assert np.array_equal(decoded, db.bits[np.subtract(d, 1)])
+
+
+# the temporaries budget `decentralized.stack_size` documents
+STACK_BUDGET = 2 << 20
+
+
+@pytest.mark.parametrize("N, K, t", [(2, 8, 1), (2, 7, 2), (3, 6, 5), (2, 13, 11)])
+def test_a_stack_stays_within_the_temporaries_budget(N, K, t):
+    F = 2 * binomial(K, t)
+    db = make_database(N, F, seed=1)
+    placement = batch_placement(N, K, t, F)
+    size = decentralized.stack_size(placement.partition, K)
+    demands = demand_range(0, min(size, N**K), N, K)
+    cli._check_block(db, placement, t, demands)  # builds the delivery index
+    placement.partition.term_cache.clear()  # each new stack counts its terms anew
+    tracemalloc.start()
+    try:
+        reasons = cli._check_block(db, placement, t, demands)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reasons == [""] * len(demands)
+    assert peak < STACK_BUDGET
+    if K < 13:
+        assert N**K <= 2 * size  # a full verify of these is one or two stacks

@@ -25,7 +25,6 @@ from .decentralized import (
     BroadcastMessage,
     DecodeError,
     delivered_rate,
-    reconstruct_message,
     select_leaders,
 )
 from .centralized import (

@@ -82,8 +82,10 @@ def verify_message_cancellation(
     """Check that XORing, over every one-requester-per-file selection V inside
     `group`, the directly computed message of `group` minus V gives zero.
 
-    `group` must contain every leader, one requester of each requested file.
-    This identity is what makes the omitted leaderless messages
+    `group` must be users in 1..K that contain every leader, one requester
+    of each requested file, and its size must be e + t + 1 for e leaders
+    and a t with C(K, t) | F: the messages are those of the batch placement
+    of that t. This identity is what makes the omitted leaderless messages
     reconstructable. It is checked apart from the engine's rebuild: the
     selections V come from `itertools.product`, and each message of
     `group` minus V, as the engine sends it with every user a leader, must
@@ -94,6 +96,9 @@ def verify_message_cancellation(
     K = len(d)
     leaders = frozenset(leaders)
     members = tuple(sorted(set(group)))
+    for x in members:
+        if not 1 <= x <= K:
+            raise ValueError(f"group member {x} is not in 1..{K}")
     if not leaders.issubset(members):
         raise ValueError(f"group {members} must contain all leaders {sorted(leaders)}")
     if sorted(d[x - 1] for x in leaders) != sorted(set(d)):
@@ -101,6 +106,9 @@ def verify_message_cancellation(
     if len(members) == len(leaders):
         return True  # group == leaders: the single term is the empty-set message, zero
     t = len(members) - len(leaders) - 1  # every message of the identity has t + 1 members
+    if db.F % binomial(K, t):
+        raise ValueError(f"a group of {len(members)} users with {len(leaders)} leaders has t = {t}, "
+                         f"and C({K},{t}) = {binomial(K, t)} does not divide F={db.F}")
     placement = batch_placement(db.N, K, t, db.F)
     requesters = {}
     for x in members:

@@ -36,7 +36,7 @@ hands its subfiles to this engine.
 from __future__ import annotations
 
 import operator
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -183,7 +183,9 @@ class LevelPartition:
 
     @cached_property
     def term_cache(self) -> dict:
-        """The decoder's cancellation terms for the last stack of demands."""
+        """The decoder's cancellation terms for the last stack of demands: its
+        key, and a `_Terms` for each level, built the first time a decode of
+        the stack rebuilds a row of that level."""
         return {}
 
     @cached_property
@@ -255,8 +257,9 @@ def stack_size(partition: LevelPartition, users: int) -> int:
 
 def _stack(partition: LevelPartition, demands, leaders) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Each user's wanted file row per demand ((n, K+1), column 0 unused), the
-    leader flags ((n, K), `first_requesters` if None), each demand's leader
-    code and each 1-based user's code bit (entry 0 is 0)."""
+    leader flags ((n, K), `first_requesters` if None; they must flag a
+    requester of every requested file), each demand's leader code and each
+    1-based user's code bit (entry 0 is 0)."""
     demands = np.asarray(demands)
     if demands.ndim != 2 or demands.shape[1] != partition.K:
         raise ValueError(f"demands have shape {demands.shape}, expected (n, K={partition.K})")
@@ -264,7 +267,19 @@ def _stack(partition: LevelPartition, demands, leaders) -> tuple[np.ndarray, np.
         raise ValueError(f"demand entries must be integers in 1..{partition.N}")
     if leaders is not None and np.shape(leaders) != demands.shape:
         raise ValueError(f"leader flags have shape {np.shape(leaders)}, expected {demands.shape}")
-    leaders = first_requesters(demands) if leaders is None else np.asarray(leaders, dtype=bool)
+    if leaders is None:
+        leaders = first_requesters(demands)
+    else:
+        # each requested file needs a leader, or its omitted messages have no terms
+        leaders = np.asarray(leaders, dtype=bool)
+        size = len(demands) * (partition.N + 1)
+        slots = np.add(demands, np.arange(0, size, partition.N + 1)[:, None], dtype=np.intp)  # each demand's files
+        led = np.zeros(size, dtype=bool)
+        led[slots.reshape(-1).compress(leaders.reshape(-1))] = True
+        if not led.take(slots).all():
+            s, x = np.argwhere(~led.take(slots))[0].tolist()
+            raise ValueError(f"the leaders of demand {tuple(demands[s].tolist())} hold no requester of file "
+                             f"{demands[s, x]}")
     wanted = np.empty((len(demands), partition.K + 1), dtype=np.intp)
     wanted[:, 0] = 0
     np.subtract(demands, 1, out=wanted[:, 1:])
@@ -390,10 +405,9 @@ def _as_delivery(partition: LevelPartition, messages) -> list[tuple[np.ndarray, 
 
 
 def _cancellation_terms(codes: np.ndarray, files: np.ndarray, swaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The cancellation identity's terms for R leaderless subsets A, from each
-    A's code (R,), its members' requested files (R, m) and each member's swap
-    bits (its own code bit and its file's leader's, (R, m)). A column whose
-    swap is 0 pads A to the widest subset; its file must sort last.
+    """The cancellation identity's terms for R leaderless subsets A of one
+    level, from each A's code (R,), its members' requested files (R, m) and
+    each member's swap bits (its own code bit and its file's leader's, (R, m)).
 
     With B = A + leaders, the identity XORs the messages of B minus V over
     every choice V of one requester per file but the all-leaders one. Such
@@ -410,8 +424,7 @@ def _cancellation_terms(codes: np.ndarray, files: np.ndarray, swaps: np.ndarray)
     head = np.ones((R, m), dtype=bool)
     head[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
     group = head.cumsum(axis=1) - 1  # each member's file, numbered within A
-    weights = (swaps != 0).reshape(-1).astype(float)  # a pad counts for no file
-    size = np.bincount((at * m + group).reshape(-1), weights, minlength=R * m).astype(np.intp).reshape(R, m)
+    size = np.bincount((at * m + group).reshape(-1), minlength=R * m).reshape(R, m)
     first = size.cumsum(axis=1) - size
     count = (size + 1).prod(axis=1) - 1
     k = np.arange(1, count.max(initial=0) + 1)[None, :]
@@ -421,44 +434,6 @@ def _cancellation_terms(codes: np.ndarray, files: np.ndarray, swaps: np.ndarray)
         k, digit = np.divmod(k, size[:, g, None] + 1)
         terms ^= np.where(digit > 0, swaps[at, np.maximum(first[:, g, None] + digit - 1, 0)], 0)
     return terms, valid
-
-
-def reconstruct_message(
-    messages,
-    d: Demand,
-    leaders: frozenset[int],
-    subset: SubsetId | Sequence[int],
-) -> np.ndarray:
-    """Rebuild the omitted message of a leaderless subset A: the XOR of its
-    cancellation terms' messages (see `_cancellation_terms`), shorter ones
-    zero-padded. Equals the direct XOR-of-chunks payload. Every term must be
-    among `messages` (a list, or a mapping from members to payloads), or it
-    is lost (`DecodeError`)."""
-    members = tuple(subset.members) if isinstance(subset, SubsetId) else tuple(sorted(subset))
-    leaders = frozenset(leaders)
-    if not leaders.isdisjoint(members):
-        raise ValueError(f"subset {members} contains a leader; message was broadcast")
-    leader_of = {}
-    for x in sorted(leaders, reverse=True):
-        leader_of[d[x - 1]] = x
-    files = [d[x - 1] for x in members]
-    if not leader_of.keys() >= set(files):
-        raise ValueError(f"leaders {sorted(leaders)} hold no requester of a file {members} request")
-    swaps = [(1 << (x - 1)) | (1 << (leader_of[f] - 1)) for x, f in zip(members, files)]
-    terms, _ = _cancellation_terms(np.array([_user_code(members)], dtype=object), np.array([files]),
-                                   np.array([swaps], dtype=object))
-    payloads = messages if isinstance(messages, Mapping) else {m.subset.members: m.payload for m in messages}
-    parts = []
-    for code in terms[0].tolist():
-        key = tuple(k + 1 for k in range(code.bit_length()) if code >> k & 1)
-        if key not in payloads:
-            raise DecodeError(key)
-        parts.append(payloads[key])
-    parts.sort(key=len, reverse=True)
-    acc = parts[0].copy()
-    for y in parts[1:]:
-        acc[: len(y)] ^= y
-    return acc
 
 
 def _leader_of(wanted: np.ndarray, leaders: np.ndarray) -> np.ndarray:
@@ -488,80 +463,39 @@ class _Plan(NamedTuple):
 class _Terms(NamedTuple):
     """One level's omitted rows for a stack of demands: the rows with no
     leader and a non-empty chunk (numbered demand * n_T + row, ascending),
-    and per row the rows of its cancellation terms (R, C), and which of them
-    have a chunk, so were sent. A term absent from the level has no chunk,
-    so its message is empty: it and the padding of a row with fewer than C
-    terms are the zero row n * n_T."""
+    and per row the rows of its cancellation terms (R, C). A term absent
+    from the level has no chunk, so its message is empty: it and the
+    padding of a row with fewer than C terms are the zero row n * n_T."""
 
     rows: np.ndarray
     term_rows: np.ndarray
-    sent: np.ndarray
 
 
-def _omitted_terms(partition, plans, wanted, leaders, lead, bits) -> list[_Terms | None]:
-    """The `_Terms` of every level of a stack (None where no row is
-    omitted), from its plans' chunk sizes. The terms of every omitted row
-    are counted at once, a block of rows at a time, each row padded with
-    user 0 to the widest level; then each level's terms are found by one
-    lookup. Kept with the partition for the last stack it was built for,
-    so decoding one demand's users one call at a time builds it once."""
-    key = (wanted.tobytes(), leaders.tobytes())
-    cache = partition.term_cache
-    if cache.get("key") == key:
-        return cache["terms"]
-    omitted, nonempty = [], []
-    for level, plan in zip(partition.levels, plans):
-        n_T = len(level.members)
-        led = (np.tile(level.codes, len(wanted)) & np.repeat(lead, n_T)) != 0
-        nonempty.append(np.logical_or.reduce(plan.nonempty, axis=0))  # whether each row has a chunk
-        omitted.append((~led & nonempty[-1]).nonzero()[0])
-    terms = [None] * len(omitted)
-    if any(len(rows) for rows in omitted):
-        ends = np.cumsum([len(rows) for rows in omitted])
-        width = max(level.members.shape[1] for level, rows in zip(partition.levels, omitted) if len(rows))
-        members = np.zeros((ends[-1], width), dtype=np.intp)  # user 0 pads
-        codes = np.empty(ends[-1], dtype=bits.dtype)
-        s = np.empty(ends[-1], dtype=np.intp)
-        for level, rows, hi in zip(partition.levels, omitted, ends):
-            if not len(rows):
-                continue
-            lo = hi - len(rows)
-            s[lo:hi], r = np.divmod(rows, len(level.members))
-            members[lo:hi, : level.members.shape[1]] = level.members.take(r, axis=0)
-            codes[lo:hi] = level.codes.take(r)
-        at = (s * wanted.shape[1])[:, None] + members  # each member's entry of a flat (n, K + 1) table
-        files = np.where(members > 0, wanted.take(at), partition.N)  # a pad's file, N, sorts last
-        leads = _leader_of(wanted, leaders).take(at)
-        if not (leads > 0)[members > 0].all():
-            raise ValueError("the leaders hold no requester of a file that an omitted subset's member requests")
-        swaps = bits.take(members) | bits.take(leads)
-        parts = [[] for _ in omitted]
-        zero = len(wanted) * np.array([len(level.members) for level in partition.levels])  # each level's zero row
-        # a block's terms are (rows, C) int64 arrays, and C, the most terms
-        # of a row, grows about as the square of its width
-        for block in _blocks(ends[-1], 4 * width * width):
-            b0, b1 = range(ends[-1])[block].start, range(ends[-1])[block].stop
-            codes_b, valid_b = _cancellation_terms(codes[block], files[block], swaps[block])
-            for i, (level, rows, end) in enumerate(zip(partition.levels, omitted, ends)):
-                lo, hi = max(end - len(rows), b0), min(end, b1)
-                if lo < hi:
-                    found = level.rows_of(codes_b[lo - b0 : hi - b0].reshape(-1)).reshape(hi - lo, -1)
-                    valid = valid_b[lo - b0 : hi - b0] & (found >= 0)
-                    found = np.where(valid, (s[lo:hi] * len(level.members))[:, None] + found, zero[i])
-                    if zero[i] < 2**31:
-                        found = found.astype(np.int32)  # the table is kept: halve it
-                    # a clipped zero row is no term: `valid` drops it
-                    parts[i].append((found, valid & nonempty[i].take(found, mode="clip")))
-        for i, rows in enumerate(omitted):
-            if parts[i]:
-                # blocks count up to their own most terms: pad to the level's
-                C = max(found.shape[1] for found, _ in parts[i])
-                terms[i] = _Terms(rows, *(
-                    np.concatenate([np.pad(a, ((0, 0), (0, C - a.shape[1])), constant_values=pad) for a in part])
-                    for part, pad in zip(zip(*parts[i]), (zero[i], False))))
-    cache.clear()
-    cache.update(key=key, terms=terms)
-    return terms
+def _level_terms(plan: _Plan, wanted: np.ndarray, leaders: np.ndarray, lead: np.ndarray, bits) -> _Terms:
+    """The `_Terms` of one level of a stack, from its plan's chunk sizes: the
+    omitted rows' terms are counted a block of rows at a time
+    (`_cancellation_terms`), and each block's are found in the level by one
+    lookup (`Level.rows_of`)."""
+    level, n = plan.level, len(wanted)
+    n_T, m = level.members.shape
+    led = (np.tile(level.codes, n) & np.repeat(lead, n_T)) != 0
+    rows = (~led & np.logical_or.reduce(plan.nonempty, axis=0)).nonzero()[0]
+    s, r = np.divmod(rows, n_T)
+    members = level.members.take(r, axis=0)
+    at = (s * wanted.shape[1])[:, None] + members  # each member's entry of a flat (n, K + 1) table
+    swaps = bits.take(members) | bits.take(_leader_of(wanted, leaders).take(at))
+    codes, files, zero = level.codes.take(r), wanted.take(at), n * n_T
+    parts = []
+    # a block's terms are (rows, C) int64 arrays, and C, the most terms of a
+    # row, grows about as the square of its width
+    for block in _blocks(len(rows), 4 * m * m):
+        terms, valid = _cancellation_terms(codes[block], files[block], swaps[block])
+        found = level.rows_of(terms.reshape(-1)).reshape(terms.shape)
+        found = np.where(valid & (found >= 0), (s[block] * n_T)[:, None] + found, zero)
+        parts.append(found.astype(np.int32) if zero < 2**31 else found)  # the table is kept: halve it
+    C = max(part.shape[1] for part in parts)  # blocks count up to their own most terms
+    return _Terms(rows, np.concatenate([np.pad(part, ((0, 0), (0, C - part.shape[1])), constant_values=zero)
+                                        for part in parts]))
 
 
 def _rebuild(plan, terms: _Terms, delivery, i: int, rows: np.ndarray) -> np.ndarray:
@@ -569,14 +503,15 @@ def _rebuild(plan, terms: _Terms, delivery, i: int, rows: np.ndarray) -> np.ndar
     payloads: per block of rows, one gather of their terms' payloads laid
     out (terms, rows, L), a missing term being the zero row, and one
     XOR-reduce over the leading axis. Returns the term rows that were sent
-    but not received."""
+    but not received: a term with a chunk holds a leader, so it was sent."""
     at = np.searchsorted(terms.rows, rows)
     lengths = delivery[i][1].reshape(-1)
+    chunked = np.append(np.logical_or.reduce(plan.nonempty, axis=0), False)  # the zero row has none
     lost = []
     for block in _blocks(len(rows), terms.term_rows.shape[1] * plan.payloads.shape[1]):
         term_rows = terms.term_rows.take(at[block], axis=0)
         plan.payloads[rows[block]] = np.bitwise_xor.reduce(plan.payloads.take(term_rows.T, axis=0), axis=0)
-        sent = term_rows[terms.sent.take(at[block], axis=0)]
+        sent = term_rows[chunked.take(term_rows)]
         lost.append(sent[lengths.take(sent) == 0])
     return np.concatenate(lost)
 
@@ -614,8 +549,9 @@ def decode_stack(
     U = len(users)
     requested = np.zeros(partition.K + 1, dtype=bool)
     requested[users] = True
-    # the rows each level needs, with their payloads: received, lost or to rebuild
-    plans, lost, omitted = [], [], []
+    cache = partition.term_cache
+    # the rows each level needs, with their payloads: received, lost or rebuilt
+    plans, lost = [], []
     for i, level in enumerate(partition.levels):
         (n_T, m), width = level.members.shape, level.positions.shape[1]
         cells, sizes = level.chunks(wanted)
@@ -625,7 +561,8 @@ def decode_stack(
         payloads, lengths = delivery[i]
         table = np.zeros((n * n_T + 1, width), dtype=np.uint8)
         table[:-1] = payloads.reshape(-1, width)
-        plans.append(_Plan(level, cells.reshape(m, -1), nonempty.reshape(m, -1), mine, table))
+        plan = _Plan(level, cells.reshape(m, -1), nonempty.reshape(m, -1), mine, table)
+        plans.append(plan)
         # the needed rows not received
         missing = np.flatnonzero(np.logical_or.reduce(mine, axis=0) & (lengths.reshape(-1) == 0))
         if len(missing):
@@ -633,10 +570,13 @@ def decode_stack(
             led = (level.codes.take(r) & lead.take(s)) != 0
             lost.append((i, missing[led]))
             if not led.all():
-                omitted.append((i, missing[~led]))
-    if omitted:
-        terms = _omitted_terms(partition, plans, wanted, leaders, lead, bits)
-        lost += [(i, _rebuild(plans[i], terms[i], delivery, i, rows)) for i, rows in omitted]
+                key = (wanted.tobytes(), leaders.tobytes())
+                if cache.get("key") != key:
+                    cache.clear()
+                    cache["key"] = key
+                if i not in cache:
+                    cache[i] = _level_terms(plan, wanted, leaders, lead, bits)
+                lost.append((i, _rebuild(plan, cache[i], delivery, i, missing[~led])))
     for i in sorted({i for i, rows in lost if len(rows)}):
         level, first = plans[i].level, min(rows.min() for j, rows in lost if j == i and len(rows))
         raise DecodeError(tuple(level.members[first % len(level.members)].tolist()))

@@ -82,6 +82,24 @@ def direct_payload(db, placement, d, members):
     return acc
 
 
+def terms_oracle(A, d, leaders):
+    """The subsets whose messages the cancellation identity XORs to rebuild
+    leaderless A: (A + leaders) minus V over every choice V of one requester
+    per requested file, the all-leaders choice excluded."""
+    block = sorted(set(A) | leaders)
+    by_file = {}
+    for x in block:
+        by_file.setdefault(d[x - 1], []).append(x)
+    return {tuple(x for x in block if x not in choice)
+            for choice in itertools.product(*by_file.values()) if frozenset(choice) != leaders}
+
+
+def rebuilt_oracle(payloads, A, d, leaders):
+    """Leaderless A's message rebuilt from the received equal-length
+    `payloads` (members -> payload): their XOR over `terms_oracle`."""
+    return np.bitwise_xor.reduce([payloads[T] for T in sorted(terms_oracle(A, d, leaders))])
+
+
 def placement_from_mask(mask):
     """The placement in which user k caches exactly the True entries of
     `mask[k-1]`, a K x N x F boolean array."""

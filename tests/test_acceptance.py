@@ -26,14 +26,13 @@ from cachekit import (
     encode_delivery,
     enumerate_types,
     make_database,
-    reconstruct_message,
     select_leaders,
     verify_message_cancellation,
 )
 from cachekit import decentralized
 from cachekit.rate_analysis import SCHEMES
 
-from conftest import CURVE_CASES, FILE_LETTERS, SIX_USER_TABLE, direct_payload
+from conftest import CURVE_CASES, FILE_LETTERS, SIX_USER_TABLE, direct_payload, rebuilt_oracle
 
 SWEEP_RANGE = [
     (N, K, t) for N in range(1, 5) for K in range(1, 6) for t in range(K + 1)
@@ -107,7 +106,7 @@ def test_criterion_2_worked_example(canonical_instance):
     for k in range(1, 7):
         assert np.array_equal(decode_user(k, db, placement, messages, d, leaders), db.file(d[k - 1]))
 
-    rebuilt = reconstruct_message(messages, d, leaders, (2, 4, 6))
+    rebuilt = rebuilt_oracle({m.subset.members: m.payload for m in messages}, (2, 4, 6), d, leaders)
     assert np.array_equal(rebuilt, direct_payload(db, placement, d, (2, 4, 6)))
 
     elapsed = time.perf_counter() - started

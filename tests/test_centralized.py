@@ -15,14 +15,13 @@ from cachekit import (
     demand_stats,
     encode_delivery,
     make_database,
-    reconstruct_message,
     select_leaders,
     verify_message_cancellation,
 )
-from cachekit import decentralized
+from cachekit import centralized, decentralized
 from cachekit.model import Database, Placement, enumerate_types, type_representative
 
-from conftest import FILE_LETTERS, SIX_USER_TABLE, direct_payload, subfile_ranges
+from conftest import FILE_LETTERS, SIX_USER_TABLE, direct_payload, rebuilt_oracle, subfile_ranges
 
 
 class TestBatchPlacement:
@@ -166,12 +165,12 @@ class TestReconstruct:
         db, placement, d = canonical_instance
         leaders = select_leaders(d)
         messages = encode_delivery(db, placement, d, leaders)
-        rebuilt = reconstruct_message(messages, d, leaders, (2, 4, 6))
+        by_subset = {m.subset.members: m.payload for m in messages}
+        rebuilt = rebuilt_oracle(by_subset, (2, 4, 6), d, leaders)
         direct = direct_payload(db, placement, d, (2, 4, 6))
         assert np.array_equal(rebuilt, direct)
         # and it is exactly the XOR of the 7 leader-containing messages of
         # the selections inside {1..6} other than the leaders themselves
-        by_subset = {m.subset.members: m.payload for m in messages}
         acc = np.zeros(1, dtype=np.uint8)
         terms = 0
         for choice in itertools.product((1, 2), (3, 4), (5, 6)):
@@ -190,18 +189,11 @@ class TestReconstruct:
             placement = batch_placement(N, K, t, F)
             for d in [(1, 1, 2, 2, 2), (2, 1, 1, 1, 2), (1, 1, 1, 2, 2)]:
                 leaders = select_leaders(d)
-                messages = encode_delivery(db, placement, d, leaders)
+                by_subset = {m.subset.members: m.payload for m in encode_delivery(db, placement, d, leaders)}
                 non_leaders = [k for k in range(1, K + 1) if k not in leaders]
                 for A in itertools.combinations(non_leaders, t + 1):
-                    rebuilt = reconstruct_message(messages, d, leaders, A)
+                    rebuilt = rebuilt_oracle(by_subset, A, d, leaders)
                     assert np.array_equal(rebuilt, direct_payload(db, placement, d, A))
-
-    def test_rejects_subset_with_leader(self, canonical_instance):
-        db, placement, d = canonical_instance
-        leaders = select_leaders(d)
-        messages = encode_delivery(db, placement, d, leaders)
-        with pytest.raises(ValueError, match="leader"):
-            reconstruct_message(messages, d, leaders, (1, 4, 6))
 
 
 class TestDecode:
@@ -326,7 +318,7 @@ class TestCancellationIdentity:
 
     def test_agrees_with_the_engine_rebuild_on_every_type(self):
         # the check the oracle replaced: the engine's direct messages with
-        # every user a leader, rebuilt through `reconstruct_message`
+        # every user a leader, the omitted one rebuilt from its terms' messages
         def rebuild_check(db, d, leaders, group):
             omitted = tuple(x for x in sorted(group) if x not in leaders)
             if not omitted:
@@ -334,7 +326,7 @@ class TestCancellationIdentity:
             partition = batch_placement(db.N, len(d), len(omitted) - 1, db.F).partition
             everyone = frozenset(range(1, len(d) + 1))
             direct = {m.subset.members: m.payload for m in decentralized.encode_delivery(db, partition, d, everyone)}
-            return np.array_equal(reconstruct_message(direct, d, leaders, omitted), direct[omitted])
+            return np.array_equal(rebuilt_oracle(direct, omitted, d, leaders), direct[omitted])
 
         checks = 0
         for N in range(1, 4):
@@ -357,6 +349,27 @@ class TestCancellationIdentity:
         db, _, d = canonical_instance
         with pytest.raises(ValueError, match="one requester of each"):
             verify_message_cancellation(db, d, {1, 2, 3, 5}, range(1, 7))
+
+    def test_rejects_members_outside_the_users(self, canonical_instance):
+        db, _, d = canonical_instance
+        leaders = select_leaders(d)
+        for outside in (0, 7):
+            with pytest.raises(ValueError, match=f"group member {outside} is not in 1..6"):
+                verify_message_cancellation(db, d, leaders, (*sorted(leaders), 2, outside))
+
+    def test_rejects_a_group_size_whose_t_does_not_divide_F(self, monkeypatch):
+        K = 65
+        db = make_database(2, 130, seed=1)
+        d = (1, 2) + (1,) * (K - 2)
+        assert select_leaders(d) == {1, 2}
+
+        def forbidden(*args):
+            raise AssertionError("a placement was built")
+
+        monkeypatch.setattr(centralized, "batch_placement", forbidden)
+        with pytest.raises(ValueError, match=r"group of 5 users with 2 leaders has t = 2, "
+                                             r"and C\(65,2\) = 2080 does not divide F=130"):
+            verify_message_cancellation(db, d, {1, 2}, (1, 2, 3, 5, 64))
 
     def test_random_configurations(self):
         lcm_f = {2: 2, 3: 6, 4: 12, 5: 20, 6: 120}

@@ -24,6 +24,8 @@ from cachekit.centralized import BroadcastMessage
 from cachekit.combinatorics import SubsetId
 from cachekit.model import Placement, demand_range
 
+from conftest import terms_oracle
+
 K65 = 65
 
 
@@ -127,18 +129,6 @@ def test_every_demand_of_an_instance_in_one_stack():
 
 
 # --- corruption ---------------------------------------------------------------------
-
-
-def terms_oracle(A, d, leaders):
-    """The subsets whose messages the cancellation identity XORs to rebuild
-    leaderless A: (A + leaders) minus V over every choice V of one requester
-    per requested file, the all-leaders choice excluded."""
-    block = sorted(set(A) | leaders)
-    by_file = {}
-    for x in block:
-        by_file.setdefault(d[x - 1], []).append(x)
-    return {tuple(x for x in block if x not in choice)
-            for choice in itertools.product(*by_file.values()) if frozenset(choice) != leaders}
 
 
 def readers_oracle(partition, d, leaders, T, bit):
@@ -271,6 +261,84 @@ def test_each_omitted_message_of_a_stack_is_rebuilt_once(monkeypatch):
     for s, r in handed:
         leaders = decentralized.select_leaders(tuple(demands[s].tolist()))
         assert leaders.isdisjoint(level.members[r].tolist())
+
+
+def test_each_level_term_table_is_built_once_per_stack(monkeypatch):
+    # the K one-user decodes of one demand build the terms of each level that
+    # has an omitted row once, and never a level without one
+    N, K, F = 3, 7, 40
+    db = make_database(N, F, seed=3)
+    placement = decentralized.random_placement(N, K, 1, F, seed=4)
+    part = placement.partition
+    built = []
+    level_terms = decentralized._level_terms
+
+    def counting(plan, *args):
+        built.append(next(i for i, level in enumerate(part.levels) if level is plan.level))
+        return level_terms(plan, *args)
+
+    monkeypatch.setattr(decentralized, "_level_terms", counting)
+
+    def omitted_levels(d, leaders):
+        def chunk(x, members):
+            return len(part.positions(tuple(y for y in members if y != x), d[x - 1]))
+
+        return {i for i, level in enumerate(part.levels) for A in level.members.tolist()
+                if leaders.isdisjoint(A) and any(chunk(x, A) for x in A)}
+
+    def decode_each_user(d, leaders=None):
+        built.clear()
+        messages = decentralized.encode_delivery(db, part, d, leaders)
+        for k in range(1, K + 1):
+            decoded = decentralized.decode_user(k, db, placement, part, messages, d, leaders)
+            assert np.array_equal(decoded, db.file(d[k - 1]))
+        return sorted(built)
+
+    d = (1, 2, 3, 1, 2, 3, 1)
+    wanted = omitted_levels(d, decentralized.select_leaders(d))
+    assert wanted and set(range(len(part.levels))) - wanted  # some levels have omitted rows, some not
+    assert decode_each_user(d) == sorted(wanted)
+    assert decode_each_user(d) == []  # the same stack again: the tables are kept
+    # another demand, and the same demand with other leaders, build them anew
+    other = (2, 2, 1, 1, 3, 3, 3)
+    assert decode_each_user(other) == sorted(omitted_levels(other, decentralized.select_leaders(other)))
+    last = frozenset({5, 6, 7})  # the highest-indexed requester of each file
+    assert decode_each_user(d, last) == sorted(omitted_levels(d, last))
+    assert decode_each_user(d) == sorted(wanted)
+
+
+def test_leaders_must_cover_every_requested_file():
+    N, K, t = 3, 6, 2
+    F = 2 * binomial(K, t)
+    db = make_database(N, F, seed=1)
+    placement = batch_placement(N, K, t, F)
+    part, d = placement.partition, (1, 1, 2, 2, 3, 3)
+    # a one-demand leader set with no requester of files 2 and 3
+    for call in (lambda: decentralized.encode_delivery(db, part, d, frozenset({1})),
+                 lambda: decentralized.decode_user(2, db, placement, part, [], d, frozenset({1}))):
+        with pytest.raises(ValueError, match=r"demand \(1, 1, 2, 2, 3, 3\) hold no requester of file 2"):
+            call()
+    # stacked flags: the second demand's leaders miss file 1
+    demands = np.array([d, (3, 1, 1, 2, 2, 3)])
+    flags = flags_of([{1, 3, 5}, {1, 4}], K)
+    with pytest.raises(ValueError, match=r"demand \(3, 1, 1, 2, 2, 3\) hold no requester of file 1"):
+        decentralized.encode_stack(db, part, demands, flags)
+    with pytest.raises(ValueError, match=r"demand \(3, 1, 1, 2, 2, 3\) hold no requester of file 1"):
+        decentralized.decode_stack([1], db, placement, part, [], demands, flags)
+    # flags that cover every file pass, whatever the demands' integer type
+    flags = flags_of([{1, 3, 5}, {1, 2, 4}], K)
+    for dtype in (np.uint8, np.uint64, np.int32):
+        typed = demands.astype(dtype)
+        delivery = decentralized.encode_stack(db, part, typed, flags)
+        decoded = decentralized.decode_stack(range(1, K + 1), db, placement, part, delivery, typed, flags)
+        assert np.array_equal(decoded, db.bits[demands - 1])
+    # a superset of one requester per file stays valid: every user a leader
+    everyone = frozenset(range(1, K + 1))
+    messages = decentralized.encode_delivery(db, part, d, everyone)
+    assert len(messages) == binomial(K, t + 1)
+    for k in range(1, K + 1):
+        assert np.array_equal(decentralized.decode_user(k, db, placement, part, messages, d, everyone),
+                              db.file(d[k - 1]))
 
 
 # --- block boundaries, sparse levels and the stack budget -----------------------------

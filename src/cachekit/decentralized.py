@@ -14,8 +14,9 @@ stack, and one XOR-reduce over their members. Decoding (`decode_stack`)
 gathers each requested user's partner chunks from its own cache view,
 XOR-reduces them with the payloads and scatters the result into the user's
 file; padding lands in a zero sentinel column. Omitted leaderless messages
-are rebuilt by the cancellation identity, each once per decode call for
-all its members, one gather of their terms per level. Two rules keep the
+are rebuilt by the cancellation identity, each once per decode plan for
+all its members, one gather of their terms per level; a `Broadcast` keeps
+its plan, so that its one-user calls share it. Two rules keep the
 kernels fast on the short rows of small instances, where numpy's cost per
 call and per row, not the bits moved, sets the time. Every gather is an
 `ndarray.take` over a flat index: fancy indexing with a 2-D or paired
@@ -80,15 +81,20 @@ class BroadcastMessage:
 
 class Broadcast(Sequence):
     """One demand's broadcast as `encode_stack` sent it: the partition and,
-    for each of its levels, the payloads (1, n_T, L) and lengths (1, n_T); a
-    row of length 0 was not sent. A read-only sequence of the sent
-    `BroadcastMessage`s in send order, each built only when it is indexed or
-    iterated, its payload a view of the arrays. Its length and payload bits
-    are read from the lengths, and the decoders read the arrays themselves."""
+    for each of its levels, the payloads (1, n_T, L) and lengths (1, n_T),
+    made read-only; a row of length 0 was not sent. A read-only sequence of
+    the sent `BroadcastMessage`s in send order, each built only when it is
+    indexed or iterated, its payload a view of the arrays. Its length and
+    payload bits are read from the lengths, and the decoders read the arrays
+    themselves, keeping with it the decode plan of its last stack (`_plans`)."""
 
     def __init__(self, partition: LevelPartition, delivery: list[tuple[np.ndarray, np.ndarray]]):
+        for arrays in delivery:
+            for array in arrays:
+                array.setflags(write=False)
         self.partition = partition
         self.delivery = delivery
+        self._plan = None  # (key, plans): see `_plans`
 
     @cached_property
     def _sent(self) -> list[np.ndarray]:
@@ -185,7 +191,7 @@ class LevelPartition:
     def term_cache(self) -> dict:
         """The decoder's cancellation terms for the last stack of demands: its
         key, and a `_Terms` for each level, built the first time a decode of
-        the stack rebuilds a row of that level."""
+        the stack rebuilds a row of that level; every delivery shares them."""
         return {}
 
     @cached_property
@@ -367,15 +373,15 @@ def _user_code(users) -> int:
     return sum(1 << (k - 1) for k in users)
 
 
-def _as_delivery(partition: LevelPartition, messages) -> list[tuple[np.ndarray, np.ndarray]]:
+def _as_delivery(partition: LevelPartition, messages) -> Broadcast | list[tuple[np.ndarray, np.ndarray]]:
     """A received broadcast as `encode_stack`'s arrays for one demand: a
-    `Broadcast`'s own if it is of this partition, else each message's payload
+    `Broadcast` itself if it is of this partition, else each message's payload
     at the row of its subset's size and rank, one pass per level. The last
     message naming a row wins, a subset with no row is ignored, a payload is
     cut to its level's width, and a row no message names (or named with an
     empty payload) has length 0: it was not received."""
     if isinstance(messages, Broadcast) and messages.partition is partition:
-        return messages.delivery
+        return messages
     messages = list(messages)
     sizes = np.array([len(m.subset.members) for m in messages], dtype=np.intp)
     ranks = np.array([m.subset.rank for m in messages])  # object past int64
@@ -448,16 +454,19 @@ def _leader_of(wanted: np.ndarray, leaders: np.ndarray) -> np.ndarray:
 
 
 class _Plan(NamedTuple):
-    """One level's share of a decode: the chunk cells of every row
-    ((j+1, n * n_T), rows numbered demand * n_T + row), which of them are
-    non-empty, which (member, row) pairs to decode, and every row's payload
-    ((n * n_T + 1, L), received or rebuilt; the last row stays zero)."""
+    """One level's share of a stack's decode from one delivery, for any
+    users: the chunk cells of every row ((j+1, n * n_T), rows numbered
+    demand * n_T + row), which are non-empty, every row's payload
+    ((n * n_T + 1, L), received or rebuilt; the last row stays zero) and
+    the first row each row needs that was sent but not received: n * n_T
+    (none) if received, itself if it holds a leader, and for an omitted
+    row -1 until it is rebuilt, then its first such term."""
 
     level: Level
     cells: np.ndarray
     nonempty: np.ndarray
-    mine: np.ndarray
     payloads: np.ndarray
+    lost: np.ndarray
 
 
 class _Terms(NamedTuple):
@@ -502,18 +511,40 @@ def _rebuild(plan, terms: _Terms, delivery, i: int, rows: np.ndarray) -> np.ndar
     """Write the message of each of level i's omitted `rows` into its plan's
     payloads: per block of rows, one gather of their terms' payloads laid
     out (terms, rows, L), a missing term being the zero row, and one
-    XOR-reduce over the leading axis. Returns the term rows that were sent
-    but not received: a term with a chunk holds a leader, so it was sent."""
+    XOR-reduce over the leading axis. Returns each row's first term that was
+    sent but not received (the zero row if none): a term with a chunk holds
+    a leader, so it was sent."""
     at = np.searchsorted(terms.rows, rows)
-    lengths = delivery[i][1].reshape(-1)
-    chunked = np.append(np.logical_or.reduce(plan.nonempty, axis=0), False)  # the zero row has none
+    # the rows with a chunk that were not received; the zero row has none
+    gone = np.append(np.logical_or.reduce(plan.nonempty, axis=0) & (delivery[i][1].reshape(-1) == 0), False)
     lost = []
     for block in _blocks(len(rows), terms.term_rows.shape[1] * plan.payloads.shape[1]):
-        term_rows = terms.term_rows.take(at[block], axis=0)
-        plan.payloads[rows[block]] = np.bitwise_xor.reduce(plan.payloads.take(term_rows.T, axis=0), axis=0)
-        sent = term_rows[chunked.take(term_rows)]
-        lost.append(sent[lengths.take(sent) == 0])
+        term_rows = terms.term_rows.take(at[block], axis=0).T
+        plan.payloads[rows[block]] = np.bitwise_xor.reduce(plan.payloads.take(term_rows, axis=0), axis=0)
+        lost.append(np.minimum.reduce(np.where(gone.take(term_rows), term_rows, len(gone) - 1), axis=0))
     return np.concatenate(lost)
+
+
+def _plans(partition: LevelPartition, delivery, arrays, wanted: np.ndarray, lead: np.ndarray,
+           key: tuple) -> list[_Plan]:
+    """The `_Plan`s for decoding the stack `key` (wanted files and leader
+    flags) from `delivery`: new for raw arrays, kept by a `Broadcast`."""
+    kept = delivery._plan if isinstance(delivery, Broadcast) else None
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    plans = []
+    for level, (payloads, lengths) in zip(partition.levels, arrays):
+        (n_T, m), width = level.members.shape, level.positions.shape[1]
+        rows = len(wanted) * n_T
+        cells, sizes = level.chunks(wanted)
+        table = np.zeros((rows + 1, width), dtype=np.uint8)
+        table[:-1] = payloads.reshape(-1, width)
+        led = (np.tile(level.codes, len(wanted)) & np.repeat(lead, n_T)) != 0
+        lost = np.where(lengths.reshape(-1) > 0, rows, np.where(led, np.arange(rows), -1))
+        plans.append(_Plan(level, cells.reshape(m, -1), (sizes > 0).reshape(m, -1), table, lost))
+    if isinstance(delivery, Broadcast):
+        delivery._plan = (key, plans)
+    return plans
 
 
 def decode_stack(
@@ -528,18 +559,19 @@ def decode_stack(
     """Recover file d_k for each user k of `users` in each demand of a stack
     ((n, K), leader flags `leaders` as for `encode_stack`) from its cache
     plus the delivery: (n, len(users), F). `delivery` is `encode_stack`'s
-    arrays; a row of length 0 was not received.
+    arrays, or a one-demand `Broadcast` of this partition; a row of length 0
+    was not received.
 
     Every (demand, row, member) with a requested member and a non-empty own
     chunk is decoded, a level at a time, by one gather from the users' cache
     views, one XOR-reduce over the partners and one scatter. The views do
-    not depend on the demand, so they are built once per stack. Each
-    needed leaderless row that was not received is rebuilt once per stack
-    by the cancellation identity. A needed row that holds a leader, directly
-    or as a term, but was not received is lost: `DecodeError` names the
-    first such in send order. Each user's bits are read from the database
-    only through its own cache (the rest are zeroed), so any decoding gap
-    shows up as a bit mismatch.
+    not depend on the demand, so they are built once per stack; the plan
+    (`_plans`) does not depend on the users. Each needed leaderless row that
+    was not received is rebuilt once per plan by the cancellation identity.
+    A needed row that holds a leader, directly or as a term, but was not
+    received is lost: `DecodeError` names the first such in send order.
+    Each user's bits are read from the database only through its own cache
+    (the rest are zeroed), so any decoding gap shows up as a bit mismatch.
     """
     _check_shape(db, partition=partition.order.shape, placement=placement.codes.shape)
     N, F = db.N, partition.F
@@ -549,37 +581,30 @@ def decode_stack(
     U = len(users)
     requested = np.zeros(partition.K + 1, dtype=bool)
     requested[users] = True
-    cache = partition.term_cache
-    # the rows each level needs, with their payloads: received, lost or rebuilt
-    plans, lost = [], []
-    for i, level in enumerate(partition.levels):
-        (n_T, m), width = level.members.shape, level.positions.shape[1]
-        cells, sizes = level.chunks(wanted)
-        nonempty = sizes > 0
+    key = (wanted.tobytes(), leaders.tobytes())
+    arrays = delivery.delivery if isinstance(delivery, Broadcast) else delivery
+    plans = _plans(partition, delivery, arrays, wanted, lead, key)
+    terms = partition.term_cache
+    mines = []
+    for i, plan in enumerate(plans):
+        level, (n_T, m) = plan.level, plan.level.members.shape
         # (member, row) of a requested member and its non-empty chunk
-        mine = (requested.take(level.members.T)[:, None, :] & nonempty).reshape(m, -1)
-        payloads, lengths = delivery[i]
-        table = np.zeros((n * n_T + 1, width), dtype=np.uint8)
-        table[:-1] = payloads.reshape(-1, width)
-        plan = _Plan(level, cells.reshape(m, -1), nonempty.reshape(m, -1), mine, table)
-        plans.append(plan)
-        # the needed rows not received
-        missing = np.flatnonzero(np.logical_or.reduce(mine, axis=0) & (lengths.reshape(-1) == 0))
+        mine = (requested.take(level.members.T)[:, None, :] & plan.nonempty.reshape(m, n, n_T)).reshape(m, -1)
+        mines.append(mine)
+        # the needed rows not received, but for those rebuilt from received terms
+        missing = np.flatnonzero(np.logical_or.reduce(mine, axis=0) & (plan.lost < n * n_T))
         if len(missing):
-            s, r = np.divmod(missing, n_T)
-            led = (level.codes.take(r) & lead.take(s)) != 0
-            lost.append((i, missing[led]))
-            if not led.all():
-                key = (wanted.tobytes(), leaders.tobytes())
-                if cache.get("key") != key:
-                    cache.clear()
-                    cache["key"] = key
-                if i not in cache:
-                    cache[i] = _level_terms(plan, wanted, leaders, lead, bits)
-                lost.append((i, _rebuild(plan, cache[i], delivery, i, missing[~led])))
-    for i in sorted({i for i, rows in lost if len(rows)}):
-        level, first = plans[i].level, min(rows.min() for j, rows in lost if j == i and len(rows))
-        raise DecodeError(tuple(level.members[first % len(level.members)].tolist()))
+            fresh = missing[plan.lost.take(missing) < 0]  # omitted, and no earlier call rebuilt them
+            if len(fresh):
+                if terms.get("key") != key:
+                    terms.clear()
+                    terms["key"] = key
+                if i not in terms:
+                    terms[i] = _level_terms(plan, wanted, leaders, lead, bits)
+                plan.lost[fresh] = _rebuild(plan, terms[i], arrays, i, fresh)
+            first = plan.lost.take(missing).min()
+            if first < n * n_T:
+                raise DecodeError(tuple(level.members[first % n_T].tolist()))
     # every user's cache view, flat per user; column F of each file stays zero
     views = _cache_views(db, placement, users, F)
     flat = views.reshape(-1)
@@ -595,10 +620,11 @@ def decode_stack(
     decoded_flat = decoded.reshape(-1)
     slot = np.zeros(partition.K + 1, dtype=np.intp)  # each requested user's row of the views
     slot[users] = np.arange(U)
-    for level, cells, _, mine, payloads in plans:
+    for plan, mine in zip(plans, mines):
         pairs = np.flatnonzero(mine)  # member * n * n_T + row, by member
         if not len(pairs):
             continue
+        level, cells, payloads = plan.level, plan.cells, plan.payloads
         (n_T, m), width, R = level.members.shape, level.positions.shape[1], mine.shape[1]
         # a pair gathers m * width elements and holds about 16 entries of
         # int64 index arrays besides, which bound a block of short chunks
@@ -645,8 +671,9 @@ def decode_users(
     """Recover file d_k for each user k of `users` from its cache plus the
     broadcast `messages`: a (len(users), F) array, one row per user in that
     order; `decode_stack` for the one demand. A `Broadcast` of this partition
-    is read from its arrays; any other sequence of `BroadcastMessage`s is
-    placed into arrays first (see `_as_delivery`).
+    is read from its arrays and keeps the decode plan, so one-user calls
+    share it; any other sequence of `BroadcastMessage`s is placed into
+    arrays first (see `_as_delivery`), for this call alone.
     """
     _check_shape(db, partition=partition.order.shape, placement=placement.codes.shape)
     d = validate_demand(d, db.N)

@@ -7,6 +7,13 @@ count and payload bits included; and a decoder must give the same files (or
 name the same lost subset) whether it reads the `Broadcast`'s arrays or a
 list of messages: the broadcast itself, shuffled, with duplicates, with a
 foreign subset or an over-long payload, or with one message missing.
+
+A `Broadcast`'s arrays are read-only, and it keeps the decode plan of the
+last demand and leaders it was decoded for, so that one-user calls share
+it. Whatever the calls before, a call must decode what the same call on
+the message list (which keeps nothing) decodes: in any user order, for
+another demand or leader set, with a forgetful placement, or with a lost
+row, which every user that needs it must name.
 """
 
 import random
@@ -16,7 +23,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from cachekit import Broadcast, BroadcastMessage, DecodeError, batch_placement, decentralized, make_database
+from cachekit import (Broadcast, BroadcastMessage, DecodeError, batch_placement, binomial, centralized, decentralized,
+                      make_database)
+from cachekit.model import Placement
 from cachekit.combinatorics import SubsetId
 
 from test_stacked_engine import K65, K65_DEMANDS, placement_of, stacked_messages, stacks
@@ -40,6 +49,16 @@ def decode(db, placement, messages, d, leaders, users):
 
 def same(a, b):
     return a == b if isinstance(a, tuple) or isinstance(b, tuple) else np.array_equal(a, b)
+
+
+def without(broadcast, lost):
+    """A copy of the broadcast's arrays with the row of message `lost` unsent."""
+    delivery = [(payloads.copy(), lengths.copy()) for payloads, lengths in broadcast.delivery]
+    size, rank = len(lost.subset.members), lost.subset.rank
+    for level, (_, lengths) in zip(broadcast.partition.levels, delivery):
+        if level.members.shape[1] == size:
+            lengths[0, np.searchsorted(level.ranks, rank)] = 0
+    return Broadcast(broadcast.partition, delivery)
 
 
 @settings(max_examples=100, deadline=None)
@@ -103,12 +122,7 @@ def test_every_representation_decodes_alike(instance):
         got = decode(db, placement, rest, d, leaders, range(1, K + 1))
         assert isinstance(got, tuple) and got == lost.subset.members
         # and the engine reading arrays with that row unsent names the same subset
-        delivery = [(payloads.copy(), lengths.copy()) for payloads, lengths in broadcast.delivery]
-        size, rank = len(lost.subset.members), lost.subset.rank
-        for level, (payloads, lengths) in zip(part.levels, delivery):
-            if level.members.shape[1] == size:
-                lengths[0, np.searchsorted(level.ranks, rank)] = 0
-        assert decode(db, placement, Broadcast(part, delivery), d, leaders, range(1, K + 1)) == got
+        assert decode(db, placement, without(broadcast, lost), d, leaders, range(1, K + 1)) == got
 
 
 def test_a_broadcast_of_another_partition_is_read_as_messages():
@@ -122,3 +136,118 @@ def test_a_broadcast_of_another_partition_is_read_as_messages():
     broadcast = decentralized.encode_delivery(db, other, d)
     got = decentralized.decode_users(range(1, K + 1), db, placement, placement.partition, broadcast, d)
     assert np.array_equal(got, db.bits[np.subtract(d, 1)])
+
+
+# --- the decode plan a broadcast keeps ---------------------------------------
+
+
+def test_a_broadcasts_arrays_are_read_only():
+    N, K, t = 3, 5, 2
+    F = 2 * binomial(K, t)
+    db = make_database(N, F, seed=2)
+    placement = batch_placement(N, K, t, F)
+    d = (1, 2, 2, 3, 1)
+    broadcast = decentralized.encode_delivery(db, placement.partition, d)
+    for payloads, lengths in broadcast.delivery:
+        for array in (payloads, lengths):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        broadcast[0].payload[0] ^= 1
+    # the engine's own arrays stay writable
+    delivery = decentralized.encode_stack(db, placement.partition, np.array([d]))
+    assert all(payloads.flags.writeable and lengths.flags.writeable for payloads, lengths in delivery)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacks())
+@example(("batch", 3, 6, 2, 15, [(1, 1, 2, 2, 3, 3)], None, 1))
+@example(("batch", 2, 6, 2, 15, [(1, 1, 2, 2, 1, 2)], [frozenset({2, 6})], 7))
+@example(("random", 3, 5, Fraction(1), 20, [(1, 2, 1, 3, 2)], None, 3))
+@example(("random", 3, K65, Fraction(1), 12, K65_DEMANDS, None, 6))
+def test_one_user_calls_share_the_broadcasts_plan(instance):
+    # each user alone, in a shuffled order and again, then all users in one
+    # call, on one broadcast: the files of a decode of its message list
+    db, placement, d, leaders, seed = one_demand(instance)
+    K = placement.K
+    broadcast = decentralized.encode_delivery(db, placement.partition, d, leaders)
+    want = decode(db, placement, list(broadcast), d, leaders, range(1, K + 1))
+    assert np.array_equal(want, db.bits[np.subtract(d, 1)])
+    order = random.Random(seed).sample(range(1, K + 1), K)
+    for k in order + order:
+        assert np.array_equal(decode(db, placement, broadcast, d, leaders, [k]), want[[k - 1]])
+    assert np.array_equal(decode(db, placement, broadcast, d, leaders, range(1, K + 1)), want)
+
+
+def test_a_broadcast_decoded_for_other_stacks_stays_exact():
+    # the plan is kept for the last demand and leaders: decoding the same
+    # broadcast for another demand, then with other leaders, then as sent,
+    # gives in every call what a decode of the message list gives
+    N, K, F = 3, 7, 60
+    db = make_database(N, F, seed=8)
+    placement = decentralized.random_placement(N, K, 1, F, seed=9)
+    # `other` has the same first requesters as d, 1, 2 and 3, so only the
+    # demand tells their plans apart
+    d, other = (1, 2, 3, 1, 2, 3, 1), (3, 1, 2, 2, 1, 3, 3)
+    last = frozenset({5, 6, 7})  # the highest-indexed requester of each file of d
+    broadcast = decentralized.encode_delivery(db, placement.partition, d)
+    messages = list(broadcast)
+    for demand, leaders in [(d, None), (other, None), (d, last), (d, None)]:
+        for k in range(1, K + 1):
+            got = decode(db, placement, broadcast, demand, leaders, [k])
+            assert same(got, decode(db, placement, messages, demand, leaders, [k]))
+            if demand == d and leaders is None:
+                assert np.array_equal(got, db.bits[[d[k - 1] - 1]])
+    assert not np.array_equal(decode(db, placement, broadcast, other, None, range(1, K + 1)),
+                              db.bits[np.subtract(other, 1)])
+
+
+@pytest.mark.parametrize("forgetter", [1, 2, 5])
+def test_a_forgetful_placement_after_the_honest_one_still_shows(canonical_instance, forgetter):
+    # the plan holds no cache or database bits: a placement that lost one
+    # cached bit, decoded after the honest one from the same broadcast,
+    # still spoils that user's file, and only that user's
+    db, placement, d = canonical_instance
+    K, users = placement.K, range(1, placement.K + 1)
+    broadcast = centralized.encode_delivery(db, placement, d)
+    honest = decentralized.decode_users(users, db, placement, placement.partition, broadcast, d)
+    assert np.array_equal(honest, db.bits[np.subtract(d, 1)])
+    wanted = d[forgetter - 1] - 1
+    j = int(np.flatnonzero(placement.cached(forgetter)[wanted] & (db.bits[wanted] == 1))[0])
+    codes = placement.codes.copy()
+    codes[wanted, j] ^= 1 << (forgetter - 1)
+    forgetful = Placement(K, codes)
+    for k in users:
+        got = decentralized.decode_user(k, db, forgetful, placement.partition, broadcast, d)
+        assert np.array_equal(got, db.file(d[k - 1])) == (k != forgetter)
+    decoded = decentralized.decode_users(users, db, forgetful, placement.partition, broadcast, d)
+    assert [k for k in users if not np.array_equal(decoded[k - 1], db.file(d[k - 1]))] == [forgetter]
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacks())
+@example(("batch", 3, 6, 2, 15, [(1, 1, 2, 2, 3, 3)], None, 1))
+@example(("random", 3, 5, Fraction(1), 20, [(1, 2, 1, 3, 2)], None, 3))
+@example(("random", 3, 6, Fraction(3, 2), 12, [(3, 1, 2, 3, 3, 1)], [frozenset({3, 5, 6})], 4))
+def test_a_lost_row_is_named_alike_in_every_call_order(instance):
+    # one sent row lost: every user that needs it, directly or as a term,
+    # names it, whichever user calls first and however often; the others
+    # decode their files
+    db, placement, d, leaders, seed = one_demand(instance)
+    K = placement.K
+    broadcast = decentralized.encode_delivery(db, placement.partition, d, leaders)
+    messages = list(broadcast)
+    if not messages:
+        return
+    rng = random.Random(seed)
+    lost = messages[rng.randrange(len(messages))]
+    rest = [m for m in messages if m is not lost]
+    alone = {k: decode(db, placement, rest, d, leaders, [k]) for k in range(1, K + 1)}
+    named = [k for k, got in alone.items() if isinstance(got, tuple)]
+    assert named and all(alone[k] == lost.subset.members for k in named)  # a member with a chunk needs it
+    assert all(np.array_equal(alone[k], db.bits[[d[k - 1] - 1]]) for k in alone if k not in named)
+    for _ in range(2):
+        lossy = without(broadcast, lost)
+        order = rng.sample(range(1, K + 1), K)
+        for k in order + order:
+            assert same(decode(db, placement, lossy, d, leaders, [k]), alone[k])

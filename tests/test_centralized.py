@@ -18,7 +18,7 @@ from cachekit import (
     select_leaders,
     verify_message_cancellation,
 )
-from cachekit import centralized, decentralized
+from cachekit import Broadcast, centralized, decentralized
 from cachekit.model import Database, Placement, enumerate_types, type_representative
 
 from conftest import FILE_LETTERS, SIX_USER_TABLE, direct_payload, rebuilt_oracle, subfile_ranges
@@ -291,11 +291,12 @@ class TestCancellationIdentity:
         encode = decentralized.encode_delivery
 
         def corrupted(*args, **kwargs):
-            messages = encode(*args, **kwargs)
-            for m in messages:
-                if m.subset.members == (2, 4, 6):
-                    m.payload[0] ^= 1
-            return messages
+            broadcast = encode(*args, **kwargs)
+            (level,), ((payloads, lengths),) = broadcast.partition.levels, broadcast.delivery
+            payloads = payloads.copy()  # a broadcast's arrays are read-only
+            row = level.rows_of(np.array([(1 << 1) | (1 << 3) | (1 << 5)], dtype=level.codes.dtype))[0]
+            payloads[0, row, 0] ^= 1  # the message of (2, 4, 6)
+            return Broadcast(broadcast.partition, [(payloads, lengths)])
 
         monkeypatch.setattr(decentralized, "encode_delivery", corrupted)
         assert not verify_message_cancellation(db, d, select_leaders(d), range(1, 7))

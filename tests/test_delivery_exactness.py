@@ -13,6 +13,7 @@ the broadcast.
 """
 
 import itertools
+import random
 import re
 from fractions import Fraction
 
@@ -399,12 +400,20 @@ def test_each_omitted_message_is_rebuilt_once(monkeypatch, N, K, t, d):
     assert len(omitted) == binomial(K - len(set(d)), t + 1) > 0
     # one decode call hands the rebuild each omitted row once, in send order
     assert rebuilt == omitted
-    # a call for one user hands it the omitted rows that user is a member of,
-    # so over the K calls each omitted row goes once per member
+    # calls on the decoded broadcast hand it nothing: the rows are kept with it
     for k in users:
         rebuilt.clear()
-        centralized.decode_user(k, db, placement, messages, d, leaders)
-        assert rebuilt == [A for A in omitted if k in A]
+        assert np.array_equal(centralized.decode_user(k, db, placement, messages, d, leaders), db.file(d[k - 1]))
+        assert rebuilt == []
+    # over one-user calls on a fresh broadcast, in any order, each omitted row
+    # goes once, with the first call whose user needs it: every member of a
+    # row has a non-empty batch chunk, so the first of its members to call
+    fresh = centralized.encode_delivery(db, placement, d, leaders)
+    order = random.Random(K).sample(users, K)
+    for at, k in enumerate(order):
+        rebuilt.clear()
+        assert np.array_equal(centralized.decode_user(k, db, placement, fresh, d, leaders), db.file(d[k - 1]))
+        assert rebuilt == [A for A in omitted if k in A and not set(order[:at]) & set(A)]
 
 
 @pytest.mark.parametrize("forgetter", [1, 2, 5])

@@ -25,13 +25,15 @@ XOR-reduce runs over the leading axis: (members, rows, L) to encode,
 (partners, pairs, L) to decode and (terms, rows, L) to rebuild; reducing
 over a middle axis of length 2-10 costs tens to hundreds of times as
 much. The one-demand functions (`encode_delivery`, `decode_users`,
-`decode_user`) are calls with a stack of one. A delivery has one
+`decode_user`) are calls with a stack of one. Each input has one door: a
+one-demand call's demand and leaders are checked by `_one`, a stack by
+`_stack`, the users by `decode_stack`. A delivery has one
 representation, those arrays: `encode_delivery` returns them as a
 `Broadcast`, a sequence whose `BroadcastMessage`s are built only when it is
 read as one, and the decoders read a `Broadcast` of their partition from
-its arrays, placing any other message list into arrays first. Batch
-(centralized) delivery is the one-level, equal-chunk case: `centralized`
-hands its subfiles to this engine.
+its arrays, placing any other message list into arrays first, one message
+at a time. Batch (centralized) delivery is the one-level, equal-chunk
+case: `centralized` hands its subfiles to this engine.
 """
 
 from __future__ import annotations
@@ -301,8 +303,12 @@ def _user_bits(K: int, dtype: np.dtype) -> np.ndarray:
     return bits
 
 
-def _one(d, K: int, leaders) -> tuple[np.ndarray, np.ndarray]:
-    """A stack of the one demand `d` and its leader flags (`select_leaders` if None)."""
+def _one(d, partition: LevelPartition, leaders) -> tuple[np.ndarray, np.ndarray]:
+    """A stack of the one demand `d`, checked against the partition, and its
+    leader flags (`select_leaders` if None)."""
+    d, K = validate_demand(d, partition.N), partition.K
+    if len(d) != K:
+        raise ValueError(f"demand length {len(d)} != K={K}")
     flags = np.zeros((1, K), dtype=bool)
     for x in select_leaders(d) if leaders is None else leaders:
         if not 1 <= x <= K:
@@ -362,10 +368,7 @@ def encode_delivery(
     for the one demand. Messages that would be empty are not sent; the rest
     go by subset size, then lexicographic."""
     _check_shape(db, partition=partition.order.shape)
-    d = validate_demand(d, db.N)
-    if len(d) != partition.K:
-        raise ValueError(f"demand length {len(d)} != K={partition.K}")
-    return Broadcast(partition, encode_stack(db, partition, *_one(d, partition.K, leaders)))
+    return Broadcast(partition, encode_stack(db, partition, *_one(d, partition, leaders)))
 
 
 def _user_code(users) -> int:
@@ -376,37 +379,28 @@ def _user_code(users) -> int:
 def _as_delivery(partition: LevelPartition, messages) -> Broadcast | list[tuple[np.ndarray, np.ndarray]]:
     """A received broadcast as `encode_stack`'s arrays for one demand: a
     `Broadcast` itself if it is of this partition, else each message's payload
-    at the row of its subset's size and rank, one pass per level. The last
-    message naming a row wins, a subset with no row is ignored, a payload is
-    cut to its level's width, and a row no message names (or named with an
-    empty payload) has length 0: it was not received."""
+    placed, one message at a time, at the row of its subset's size and rank.
+    The last message naming a row wins, a subset with no row is ignored, a
+    payload is cut to its level's width, and a row no message names (or
+    named with an empty payload) has length 0: it was not received."""
     if isinstance(messages, Broadcast) and messages.partition is partition:
         return messages
-    messages = list(messages)
-    sizes = np.array([len(m.subset.members) for m in messages], dtype=np.intp)
-    ranks = np.array([m.subset.rank for m in messages])  # object past int64
-    delivery = []
+    delivery, by_size = [], {}
     for level in partition.levels:
         (n_T, m), width = level.members.shape, level.positions.shape[1]
-        payloads = np.zeros((1, n_T, width), dtype=np.uint8)
-        lengths = np.zeros((1, n_T), dtype=np.intp)
-        at = (sizes == m).nonzero()[0]
-        rows = np.minimum(np.searchsorted(level.ranks, ranks[at]), n_T - 1)  # ranks ascend in send order
-        hit = level.ranks[rows] == ranks[at]
-        at, rows = at[hit], rows[hit]
-        # a stable sort by row keeps each row's messages in order: take the last
-        order = np.argsort(rows, kind="stable")
-        at, rows = at[order], rows[order]
-        last = np.ones(len(rows), dtype=bool)
-        last[:-1] = rows[1:] != rows[:-1]
-        at, rows = at[last], rows[last]
-        if len(at):
-            parts = [np.asarray(messages[k].payload)[:width] for k in at.tolist()]
-            n = np.array([len(y) for y in parts], dtype=np.intp)
-            lengths[0, rows] = n
-            payloads.reshape(-1)[np.repeat(rows * width - (np.cumsum(n) - n), n) + np.arange(n.sum())] = \
-                np.concatenate(parts)
-        delivery.append((payloads, lengths))
+        delivery.append((np.zeros((1, n_T, width), dtype=np.uint8), np.zeros((1, n_T), dtype=np.intp)))
+        by_size[m] = (level, *delivery[-1])
+    for message in messages:
+        subset = message.subset
+        if len(subset.members) not in by_size:
+            continue
+        level, payloads, lengths = by_size[len(subset.members)]
+        r = int(np.searchsorted(level.ranks, subset.rank))  # ranks ascend in send order
+        if r < len(level.ranks) and level.ranks[r] == subset.rank:
+            payload = np.asarray(message.payload)[: payloads.shape[2]]
+            payloads[0, r] = 0  # no bit of an earlier, longer payload of the row stays
+            payloads[0, r, : len(payload)] = payload
+            lengths[0, r] = len(payload)
     return delivery
 
 
@@ -442,17 +436,6 @@ def _cancellation_terms(codes: np.ndarray, files: np.ndarray, swaps: np.ndarray)
     return terms, valid
 
 
-def _leader_of(wanted: np.ndarray, leaders: np.ndarray) -> np.ndarray:
-    """(n, K + 1): the lowest-indexed leader requesting each user's file in
-    each demand, 0 if none; column 0, no user, is 0."""
-    n, K = leaders.shape
-    # whether user y leads user x's file, (n, x, y)
-    leads = (wanted[:, 1:, None] == wanted[:, None, 1:]) & leaders[:, None, :]
-    out = np.zeros((n, K + 1), dtype=np.intp)
-    out[:, 1:] = np.where(leads.any(axis=2), leads.argmax(axis=2) + 1, 0)
-    return out
-
-
 class _Plan(NamedTuple):
     """One level's share of a stack's decode from one delivery, for any
     users: the chunk cells of every row ((j+1, n * n_T), rows numbered
@@ -484,16 +467,24 @@ def _level_terms(plan: _Plan, wanted: np.ndarray, leaders: np.ndarray, lead: np.
     """The `_Terms` of one level of a stack, from its plan's chunk sizes: the
     omitted rows' terms are counted a block of rows at a time
     (`_cancellation_terms`), and each block's are found in the level by one
-    lookup (`Level.rows_of`)."""
+    lookup (`Level.rows_of`). A member is swapped for the lowest-indexed
+    leader of its file, read from one table over the stack's (demand, file)
+    slots."""
     level, n = plan.level, len(wanted)
     n_T, m = level.members.shape
     led = (np.tile(level.codes, n) & np.repeat(lead, n_T)) != 0
     rows = (~led & np.logical_or.reduce(plan.nonempty, axis=0)).nonzero()[0]
     s, r = np.divmod(rows, n_T)
     members = level.members.take(r, axis=0)
-    at = (s * wanted.shape[1])[:, None] + members  # each member's entry of a flat (n, K + 1) table
-    swaps = bits.take(members) | bits.take(_leader_of(wanted, leaders).take(at))
-    codes, files, zero = level.codes.take(r), wanted.take(at), n * n_T
+    files = wanted.take((s * wanted.shape[1])[:, None] + members)  # each member's file, 0-based
+    # the lowest-indexed leader of each (demand, file) slot: `_stack` made
+    # sure that every requested file has one
+    N = int(wanted.max()) + 1
+    by, x = leaders.nonzero()
+    leader = np.full(n * N, len(bits), dtype=np.intp)
+    np.minimum.at(leader, by * N + wanted.take(by * wanted.shape[1] + x + 1), x + 1)
+    swaps = bits.take(members) | bits.take(leader.take((s * N)[:, None] + files))
+    codes, zero = level.codes.take(r), n * n_T
     parts = []
     # a block's terms are (rows, C) int64 arrays, and C, the most terms of a
     # row, grows about as the square of its width
@@ -560,7 +551,8 @@ def decode_stack(
     ((n, K), leader flags `leaders` as for `encode_stack`) from its cache
     plus the delivery: (n, len(users), F). `delivery` is `encode_stack`'s
     arrays, or a one-demand `Broadcast` of this partition; a row of length 0
-    was not received.
+    was not received. `users` must be distinct and in 1..K, and the stack
+    as `_stack` checks it, or a `ValueError` says why.
 
     Every (demand, row, member) with a requested member and a non-empty own
     chunk is decoded, a level at a time, by one gather from the users' cache
@@ -576,10 +568,17 @@ def decode_stack(
     _check_shape(db, partition=partition.order.shape, placement=placement.codes.shape)
     N, F = db.N, partition.F
     wanted, leaders, lead, bits = _stack(partition, demands, leaders)
-    n = len(wanted)
-    users = list(users)
+    n, K = len(wanted), partition.K
+    users = [operator.index(k) for k in users]
+    seen = set()
+    for k in users:
+        if not 1 <= k <= K:
+            raise ValueError(f"user {k} is not in 1..{K}")
+        if k in seen:
+            raise ValueError(f"user {k} is requested twice")
+        seen.add(k)
     U = len(users)
-    requested = np.zeros(partition.K + 1, dtype=bool)
+    requested = np.zeros(K + 1, dtype=bool)
     requested[users] = True
     key = (wanted.tobytes(), leaders.tobytes())
     arrays = delivery.delivery if isinstance(delivery, Broadcast) else delivery
@@ -618,7 +617,7 @@ def decode_stack(
         decoded = views.reshape(U * N, F + 1).take(np.arange(U) * N + wanted.take(users, axis=1), axis=0)
         row = F + 1
     decoded_flat = decoded.reshape(-1)
-    slot = np.zeros(partition.K + 1, dtype=np.intp)  # each requested user's row of the views
+    slot = np.zeros(K + 1, dtype=np.intp)  # each requested user's row of the views
     slot[users] = np.arange(U)
     for plan, mine in zip(plans, mines):
         pairs = np.flatnonzero(mine)  # member * n * n_T + row, by member
@@ -676,19 +675,7 @@ def decode_users(
     arrays first (see `_as_delivery`), for this call alone.
     """
     _check_shape(db, partition=partition.order.shape, placement=placement.codes.shape)
-    d = validate_demand(d, db.N)
-    K = partition.K
-    if len(d) != K:
-        raise ValueError(f"demand length {len(d)} != K={K}")
-    users = [operator.index(k) for k in users]
-    seen = set()
-    for k in users:
-        if not 1 <= k <= K:
-            raise ValueError(f"user {k} is not in 1..{K}")
-        if k in seen:
-            raise ValueError(f"user {k} is requested twice")
-        seen.add(k)
-    demands, flags = _one(d, K, leaders)
+    demands, flags = _one(d, partition, leaders)
     return decode_stack(users, db, placement, partition, _as_delivery(partition, messages), demands, flags)[0]
 
 

@@ -448,6 +448,11 @@ def test_decode_users_refuses_bad_users(canonical_instance, users, message):
     if len(users) == 1:
         with pytest.raises(ValueError, match=re.escape(message)):
             centralized.decode_user(users[0], db, placement, messages, d)
+    # the stacked entry checks its users alike, on a stack of two demands
+    demands = np.array([d, d[::-1]])
+    delivery = decentralized.encode_stack(db, placement.partition, demands)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        decentralized.decode_stack(users, db, placement, placement.partition, delivery, demands)
 
 
 @pytest.mark.parametrize("d", [(1, 1, 2, 2, 3), (1, 1, 2, 2, 3, 3, 1)])

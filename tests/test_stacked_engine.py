@@ -66,7 +66,9 @@ CORNERS = ["M=0", "M=N", "t=K", "K=1", "F=1", "any"]
 @st.composite
 def stacks(draw):
     """A batch or random placement, often on a degenerate corner, a stack of
-    demands and either the default leaders or any one requester per file."""
+    demands and either the default leaders or, per demand, any non-empty set
+    of each file's requesters: often one, sometimes several, while another
+    requester of the same or another file may stay a non-leader."""
     corner = draw(st.sampled_from(CORNERS))
     N = draw(st.integers(1, 4))
     K = 1 if corner == "K=1" else draw(st.integers(1, 6))
@@ -85,8 +87,12 @@ def stacks(draw):
     demands = [tuple(draw(st.lists(st.integers(1, N), min_size=K, max_size=K))) for _ in range(n)]
     leader_sets = None
     if draw(st.booleans()):
-        leader_sets = [frozenset(draw(st.sampled_from([x for x in range(1, K + 1) if d[x - 1] == f]))
-                                 for f in sorted(set(d))) for d in demands]
+        leader_sets = []
+        for d in demands:
+            leaders = set()
+            for f in sorted(set(d)):
+                leaders |= draw(st.sets(st.sampled_from([x for x in range(1, K + 1) if d[x - 1] == f]), min_size=1))
+            leader_sets.append(frozenset(leaders))
     return kind, N, K, param, F, demands, leader_sets, draw(st.integers(0, 2**16))
 
 
@@ -109,6 +115,9 @@ K65_DEMANDS = [tuple(k % 3 + 1 for k in range(K65)), tuple((k * 7) % 2 + 1 for k
 @example(("random", 3, K65, Fraction(1), 12, K65_DEMANDS, None, 6))
 @example(("batch", 2, 6, 2, 15, [(1, 1, 2, 2, 1, 2), (2, 2, 2, 2, 2, 1)],
           [frozenset({2, 6}), frozenset({3, 6})], 7))  # leaders other than the first requesters
+@example(("batch", 3, 6, 2, 15, [(1, 1, 2, 2, 3, 3)], [frozenset({1, 2, 3, 5})], 8))  # file 1 led twice
+@example(("batch", 2, 6, 2, 15, [(1, 1, 1, 1, 2, 2), (2, 1, 2, 1, 1, 2)],
+          [frozenset({1, 2, 5}), frozenset({1, 2, 3})], 9))  # omitted rows whose members' file is led twice
 def test_stack_equals_loop_of_one_demand_calls(instance):
     kind, N, K, param, F, demands, leader_sets, seed = instance
     db = make_database(N, F, seed)

@@ -73,18 +73,30 @@ MAX_RATE_USERS = 1000
 # point with a 10^100 denominator).
 MAX_RATE_WORK = 5 * 10**8
 # Largest estimated allocation of a batch (centralized) `verify`/`simulate`
-# run, see `batch_bytes_estimate`; a larger instance is refused before any
-# of it is allocated.
+# run, see `batch_bytes_estimate`, or of a decentralized `simulate` run, see
+# `decentralized_bytes_estimate`; a larger instance is refused before any of
+# it (or, decentralized, of its delivery index) is allocated.
 MAX_BATCH_BYTES = 2**30
 # Peak memory per subfile group beyond its bits' codes and sort order: its
 # run in the partition, its message and its share of the engine's index, of
 # the K cache views one decode call holds (K·N·(F+1) bytes) and of the
-# omitted messages' cancellation terms. Peak RSS of `simulate --n 2` is 51,
-# 92 and 245 MB at (K, t) = (16, 8), (18, 9) and (20, 10); less the 30 MB
-# the imported package takes, that is 1.6, 1.3 and 1.2 KB per group over
+# omitted messages' cancellation terms. Peak RSS of `simulate --n 2` is 48,
+# 84 and 232 MB at (K, t) = (16, 8), (18, 9) and (20, 10); less the 30 MB
+# the imported package takes, that is 1.4, 1.1 and 1.1 KB per group over
 # 12,870 to 184,756 groups. Kept at 4 KB: a smaller
 # figure would admit larger instances, whose run time nothing bounds yet.
 BYTES_PER_SUBFILE = 4096
+# Peak memory of a decentralized run per (subset, member) pair its delivery
+# index may hold, beyond its bits' codes and sort order: the index, the
+# encode's chunk cells, the decode plan and the omitted messages'
+# cancellation terms. A group of j users serves at most K - j subsets of
+# j + 1 members, so a group costs about 2 to 25 KB as K and its level grow,
+# which no per-group figure fits. Peak RSS of encode plus all-user decode,
+# less the 37-44 MB the imported package takes, at N=3-5, M=1, F=10^4 and
+# K=20, 24, 30, 40, 48 and 64 is 18-27 bytes per bound pair, and 30 at K=66
+# and 80 (F=3000 and 2000, with the codes' int objects counted apart). At
+# 32, K=64 (N=3, M=1, F=10^4: 28 M pairs, 765 MB) runs and K=70 is refused.
+BYTES_PER_PAIR = 32
 # Most demand types `bound` prints a line for, counted before any is built.
 # A type costs about 40 µs (14,888 types of a K=N=35 placement took 0.57 s),
 # so an admitted run stays within about 4 s; K=N=100 would be 1.9e8 types.
@@ -212,15 +224,33 @@ def _resolve_t(args, N: int, K: int) -> int:
     return int(t)
 
 
-def batch_bytes_estimate(N: int, K: int, t: int, F: int) -> int:
-    """Estimated bytes a batch run allocates: per bit, its placement code
-    (past 64 users a pointer plus a Python int of its own) and its entry in
-    the partition's sort order, plus BYTES_PER_SUBFILE for each of the C(K,t)
-    subfile groups. Computed from the parameters alone, before anything is
-    built."""
+def _bytes_per_bit(K: int) -> int:
+    """A bit's placement code (past 64 users a pointer plus a Python int of
+    its own) and its entry in the partition's sort order."""
     code = code_dtype(K)
-    per_bit = code.itemsize + np.dtype(np.intp).itemsize + (sys.getsizeof(1 << K) if code == object else 0)
-    return N * F * per_bit + BYTES_PER_SUBFILE * binomial(K, t)
+    return code.itemsize + np.dtype(np.intp).itemsize + (sys.getsizeof(1 << K) if code == object else 0)
+
+
+def batch_bytes_estimate(N: int, K: int, t: int, F: int) -> int:
+    """Estimated bytes a batch run allocates: `_bytes_per_bit` for each bit,
+    plus BYTES_PER_SUBFILE for each of the C(K,t) subfile groups. Computed
+    from the parameters alone, before anything is built."""
+    return N * F * _bytes_per_bit(K) + BYTES_PER_SUBFILE * binomial(K, t)
+
+
+def decentralized_bytes_estimate(N: int, K: int, F: int, counts) -> int:
+    """Estimated peak bytes of a decentralized run, from its partition's
+    group count per level (`counts[j]` groups cached by exactly j users),
+    before its delivery index is built: `_bytes_per_bit` for each bit, plus
+    BYTES_PER_PAIR for each (subset, member) pair, level j serving at most
+    counts[j] * (K - j) subsets of j + 1 members, plus each subset's Python
+    int code past 64 users."""
+    subsets = pairs = 0
+    for j, count in enumerate(counts):
+        subsets += int(count) * (K - j)
+        pairs += int(count) * (K - j) * (j + 1)
+    code = sys.getsizeof(1 << K) if code_dtype(K) == object else 0
+    return N * F * _bytes_per_bit(K) + BYTES_PER_PAIR * pairs + code * subsets
 
 
 def _batch_file_size(args, K: int, t: int) -> int:
@@ -438,6 +468,11 @@ def cmd_simulate(args) -> int:
         F = args.f if args.f is not None else 10_000
         M = parse_m(args.m, N)
         placement = decentralized.random_placement(N, K, M, F, place_seed)
+        codes = placement.partition.codes
+        estimate = decentralized_bytes_estimate(N, K, F, np.bincount([c.bit_count() for c in codes.tolist()]))
+        if estimate > MAX_BATCH_BYTES:
+            raise UsageError(f"N={N} K={K} M={M} F={F} needs an estimated {estimate} bytes ({len(codes)} cache-set "
+                             f"groups and the subsets they serve), more than the limit of {MAX_BATCH_BYTES}")
         setting = f"M={M} F={F}"
     db = make_database(N, F, db_seed)
     d = (

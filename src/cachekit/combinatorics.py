@@ -39,6 +39,17 @@ class SubsetId:
     rank: int
 
 
+def lex_rank(members: Sequence[int], k_users: int) -> int:
+    """The lexicographic rank of the strictly increasing `members` among the
+    same-size subsets of {1..k_users}: per column i, the subsets that agree
+    before it and hold a smaller user v there, C(k_users - v, size - i - 1)
+    for each v, summed by the hockey-stick identity."""
+    rank, prev, size = 0, 0, len(members)
+    for i, c in enumerate(members):
+        rank, prev = rank + math.comb(k_users - prev, size - i) - math.comb(k_users - c + 1, size - i), c
+    return rank
+
+
 def enumerate_subsets(k_users: int, size: int) -> list[SubsetId]:
     """All size-`size` subsets of {1..k_users} in lexicographic order.
 

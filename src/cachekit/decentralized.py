@@ -32,8 +32,9 @@ representation, those arrays: `encode_delivery` returns them as a
 `Broadcast`, a sequence whose `BroadcastMessage`s are built only when it is
 read as one, and the decoders read a `Broadcast` of their partition from
 its arrays, placing any other message list into arrays first, one message
-at a time. Batch (centralized) delivery is the one-level, equal-chunk
-case: `centralized` hands its subfiles to this engine.
+at a time, each at the row of its members' code. Batch (centralized)
+delivery is the one-level, equal-chunk case: `centralized` hands its
+subfiles to this engine.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .combinatorics import SubsetId
+from .combinatorics import SubsetId, lex_rank
 from .model import Database, Demand, Placement, code_dtype, validate_demand
 
 if TYPE_CHECKING:
@@ -112,9 +113,9 @@ class Broadcast(Sequence):
 
     def _messages(self, i: int, rows: np.ndarray) -> list[BroadcastMessage]:
         level, (payloads, lengths) = self.partition.levels[i], self.delivery[i]
-        return [BroadcastMessage(SubsetId(tuple(members), rank), payloads[0, r, :n])
-                for r, members, rank, n in zip(rows.tolist(), level.members[rows].tolist(),
-                                               level.ranks[rows].tolist(), lengths[0, rows].tolist())]
+        return [BroadcastMessage(SubsetId(members, lex_rank(members, self.partition.K)), payloads[0, r, :n])
+                for r, members, n in zip(rows.tolist(), map(tuple, level.members[rows].tolist()),
+                                         lengths[0, rows].tolist())]
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -379,10 +380,11 @@ def _user_code(users) -> int:
 def _as_delivery(partition: LevelPartition, messages) -> Broadcast | list[tuple[np.ndarray, np.ndarray]]:
     """A received broadcast as `encode_stack`'s arrays for one demand: a
     `Broadcast` itself if it is of this partition, else each message's payload
-    placed, one message at a time, at the row of its subset's size and rank.
-    The last message naming a row wins, a subset with no row is ignored, a
-    payload is cut to its level's width, and a row no message names (or
-    named with an empty payload) has length 0: it was not received."""
+    placed, one message at a time, at the row of its members' code (its rank
+    is not read). The last message naming a row wins, members with no row or
+    not distinct users in 1..K are ignored, a payload is cut to its level's
+    width, and a row no message names (or named with an empty payload) has
+    length 0: it was not received."""
     if isinstance(messages, Broadcast) and messages.partition is partition:
         return messages
     delivery, by_size = [], {}
@@ -390,13 +392,14 @@ def _as_delivery(partition: LevelPartition, messages) -> Broadcast | list[tuple[
         (n_T, m), width = level.members.shape, level.positions.shape[1]
         delivery.append((np.zeros((1, n_T, width), dtype=np.uint8), np.zeros((1, n_T), dtype=np.intp)))
         by_size[m] = (level, *delivery[-1])
+    bit = {k: 1 << (k - 1) for k in range(1, partition.K + 1)}
     for message in messages:
-        subset = message.subset
-        if len(subset.members) not in by_size:
+        members = message.subset.members
+        if len(members) not in by_size or len(set(members)) != len(members) or not all(x in bit for x in members):
             continue
-        level, payloads, lengths = by_size[len(subset.members)]
-        r = int(np.searchsorted(level.ranks, subset.rank))  # ranks ascend in send order
-        if r < len(level.ranks) and level.ranks[r] == subset.rank:
+        level, payloads, lengths = by_size[len(members)]
+        r = int(level.rows_of(np.array([sum(bit[x] for x in members)], dtype=level.codes.dtype))[0])
+        if r >= 0:
             payload = np.asarray(message.payload)[: payloads.shape[2]]
             payloads[0, r] = 0  # no bit of an earlier, longer payload of the row stays
             payloads[0, r, : len(payload)] = payload

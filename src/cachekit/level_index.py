@@ -2,12 +2,14 @@
 
 Built once per partition from the sort `decentralized.level_partition` did,
 so that encoding and decoding work a level at a time with numpy gathers
-instead of a walk over the subsets.
+instead of a walk over the subsets. The build itself goes a level at a
+time: a level's subsets T = S + {x} come from its own groups S alone, and
+so does each group T minus a member, so its temporaries are bounded by the
+largest level.
 """
 
 from __future__ import annotations
 
-from math import comb
 from typing import NamedTuple
 
 import numpy as np
@@ -18,9 +20,8 @@ class Level(NamedTuple):
     the (j+1)-subsets T = S + {x} of such a group S and a user x outside it.
 
     `members` is (n_T, j+1), T's users in send order (lexicographic), with
-    `codes` their user-set codes and `ranks` their `SubsetId` ranks;
-    `by_code` lists the rows in ascending code order and `sorted_codes`
-    their codes, to find a subset's row by its code.
+    `codes` their user-set codes; `by_code` lists the rows in ascending code
+    order and `sorted_codes` their codes, to find a subset's row by its code.
     `groups[c, T]` is the level's index of group T minus its c-th member,
     or G_j if that group is empty; the level has `slots` = G_j + 1 groups.
     A cell is file i's part of group g, numbered i * slots + g: `sizes` is
@@ -37,7 +38,6 @@ class Level(NamedTuple):
 
     members: np.ndarray
     codes: np.ndarray
-    ranks: np.ndarray
     by_code: np.ndarray
     sorted_codes: np.ndarray
     groups: np.ndarray
@@ -74,7 +74,8 @@ def _held(codes: np.ndarray, user_bits: np.ndarray) -> np.ndarray:
 def build_levels(partition) -> list[Level]:
     """The `Level`s of a `LevelPartition`, read from its sort: the codes
     present, ascending, each file's positions in code order, and each
-    group's bit count and run start in each file."""
+    group's bit count and run start in each file. Each level's subsets,
+    their send order and their groups are built from its own groups."""
     K, N, F, codes, order = partition.K, partition.N, partition.F, partition.codes, partition.order
     sizes, starts = partition.sizes, partition.starts
     user_bits = np.array([1 << k for k in range(K)], dtype=codes.dtype)
@@ -85,8 +86,9 @@ def build_levels(partition) -> list[Level]:
     level = held.sum(axis=1)
     counts = np.bincount(level, minlength=K)
     by_level = np.argsort(level, kind="stable")  # ascending codes within a level
-    local = np.empty(G + 1, dtype=np.intp)  # each group's index in its level
-    local[by_level] = np.arange(G) - np.repeat(np.cumsum(counts) - counts, counts)
+    first = np.cumsum(counts) - counts
+    local = np.empty(G, dtype=np.intp)  # each group's index in its level
+    local[by_level] = np.arange(G) - np.repeat(first, counts)
     widest = sizes.max(axis=0, initial=0)
     width = np.array([widest[level == j].max(initial=0) for j in range(K)])
     extent = N * (counts + 1) * width  # each level's padded positions
@@ -94,7 +96,7 @@ def build_levels(partition) -> list[Level]:
 
     small = np.int32 if N * (F + 1) < 2**31 else np.intp  # for positions, group indices and sizes
     positions = np.full(int(extent.sum()), F, dtype=small)
-    head = base[level] + local[:G] * width[level]
+    head = base[level] + local * width[level]
     for i in range(N):
         # the bits of file i in code order, each at its group's row plus its
         # offset in the group's run: one scatter per file
@@ -104,56 +106,39 @@ def build_levels(partition) -> list[Level]:
     for j in counts.nonzero()[0]:  # then file i's, padding included, offset by i * (F + 1)
         positions[base[j] : base[j] + extent[j]].reshape(N, -1)[:] += (np.arange(N, dtype=small) * (F + 1))[:, None]
 
-    size, subsets, ranks, members, groups = _subsets(K, codes, held, user_bits)
-    levels, rows, pairs = [], 0, 0
+    levels = []
     for j in counts.nonzero()[0].tolist():
-        n = int(np.count_nonzero(size == j + 1))
-        at = slice(pairs, pairs + n * (j + 1))
-        by_code = np.argsort(subsets[rows : rows + n], kind="stable")
-        local[G] = counts[j]  # an empty group: the level's zero-size sentinel
+        ids = by_level[first[j] : first[j] + counts[j]]
+        own = codes[ids]  # the level's groups, ascending
+        # its subsets T: each group g plus one user x outside it, ascending
+        # and once each. T minus x is g, so g is T's group at x's column, the
+        # count of g's users below x; a member y with no group T minus y
+        # keeps G_j, the empty group
+        own_held = held[ids]
+        g, x = np.nonzero(~own_held)
+        candidates = own[g] | user_bits[x]
+        by = np.argsort(candidates, kind="stable")
+        fresh = np.ones(len(by), dtype=bool)
+        fresh[1:] = candidates[by[1:]] != candidates[by[:-1]]
+        subsets, row = candidates[by[fresh]], np.cumsum(fresh) - 1
+        groups = np.full((j + 1, len(subsets)), counts[j], dtype=small)
+        groups[np.cumsum(own_held, axis=1).take(g * K + x).take(by), row] = g.take(by)
+        members = (np.flatnonzero(_held(subsets, user_bits)) % K + 1).astype(np.min_scalar_type(K))
+        members = members.reshape(-1, j + 1)  # users ascending
+        send = np.lexsort(members.T[::-1])  # lexicographic: column 0 first
+        by_code = np.empty_like(send)
+        by_code[send] = np.arange(len(send))
         sized = np.zeros((N, counts[j] + 1), dtype=small)
-        sized[:, :-1] = sizes[:, by_level[level[by_level] == j]]
+        sized[:, :-1] = sizes[:, ids]
         levels.append(Level(
-            members[at].reshape(n, j + 1),
-            subsets[rows : rows + n],
-            ranks[rows : rows + n],
+            members[send],
+            subsets[send],
             by_code,
-            subsets[rows : rows + n][by_code],
-            local[groups[at]].reshape(n, j + 1).T.astype(small, order="C"),
+            subsets,
+            groups.take(send, axis=1),
             int(counts[j]) + 1,
             sized.reshape(-1),
             positions[base[j] : base[j] + extent[j]].reshape(-1, width[j]),
             np.arange(j)[:, None] + (np.arange(j)[:, None] >= np.arange(j + 1)),  # k, or k + 1 from column c on
         ))
-        rows, pairs = rows + n, pairs + n * (j + 1)
     return levels
-
-
-def _subsets(K: int, codes, held, user_bits):
-    """Every subset T = S + {x} of a group S (codes ascending) and a user x
-    outside S, in send order (by size, then lexicographic): each T's size,
-    code and `SubsetId` rank, then for each member of each T, in T's order,
-    the member and the group T minus it (len(codes) if that group is empty)."""
-    g, x = np.nonzero(~held)
-    candidates = np.sort(codes[g] | user_bits[x])
-    fresh = np.ones(len(candidates), dtype=bool)
-    fresh[1:] = candidates[1:] != candidates[:-1]
-    subsets = candidates[fresh]
-    row, user = np.nonzero(_held(subsets, user_bits))  # users ascending within T
-    size = np.bincount(row, minlength=len(subsets))
-    first = np.cumsum(size) - size
-    # T's rank counts down from C(K, |T|) - 1 the same-size subsets after T:
-    # C(K - x, |T| - c) of them for its member x (user + 1) at column c
-    binom = np.array([[comb(n, r) for r in range(K + 1)] for n in range(K + 1)],
-                     dtype=np.int64 if comb(K, K // 2) < 2**63 else object)
-    column = np.arange(len(row)) - first[row]
-    after = np.concatenate(([0], np.cumsum(binom[K - 1 - user, size[row] - column])))
-    ranks = binom[K, size] - 1 - (after[first + size] - after[first])
-    rest = subsets[row] ^ user_bits[user]
-    found = np.searchsorted(codes, rest)
-    found[codes[np.minimum(found, len(codes) - 1)] != rest] = len(codes)
-    send = np.argsort(ranks, kind="stable")
-    send = send[np.argsort(size[send], kind="stable")]
-    ordered = size[send]
-    pair = np.repeat(first[send] - (np.cumsum(ordered) - ordered), ordered) + np.arange(len(row))
-    return ordered, subsets[send], ranks[send], (user[pair] + 1).astype(np.min_scalar_type(K)), found[pair]

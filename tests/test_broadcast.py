@@ -6,7 +6,9 @@ demand. As a sequence it must be the list of sent messages, in send order,
 count and payload bits included; and a decoder must give the same files (or
 name the same lost subset) whether it reads the `Broadcast`'s arrays or a
 list of messages: the broadcast itself, shuffled, with duplicates, with a
-foreign subset or an over-long payload, or with one message missing.
+foreign subset or an over-long payload, with wrong ranks (a message is
+placed by its members), after messages whose members are not distinct users
+in 1..K, or with one message missing.
 
 A `Broadcast`'s arrays are read-only, and it keeps the decode plan of the
 last demand and leaders it was decoded for, so that one-user calls share
@@ -54,10 +56,11 @@ def same(a, b):
 def without(broadcast, lost):
     """A copy of the broadcast's arrays with the row of message `lost` unsent."""
     delivery = [(payloads.copy(), lengths.copy()) for payloads, lengths in broadcast.delivery]
-    size, rank = len(lost.subset.members), lost.subset.rank
+    members = lost.subset.members
     for level, (_, lengths) in zip(broadcast.partition.levels, delivery):
-        if level.members.shape[1] == size:
-            lengths[0, np.searchsorted(level.ranks, rank)] = 0
+        if level.members.shape[1] == len(members):
+            code = np.array([sum(1 << (x - 1) for x in members)], dtype=level.codes.dtype)
+            lengths[0, level.rows_of(code)] = 0
     return Broadcast(broadcast.partition, delivery)
 
 
@@ -114,7 +117,15 @@ def test_every_representation_decodes_alike(instance):
                                                          np.ones(3, np.uint8)]))
               for m in messages]
     foreign = [BroadcastMessage(SubsetId(tuple(range(1, K + 2)), 0), np.ones(4, np.uint8))] + padded
-    for variant in (messages, shuffled, duplicated, foreign):
+    # a message is placed by its members, whatever its rank says
+    reranked = [BroadcastMessage(SubsetId(m.subset.members, m.subset.rank + 1), m.payload) for m in messages]
+    # members that are not distinct users in 1..K name no row: after the
+    # right messages, with wrong payloads, they must be ignored
+    invalid = messages + [BroadcastMessage(SubsetId(T, 0), m.payload ^ 1) for m in messages
+                          for T in [(0,) + m.subset.members[1:], m.subset.members[:-1] + (K + 1,),
+                                    m.subset.members[:1] + m.subset.members[:-1]]
+                          if len(set(T)) < len(T) or not set(T) <= set(range(1, K + 1))]
+    for variant in (messages, shuffled, duplicated, foreign, reranked, invalid):
         assert same(decode(db, placement, variant, d, leaders, users), want)
     if messages:
         lost = messages[rng.randrange(len(messages))]

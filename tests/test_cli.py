@@ -3,13 +3,14 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cachekit import CacheProfile, batch_placement, demand_stats, save_placement
-from cachekit import cli, decentralized, model
+from cachekit import cli, decentralized, level_index, model
 from cachekit.cli import MAX_GRID_POINTS, main, parse_grid
 from cachekit.cli import UsageError
 from cachekit.combinatorics import binomial
@@ -437,6 +438,50 @@ class TestBatchCost:
         monkeypatch.setattr(cli, "MAX_BATCH_BYTES", cli.batch_bytes_estimate(2, 4, 2, 12))
         code, out, _ = run_cli(capsys, "verify", "--n", "2", "--k", "4", "--t", "2")
         assert code == 0 and out.endswith("PASS\n")
+
+
+class TestDecentralizedCost:
+    def test_estimate_counts_the_pairs_each_level_may_serve(self):
+        # K=3: one group of no user and three of one, serving up to 1*3
+        # subsets of one user and 3*2 of two: 3 + 12 pairs; uint8 codes
+        assert cli.decentralized_bytes_estimate(2, 3, 10, [1, 3, 0, 0]) == 2 * 10 * (1 + 8) + cli.BYTES_PER_PAIR * 15
+        # past 64 users each subset's code is an int object of its own
+        per_bit = 8 + 8 + sys.getsizeof(1 << 65)
+        assert (cli.decentralized_bytes_estimate(2, 65, 10, [0, 2])
+                == 2 * 10 * per_bit + cli.BYTES_PER_PAIR * 2 * 64 * 2 + sys.getsizeof(1 << 65) * 2 * 64)
+
+    @pytest.mark.parametrize("N, K, M, F", [(3, 16, 1, 2000), (2, 18, 1, 2000), (3, 20, 1, 3000)])
+    def test_estimate_bounds_a_runs_allocations(self, N, K, M, F):
+        # the index build, the encode and an all-user decode, traced: 53-67 %
+        # of the estimate here. The gathers' blocks take about 1 MB whatever
+        # the instance, which the estimate leaves out: it is for instances
+        # whose index pairs outweigh them
+        placement = decentralized.random_placement(N, K, M, F, seed=1)
+        partition = placement.partition
+        counts = np.bincount([c.bit_count() for c in partition.codes.tolist()])
+        db = model.make_database(N, F, seed=2)
+        d = tuple(np.random.default_rng(3).integers(1, N + 1, size=K).tolist())
+        tracemalloc.start()
+        try:
+            broadcast = decentralized.encode_delivery(db, partition, d)
+            decoded = decentralized.decode_users(range(1, K + 1), db, placement, partition, broadcast, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(decoded, db.bits[np.subtract(d, 1)])
+        assert peak <= cli.decentralized_bytes_estimate(N, K, F, counts)
+
+    def test_k70_is_refused_before_the_index_is_built(self, capsys, monkeypatch):
+        # the placement and its partition are small; the index would not be
+        def build_levels(partition):
+            raise AssertionError("the delivery index was built")
+
+        monkeypatch.setattr(level_index, "build_levels", build_levels)
+        code, out, err = run_cli(capsys, "simulate", "--schemes", "decentralized", "--n", "3", "--k", "70",
+                                 "--m", "1", "--seed", "3")
+        assert code == 2
+        assert out == ""
+        assert "N=3 K=70 M=1 F=10000 needs an estimated" in err and str(cli.MAX_BATCH_BYTES) in err
 
 
 class TestSimulate:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cachekit.combinatorics import (
     binomial,
     enumerate_subsets,
+    lex_rank,
     lower_convex_envelope_many,
     lower_envelope,
 )
@@ -111,14 +112,15 @@ def test_enumerate_subsets_bad_size():
 
 
 def test_rank_unrank_roundtrip_exhaustive():
-    # the ranks `enumerate_subsets` gives, the tests' rank oracle and the
-    # lexicographic position all agree
+    # the ranks `enumerate_subsets` and `lex_rank` give, the tests' rank
+    # oracle and the lexicographic position all agree
     for K in range(13):
         for size in range(K + 1):
             subsets = enumerate_subsets(K, size)
             for rank, members in enumerate(itertools.combinations(range(1, K + 1), size)):
                 assert subsets[rank].members == members and subsets[rank].rank == rank
                 assert subset_rank(members, K) == rank
+                assert lex_rank(members, K) == rank
 
 
 def test_rank_validates_members():

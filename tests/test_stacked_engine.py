@@ -24,7 +24,7 @@ from cachekit.centralized import BroadcastMessage
 from cachekit.combinatorics import SubsetId
 from cachekit.model import Placement, demand_range
 
-from conftest import terms_oracle
+from conftest import subset_rank, terms_oracle
 
 K65 = 65
 
@@ -35,7 +35,8 @@ def flags_of(leader_sets, K):
 
 def stacked_messages(partition, delivery, s):
     """Demand s's messages as the stacked encode sent them, in send order."""
-    return [BroadcastMessage(SubsetId(tuple(level.members[r].tolist()), level.ranks[r].item()),
+    K = partition.K
+    return [BroadcastMessage(SubsetId(tuple(level.members[r].tolist()), subset_rank(level.members[r].tolist(), K)),
                              payloads[s, r, : lengths[s, r]])
             for level, (payloads, lengths) in zip(partition.levels, delivery)
             for r in lengths[s].nonzero()[0]]

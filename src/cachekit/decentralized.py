@@ -11,12 +11,14 @@ at a time, on a stack of demands, over a demand-free index built once per
 partition (`LevelPartition.levels`): encoding (`encode_stack`) is one
 gather of every chunk of the level's sent subsets, for every demand of the
 stack, and one XOR-reduce over their members. Decoding (`decode_stack`)
-gathers each requested user's partner chunks from its own cache view,
-XOR-reduces them with the payloads and scatters the result into the user's
-file; padding lands in a zero sentinel column. Omitted leaderless messages
-are rebuilt by the cancellation identity, each once per decode plan for
-all its members, one gather of their terms per level; a `Broadcast` keeps
-its plan, so that its one-user calls share it. Two rules keep the
+is one pass over the levels: it rebuilds the level's omitted leaderless
+messages by the cancellation identity, each once per decode plan for all
+its members, one gather of their terms, then gathers each requested user's
+partner chunks from its own cache view, XOR-reduces them with the payloads
+and scatters the result into a copy of the user's file, one layout for
+every stack; padding lands in a zero sentinel column. One array per level
+of the plan says which rows were received, and a `Broadcast` keeps its
+plan, so that its one-user calls share it. Two rules keep the
 kernels fast on the short rows of small instances, where numpy's cost per
 call and per row, not the bits moved, sets the time. Every gather is an
 `ndarray.take` over a flat index: fancy indexing with a 2-D or paired
@@ -234,9 +236,8 @@ def level_partition(placement: Placement, N: int, F: int) -> LevelPartition:
 
 
 def _blocks(count: int, per_item: int) -> list[slice]:
-    """Consecutive slices of range(count), each of at most _BLOCK // per_item items."""
-    if count * per_item <= _BLOCK:
-        return [slice(None)]
+    """Consecutive slices of range(count), each of at most _BLOCK // per_item
+    items (at least one); none if count is 0."""
     step = max(_BLOCK // max(per_item, 1), 1)
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
@@ -442,11 +443,13 @@ def _cancellation_terms(codes: np.ndarray, files: np.ndarray, swaps: np.ndarray)
 class _Plan(NamedTuple):
     """One level's share of a stack's decode from one delivery, for any
     users: the chunk cells of every row ((j+1, n * n_T), rows numbered
-    demand * n_T + row), which are non-empty, every row's payload
-    ((n * n_T + 1, L), received or rebuilt; the last row stays zero) and
-    the first row each row needs that was sent but not received: n * n_T
-    (none) if received, itself if it holds a leader, and for an omitted
-    row -1 until it is rebuilt, then its first such term."""
+    demand * n_T + row, int32 where they fit), which are non-empty, every
+    row's payload ((n * n_T + 1, L), received or rebuilt; the last row
+    stays zero) and every row's state, the only record of what was
+    received ((n * n_T + 1,)): the first row it needs that was sent but not
+    received, n * n_T (none) for the zero row and for a row received or
+    with only empty chunks, the row itself if it holds a leader, and for an
+    omitted row -1 until it is rebuilt, then its first such term."""
 
     level: Level
     cells: np.ndarray
@@ -501,41 +504,47 @@ def _level_terms(plan: _Plan, wanted: np.ndarray, leaders: np.ndarray, lead: np.
                                         for part in parts]))
 
 
-def _rebuild(plan, terms: _Terms, delivery, i: int, rows: np.ndarray) -> np.ndarray:
-    """Write the message of each of level i's omitted `rows` into its plan's
+def _rebuild(plan: _Plan, terms: _Terms, rows: np.ndarray) -> np.ndarray:
+    """Write the message of each of the plan's omitted `rows` into its
     payloads: per block of rows, one gather of their terms' payloads laid
     out (terms, rows, L), a missing term being the zero row, and one
     XOR-reduce over the leading axis. Returns each row's first term that was
-    sent but not received (the zero row if none): a term with a chunk holds
-    a leader, so it was sent."""
+    sent but not received (the zero row if none), read from the terms'
+    states in `plan.lost`: a term holds a leader, so its state is itself or
+    the zero row."""
     at = np.searchsorted(terms.rows, rows)
-    # the rows with a chunk that were not received; the zero row has none
-    gone = np.append(np.logical_or.reduce(plan.nonempty, axis=0) & (delivery[i][1].reshape(-1) == 0), False)
     lost = []
     for block in _blocks(len(rows), terms.term_rows.shape[1] * plan.payloads.shape[1]):
         term_rows = terms.term_rows.take(at[block], axis=0).T
         plan.payloads[rows[block]] = np.bitwise_xor.reduce(plan.payloads.take(term_rows, axis=0), axis=0)
-        lost.append(np.minimum.reduce(np.where(gone.take(term_rows), term_rows, len(gone) - 1), axis=0))
+        lost.append(np.minimum.reduce(plan.lost.take(term_rows), axis=0))
     return np.concatenate(lost)
 
 
-def _plans(partition: LevelPartition, delivery, arrays, wanted: np.ndarray, lead: np.ndarray,
-           key: tuple) -> list[_Plan]:
+def _plans(partition: LevelPartition, delivery, wanted: np.ndarray, lead: np.ndarray, key: tuple) -> list[_Plan]:
     """The `_Plan`s for decoding the stack `key` (wanted files and leader
-    flags) from `delivery`: new for raw arrays, kept by a `Broadcast`."""
+    flags) from `delivery`, `encode_stack`'s arrays or a `Broadcast`, which
+    keeps the plans of its last stack. Each row's state is set here from the
+    delivery's lengths, the decode's only read of them, and the chunk sizes."""
     kept = delivery._plan if isinstance(delivery, Broadcast) else None
     if kept is not None and kept[0] == key:
         return kept[1]
     plans = []
+    arrays = delivery.delivery if isinstance(delivery, Broadcast) else delivery
     for level, (payloads, lengths) in zip(partition.levels, arrays):
         (n_T, m), width = level.members.shape, level.positions.shape[1]
         rows = len(wanted) * n_T
         cells, sizes = level.chunks(wanted)
+        nonempty = (sizes > 0).reshape(m, -1)
         table = np.zeros((rows + 1, width), dtype=np.uint8)
         table[:-1] = payloads.reshape(-1, width)
         led = (np.tile(level.codes, len(wanted)) & np.repeat(lead, n_T)) != 0
-        lost = np.where(lengths.reshape(-1) > 0, rows, np.where(led, np.arange(rows), -1))
-        plans.append(_Plan(level, cells.reshape(m, -1), (sizes > 0).reshape(m, -1), table, lost))
+        lost = np.full(rows + 1, rows)
+        lost[:-1] = np.where((lengths.reshape(-1) > 0) | ~np.logical_or.reduce(nonempty, axis=0), rows,
+                             np.where(led, np.arange(rows), -1))
+        # int32 where the cell numbers fit, as the index's groups: a plan is kept
+        cells = cells.reshape(m, -1).astype(np.int32 if len(level.sizes) <= 2**31 else np.intp)
+        plans.append(_Plan(level, cells, nonempty, table, lost))
     if isinstance(delivery, Broadcast):
         delivery._plan = (key, plans)
     return plans
@@ -557,16 +566,18 @@ def decode_stack(
     was not received. `users` must be distinct and in 1..K, and the stack
     as `_stack` checks it, or a `ValueError` says why.
 
-    Every (demand, row, member) with a requested member and a non-empty own
-    chunk is decoded, a level at a time, by one gather from the users' cache
-    views, one XOR-reduce over the partners and one scatter. The views do
-    not depend on the demand, so they are built once per stack; the plan
-    (`_plans`) does not depend on the users. Each needed leaderless row that
-    was not received is rebuilt once per plan by the cancellation identity.
-    A needed row that holds a leader, directly or as a term, but was not
+    The users' cache views and each user's copy of its file in each demand
+    (row s * U + u, for any n and U) are built first; the plan (`_plans`)
+    does not depend on the users. Then one pass over the levels, in send
+    order, checks, rebuilds and decodes each. A needed leaderless row that
+    was not received is rebuilt once per plan by the cancellation identity;
+    a needed row that holds a leader, directly or as a term, but was not
     received is lost: `DecodeError` names the first such in send order.
-    Each user's bits are read from the database only through its own cache
-    (the rest are zeroed), so any decoding gap shows up as a bit mismatch.
+    Every (demand, row, member) with a requested member and a non-empty own
+    chunk is decoded by one gather from the views, one XOR-reduce over the
+    partners and one scatter into the copies. Each user's bits are read
+    from the database only through its own cache (the rest are zeroed), so
+    any decoding gap shows up as a bit mismatch.
     """
     _check_shape(db, partition=partition.order.shape, placement=placement.codes.shape)
     N, F = db.N, partition.F
@@ -584,17 +595,24 @@ def decode_stack(
     requested = np.zeros(K + 1, dtype=bool)
     requested[users] = True
     key = (wanted.tobytes(), leaders.tobytes())
-    arrays = delivery.delivery if isinstance(delivery, Broadcast) else delivery
-    plans = _plans(partition, delivery, arrays, wanted, lead, key)
+    plans = _plans(partition, delivery, wanted, lead, key)
     terms = partition.term_cache
-    mines = []
+    # every user's cache view, flat per user; column F of each file stays zero
+    views = _cache_views(db, placement, users, F)
+    flat = views.reshape(-1)
+    # each user's view of its file in each demand, row s * U + u, where a
+    # chunk of file i lands i * (F + 1) before its place in the views
+    decoded = views.reshape(U * N, F + 1).take(np.arange(U) * N + wanted.take(users, axis=1), axis=0)
+    decoded_flat = decoded.reshape(-1)
+    slot = np.zeros(K + 1, dtype=np.intp)  # each requested user's row of the views
+    slot[users] = np.arange(U)
     for i, plan in enumerate(plans):
-        level, (n_T, m) = plan.level, plan.level.members.shape
+        level, cells, payloads = plan.level, plan.cells, plan.payloads
+        (n_T, m), width, R = level.members.shape, level.positions.shape[1], len(plan.lost) - 1
         # (member, row) of a requested member and its non-empty chunk
         mine = (requested.take(level.members.T)[:, None, :] & plan.nonempty.reshape(m, n, n_T)).reshape(m, -1)
-        mines.append(mine)
         # the needed rows not received, but for those rebuilt from received terms
-        missing = np.flatnonzero(np.logical_or.reduce(mine, axis=0) & (plan.lost < n * n_T))
+        missing = np.flatnonzero(np.logical_or.reduce(mine, axis=0) & (plan.lost[:-1] < R))
         if len(missing):
             fresh = missing[plan.lost.take(missing) < 0]  # omitted, and no earlier call rebuilt them
             if len(fresh):
@@ -603,31 +621,11 @@ def decode_stack(
                     terms["key"] = key
                 if i not in terms:
                     terms[i] = _level_terms(plan, wanted, leaders, lead, bits)
-                plan.lost[fresh] = _rebuild(plan, terms[i], arrays, i, fresh)
+                plan.lost[fresh] = _rebuild(plan, terms[i], fresh)
             first = plan.lost.take(missing).min()
-            if first < n * n_T:
+            if first < R:
                 raise DecodeError(tuple(level.members[first % n_T].tolist()))
-    # every user's cache view, flat per user; column F of each file stays zero
-    views = _cache_views(db, placement, users, F)
-    flat = views.reshape(-1)
-    if n == 1:
-        # decoded in place: a user's own chunks lie where its view holds no
-        # partner chunk, and user u's view starts at u * N * (F + 1)
-        decoded, row = views, N * (F + 1)
-    else:
-        # each user's view of its file in each demand, row s * U + u, where a
-        # chunk of file i lands i * (F + 1) before its place in the views
-        decoded = views.reshape(U * N, F + 1).take(np.arange(U) * N + wanted.take(users, axis=1), axis=0)
-        row = F + 1
-    decoded_flat = decoded.reshape(-1)
-    slot = np.zeros(K + 1, dtype=np.intp)  # each requested user's row of the views
-    slot[users] = np.arange(U)
-    for plan, mine in zip(plans, mines):
         pairs = np.flatnonzero(mine)  # member * n * n_T + row, by member
-        if not len(pairs):
-            continue
-        level, cells, payloads = plan.level, plan.cells, plan.payloads
-        (n_T, m), width, R = level.members.shape, level.positions.shape[1], mine.shape[1]
         # a pair gathers m * width elements and holds about 16 entries of
         # int64 index arrays besides, which bound a block of short chunks
         for block in _blocks(len(pairs), m * width + 16):
@@ -638,26 +636,18 @@ def decode_stack(
             pos = pos.reshape(m - 1, len(p) * width)
             own = level.positions.take(cells.take(p), axis=0).reshape(-1)
             if n * U > 1:
-                # one user's view of one demand starts at 0, so a call for one
-                # user and one demand adds no offsets; each offset is repeated
-                # along its chunk, as adding (pairs, 1) to (pairs, L) is slow
-                # for short chunks, and the sums are intp
+                # each offset is repeated along its chunk, as adding (pairs,
+                # 1) to (pairs, L) is slow for short chunks, and the sums are intp
                 s, t = np.divmod(r, n_T)
                 x = level.members.take(t * m + c)
                 pos = pos + np.repeat(slot.take(x) * (N * (F + 1)), width)
-                base = (s * U + slot.take(x)) * row
-                if n > 1:
-                    base -= wanted.take(s * wanted.shape[1] + x) * (F + 1)
-                own = own + np.repeat(base, width)
+                own = own + np.repeat((s * U + slot.take(x) - wanted.take(s * wanted.shape[1] + x)) * (F + 1), width)
             else:
-                pos, own = pos.astype(np.intp), own.astype(np.intp)  # see `Level` on int32 positions
+                # one user's view of one demand starts at 0, its copy at its file
+                pos, own = pos.astype(np.intp), own - wanted[0, users[0]] * (F + 1)  # see `Level` on int32 positions
             acc = np.bitwise_xor.reduce(flat.take(pos), axis=0)
             acc ^= payloads.take(r, axis=0).reshape(-1)
             decoded_flat[own] = acc
-            if n == 1:
-                decoded_flat[F :: F + 1] = 0  # the chunks' padding lands in the views' zero column
-    if n == 1:
-        return views[np.arange(U), wanted[0, users], :F][None]
     return decoded[..., :F]
 
 

@@ -255,7 +255,7 @@ class TestDecode:
         leaders = select_leaders(d)
         messages = encode_delivery(db, placement, d, leaders)
 
-        def forbidden(plan, terms, delivery, i, rows):
+        def forbidden(plan, terms, rows):
             raise AssertionError(f"decoding handed the rebuild {len(rows)} rows")
 
         # the engine's decoder hands each level's omitted rows to this function

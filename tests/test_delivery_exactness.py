@@ -386,10 +386,10 @@ def test_each_omitted_message_is_rebuilt_once(monkeypatch, N, K, t, d):
     rebuilt = []
     rebuild = decentralized._rebuild
 
-    def counting(plan, terms, delivery, i, rows):
+    def counting(plan, terms, rows):
         assert (rows < len(plan.level.members)).all()  # rows of a stack of one demand
         rebuilt.extend(tuple(members) for members in plan.level.members[rows].tolist())
-        return rebuild(plan, terms, delivery, i, rows)
+        return rebuild(plan, terms, rows)
 
     # the engine's decoder hands each level's omitted rows to this function
     monkeypatch.setattr(decentralized, "_rebuild", counting)

@@ -6,11 +6,13 @@ full-mode `verify` runs, two runs with an injected failure, one `simulate
 --dump` transcript per scheme and one converse experiment. The rate files
 were written by the rate layer before its integer-exact form: `compare` at
 K=16 on the perfbench grid for three N, one `rates` table over all seven
-schemes and the four default tradeoff tables. Regenerate a file only when
+schemes and the four default tradeoff tables. `DIGESTS` pins twelve more
+`simulate --dump` transcripts by their SHA-256. Regenerate a file only when
 its output is meant to change: `python tests/test_golden.py NAME...`
-(`tradeoff_tables` rewrites the four CSVs)."""
+(`tradeoff_tables` rewrites the four CSVs, `digests` prints the digests)."""
 
 import contextlib
+import hashlib
 import importlib.util
 import io
 import pathlib
@@ -84,6 +86,50 @@ def test_stdout_matches_golden(name, monkeypatch):
     assert render(name, monkeypatch.setattr) == (GOLDEN / f"{name}.txt").read_text()
 
 
+# sha256 of `exit code N` and then the stdout of `simulate ARGS`, for
+# transcripts too large to keep as files (the K=65 decentralized dump is
+# about 140 KB), written by the engine before its one-pass `decode_stack`
+DIGESTS = {
+    "--n 3 --k 6 --t 2 --seed 1 --dump":
+        "f7f3a370e487bbb5b23b2051392147ccab12fa83938a7ee2bf55d7c0d9d69efa",
+    "--n 3 --k 6 --t 2 --seed 7 --dump":
+        "3d6bba8a09a3867906452c10e9eff477a6daa91a3a8450f40978a744584cace2",
+    "--n 2 --k 7 --t 3 --seed 1 --dump":
+        "4a6f88ddea614f024146af8ed58f94986bac8bf100687559a519cbe9d469fb9f",
+    "--n 2 --k 7 --t 3 --seed 7 --dump":
+        "732e8189071eb5ee5ce71040f1093941eb3a88e30e037a440760ad42b603917a",
+    "--schemes decentralized --n 3 --k 6 --m 1 --seed 1 --dump":
+        "c7c4c805a1407e9e1bca5fe0b2edd991fe873044d095669df352017f3f02f608",
+    "--schemes decentralized --n 3 --k 6 --m 1 --seed 7 --dump":
+        "95d30d83fa19dce9e589acd2145bcd3383be7e9b02622e7f680696a28c7e7fdd",
+    "--schemes decentralized --n 4 --k 8 --m 2 --seed 1 --dump":
+        "30ea314be0d075b67abfa154b97f7ad6b0b89111b38b3ade035eb8cd13f4a1e5",
+    "--schemes decentralized --n 4 --k 8 --m 2 --seed 7 --dump":
+        "ece25461a78d9102057e7ba45491b4142c58ae141e0465bfcd876a3f8dcc748b",
+    "--n 2 --k 65 --t 64 --seed 1 --dump":
+        "dcffb3b4a515b952819f82d1ad1ee8c601e5ed9070844fa75b8f311a65339acf",
+    "--n 2 --k 65 --t 64 --seed 7 --dump":
+        "1e38afd4bf99d82120058744ead5ab78c71bc41373b052abf4385dc9de8f922d",
+    "--schemes decentralized --n 3 --k 65 --m 1 --f 64 --seed 1 --dump":
+        "4381ddc093116dbe23cafc7bf9974c85ec0e0305a8dae749dab02981e265d607",
+    "--schemes decentralized --n 3 --k 65 --m 1 --f 64 --seed 7 --dump":
+        "8dfefb87ec01da4dde96b6ca64d514a30784c4c9136c1e4c6e995d8aa39a4ba0",
+}
+
+
+def simulate_digest(args):
+    """The sha256 of `exit code N` and then the stdout of `simulate ARGS`."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["simulate", *args.split()])
+    return hashlib.sha256(f"exit code {code}\n{out.getvalue()}".encode()).hexdigest()
+
+
+@pytest.mark.parametrize("args", sorted(DIGESTS))
+def test_simulate_dump_matches_digest(args):
+    assert simulate_digest(args) == DIGESTS[args]
+
+
 CONVERSE_ARGV = ["--n", "2", "--k", "4", "--m", "1", "--f", "120", "--placements", "4"]
 
 
@@ -141,6 +187,10 @@ if __name__ == "__main__":
             continue
         if name == "tradeoff_tables":
             tradeoff_tables(TABLES_DIR)
+            continue
+        if name == "digests":
+            for args in DIGESTS:
+                print(f"{args}: {simulate_digest(args)}")
             continue
         saved = {attr: getattr(cli, attr) for attr in CASES[name][1]}
         try:

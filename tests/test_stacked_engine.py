@@ -258,9 +258,9 @@ def test_each_omitted_message_of_a_stack_is_rebuilt_once(monkeypatch):
     handed = []
     rebuild = decentralized._rebuild
 
-    def counting(plan, terms, delivery, i, rows):
+    def counting(plan, terms, rows):
         handed.extend(divmod(int(r), len(plan.level.members)) for r in rows)
-        return rebuild(plan, terms, delivery, i, rows)
+        return rebuild(plan, terms, rows)
 
     monkeypatch.setattr(decentralized, "_rebuild", counting)
     delivery = decentralized.encode_stack(db, placement.partition, demands)

@@ -322,11 +322,10 @@ def cmd_compare(args) -> int:
 # --- verify ------------------------------------------------------------------
 
 
-def _wrong_users(db, placement, messages, d, leaders) -> list[int]:
+def _wrong_users(db, placement, messages, d) -> list[int]:
     """The users, ascending, whose decode of the delivery misses their file;
     all K are decoded in one call and XORed in place with their files."""
-    decoded = decentralized.decode_users(
-        range(1, placement.K + 1), db, placement, placement.partition, messages, d, leaders)
+    decoded = decentralized.decode_users(range(1, placement.K + 1), db, placement, placement.partition, messages, d)
     np.bitwise_xor(decoded, db.bits[np.subtract(d, 1)], out=decoded)
     return (np.logical_or.reduce(decoded, axis=1).nonzero()[0] + 1).tolist()
 
@@ -338,18 +337,17 @@ def _check_block(db, placement, t: int, demands: np.ndarray) -> list[str]:
     decodes wrong. One stacked encode and one stacked decode of all K users
     from their caches and the sent rows."""
     K, F, partition = placement.K, db.F, placement.partition
-    leaders = decentralized.first_requesters(demands)
-    delivery = decentralized.encode_stack(db, partition, demands, leaders)
+    delivery = decentralized.encode_stack(db, partition, demands)
     counts = np.zeros(len(demands), dtype=np.int64)
     sent_bits = np.zeros(len(demands), dtype=np.int64)
     for _, lengths in delivery:
         counts += np.count_nonzero(lengths, axis=1)
         sent_bits += lengths.sum(axis=1)
-    decoded = decentralized.decode_stack(range(1, K + 1), db, placement, partition, delivery, demands, leaders)
+    decoded = decentralized.decode_stack(range(1, K + 1), db, placement, partition, delivery, demands)
     wrong = np.logical_or.reduce(decoded != db.bits.take(demands - 1, axis=0), axis=2)
     first_wrong = np.where(wrong.any(axis=1), wrong.argmax(axis=1) + 1, 0)  # 0: every user decoded right
     # the closed forms by distinct-file count; -1 bits where they are not whole, which no delivery matches
-    distinct = np.count_nonzero(leaders, axis=1)
+    distinct = 1 + np.count_nonzero(np.diff(np.sort(demands, axis=1), axis=1), axis=1)
     count_form = np.zeros(K + 1, dtype=np.int64)
     bits_form = np.full(K + 1, -1, dtype=np.int64)
     for e in set(distinct.tolist()):
@@ -482,9 +480,9 @@ def cmd_simulate(args) -> int:
     )
     leaders = select_leaders(d)
     stats = demand_stats(d, N)
-    messages = decentralized.encode_delivery(db, placement.partition, d, leaders)
+    messages = decentralized.encode_delivery(db, placement.partition, d)
     rate = delivered_rate(messages, F)
-    bad = _wrong_users(db, placement, messages, d, leaders)
+    bad = _wrong_users(db, placement, messages, d)
     print(f"{scheme} simulate: N={N} K={K} {setting} seed={seed}")
     print(f"demand: {','.join(map(str, d))} ({stats.distinct} distinct), leaders: {sorted(leaders)}")
     if scheme == "centralized":

@@ -27,16 +27,17 @@ XOR-reduce runs over the leading axis: (members, rows, L) to encode,
 (partners, pairs, L) to decode and (terms, rows, L) to rebuild; reducing
 over a middle axis of length 2-10 costs tens to hundreds of times as
 much. The one-demand functions (`encode_delivery`, `decode_users`,
-`decode_user`) are calls with a stack of one. Each input has one door: a
-one-demand call's demand and leaders are checked by `_one`, a stack by
-`_stack`, the users by `decode_stack`. A delivery has one
-representation, those arrays: `encode_delivery` returns them as a
-`Broadcast`, a sequence whose `BroadcastMessage`s are built only when it is
-read as one, and the decoders read a `Broadcast` of their partition from
-its arrays, placing any other message list into arrays first, one message
-at a time, each at the row of its members' code. Batch (centralized)
-delivery is the one-level, equal-chunk case: `centralized` hands its
-subfiles to this engine.
+`decode_user`) are calls with a stack of one. Each input is checked at one
+door: a one-demand call's length and leader range in `_one`, a stack's
+entries and leaders in `_stack`, which builds the stack's one leader table,
+the users in `decode_stack`. A delivery has one representation, those
+arrays: `encode_delivery` returns them as a `Broadcast`, a sequence whose
+`BroadcastMessage`s are built only when it is read as one, and the
+decoders read a `Broadcast` of their partition from its arrays, placing
+any other message list into arrays first, one message at a time, each at
+the row of its members' code. Batch (centralized) delivery is the
+one-level, equal-chunk case: `centralized` hands its subfiles to this
+engine.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .combinatorics import SubsetId, lex_rank
-from .model import Database, Demand, Placement, code_dtype, validate_demand
+from .model import Database, Demand, Placement, code_dtype
 
 if TYPE_CHECKING:
     from .level_index import Level
@@ -182,7 +183,9 @@ class LevelPartition:
         return np.cumsum(self.sizes, axis=1) - self.sizes
 
     def positions(self, members: Sequence[int], file_index: int) -> np.ndarray:
-        """Positions of file `file_index` cached by exactly the users `members` (ascending, read-only)."""
+        """Positions of file `file_index` (1..N) cached by exactly the users `members` (ascending, read-only)."""
+        if not 1 <= file_index <= self.N:
+            raise ValueError(f"file {file_index} is not in 1..{self.N}")
         users = {operator.index(k) for k in members}
         if all(1 <= k <= self.K for k in users):
             code = _user_code(users)
@@ -242,16 +245,6 @@ def _blocks(count: int, per_item: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
-def first_requesters(demands: np.ndarray) -> np.ndarray:
-    """(n, K) booleans for a stack of n demands: whether each user is the
-    lowest-indexed requester of its file, `select_leaders`' rule."""
-    demands = np.asarray(demands)
-    leaders = np.ones(demands.shape, dtype=bool)
-    for x in range(1, demands.shape[1]):
-        leaders[:, x] = (demands[:, :x] != demands[:, x, None]).all(axis=1)
-    return leaders
-
-
 def stack_size(partition: LevelPartition, users: int) -> int:
     """Demands per stack that keep a stacked encode and decode of `users`
     users to about 2 MB of temporaries: a stack's rows, chunk cells and
@@ -266,35 +259,41 @@ def stack_size(partition: LevelPartition, users: int) -> int:
 
 
 def _stack(partition: LevelPartition, demands, leaders) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Each user's wanted file row per demand ((n, K+1), column 0 unused), the
-    leader flags ((n, K), `first_requesters` if None; they must flag a
-    requester of every requested file), each demand's leader code and each
-    1-based user's code bit (entry 0 is 0)."""
-    demands = np.asarray(demands)
-    if demands.ndim != 2 or demands.shape[1] != partition.K:
-        raise ValueError(f"demands have shape {demands.shape}, expected (n, K={partition.K})")
+    """A stack of demands, checked, with its one leader table: each user's
+    wanted file row per demand ((n, K+1), column 0 unused), the leader flags
+    ((n, K)), each demand's leader code and the table ((n, K)): each user's
+    lowest-indexed flagged requester of its file, K+1 if none. With no flags
+    every user counts as flagged and the flags are `table == user`,
+    `select_leaders`' rule; given flags must flag a requester of every
+    requested file (no K+1), or its omitted messages have no terms."""
+    demands, K = np.asarray(demands), partition.K
+    if demands.ndim != 2 or demands.shape[1] != K:
+        raise ValueError(f"demands have shape {demands.shape}, expected (n, K={K})")
     if demands.dtype.kind not in "iu" or demands.size and not 1 <= demands.min() <= demands.max() <= partition.N:
         raise ValueError(f"demand entries must be integers in 1..{partition.N}")
-    if leaders is not None and np.shape(leaders) != demands.shape:
-        raise ValueError(f"leader flags have shape {np.shape(leaders)}, expected {demands.shape}")
-    if leaders is None:
-        leaders = first_requesters(demands)
-    else:
-        # each requested file needs a leader, or its omitted messages have no terms
+    if leaders is not None:
         leaders = np.asarray(leaders, dtype=bool)
-        size = len(demands) * (partition.N + 1)
-        slots = np.add(demands, np.arange(0, size, partition.N + 1)[:, None], dtype=np.intp)  # each demand's files
-        led = np.zeros(size, dtype=bool)
-        led[slots.reshape(-1).compress(leaders.reshape(-1))] = True
-        if not led.take(slots).all():
-            s, x = np.argwhere(~led.take(slots))[0].tolist()
-            raise ValueError(f"the leaders of demand {tuple(demands[s].tolist())} hold no requester of file "
-                             f"{demands[s, x]}")
-    wanted = np.empty((len(demands), partition.K + 1), dtype=np.intp)
+        if leaders.shape != demands.shape:
+            raise ValueError(f"leader flags have shape {leaders.shape}, expected {demands.shape}")
+    n, N = len(demands), partition.N
+    wanted = np.empty((n, K + 1), dtype=np.intp)
     wanted[:, 0] = 0
     np.subtract(demands, 1, out=wanted[:, 1:])
-    bits = _user_bits(partition.K, partition.codes.dtype)
-    return wanted, leaders, np.bitwise_or.reduce(bits[1:] * leaders, axis=1), bits
+    users = np.arange(1, K + 1)
+    # one minimum over the stack's (demand, file) slots
+    slots = wanted[:, 1:] + np.arange(0, n * N, N)[:, None]
+    lowest = np.full(n * N, K + 1, dtype=np.intp)
+    np.minimum.at(lowest, slots.reshape(-1),
+                  np.tile(users, n) if leaders is None else np.where(leaders, users, K + 1).reshape(-1))
+    lowest = lowest.take(slots)
+    if leaders is None:
+        leaders = lowest == users
+    elif (lowest > K).any():
+        s, x = np.argwhere(lowest > K)[0].tolist()
+        raise ValueError(f"the leaders of demand {tuple(demands[s].tolist())} hold no requester of file "
+                         f"{demands[s, x]}")
+    bits = _user_bits(K, partition.codes.dtype)
+    return wanted, leaders, np.bitwise_or.reduce(bits[1:] * leaders, axis=1), lowest
 
 
 @lru_cache(maxsize=None)
@@ -305,14 +304,16 @@ def _user_bits(K: int, dtype: np.dtype) -> np.ndarray:
     return bits
 
 
-def _one(d, partition: LevelPartition, leaders) -> tuple[np.ndarray, np.ndarray]:
-    """A stack of the one demand `d`, checked against the partition, and its
-    leader flags (`select_leaders` if None)."""
-    d, K = validate_demand(d, partition.N), partition.K
+def _one(d, partition: LevelPartition, leaders) -> tuple[np.ndarray, np.ndarray | None]:
+    """A stack of the one demand `d` of length K, and the flags of the given
+    `leaders` (None if None); `_stack` checks the entries and the flags."""
+    K = partition.K
     if len(d) != K:
         raise ValueError(f"demand length {len(d)} != K={K}")
+    if leaders is None:
+        return np.array([d]), None
     flags = np.zeros((1, K), dtype=bool)
-    for x in select_leaders(d) if leaders is None else leaders:
+    for x in leaders:
         if not 1 <= x <= K:
             raise ValueError(f"leader {x} is not in 1..{K}")
         flags[0, x - 1] = True
@@ -332,7 +333,7 @@ def encode_stack(
     leaders: np.ndarray | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Leader-based delivery of a stack of n demands ((n, K), files 1..N)
-    with leader flags `leaders` ((n, K), `first_requesters` if None). For
+    with leader flags `leaders` ((n, K), `select_leaders`' if None). For
     each level of the partition: the payloads (n, n_T, L), zero-padded, and
     each row's payload length (n, n_T). A row is sent when it holds a leader
     and a non-empty chunk; a row not sent is zero, with length 0. Each level
@@ -445,17 +446,19 @@ class _Plan(NamedTuple):
     users: the chunk cells of every row ((j+1, n * n_T), rows numbered
     demand * n_T + row, int32 where they fit), which are non-empty, every
     row's payload ((n * n_T + 1, L), received or rebuilt; the last row
-    stays zero) and every row's state, the only record of what was
-    received ((n * n_T + 1,)): the first row it needs that was sent but not
+    stays zero), every row's state, the only record of what was received
+    ((n * n_T + 1,)): the first row it needs that was sent but not
     received, n * n_T (none) for the zero row and for a row received or
     with only empty chunks, the row itself if it holds a leader, and for an
-    omitted row -1 until it is rebuilt, then its first such term."""
+    omitted row -1 until it is rebuilt, then its first such term; and the
+    omitted rows (no leader, a non-empty chunk; received or not), ascending."""
 
     level: Level
     cells: np.ndarray
     nonempty: np.ndarray
     payloads: np.ndarray
     lost: np.ndarray
+    omitted: np.ndarray
 
 
 class _Terms(NamedTuple):
@@ -469,28 +472,21 @@ class _Terms(NamedTuple):
     term_rows: np.ndarray
 
 
-def _level_terms(plan: _Plan, wanted: np.ndarray, leaders: np.ndarray, lead: np.ndarray, bits) -> _Terms:
-    """The `_Terms` of one level of a stack, from its plan's chunk sizes: the
-    omitted rows' terms are counted a block of rows at a time
+def _level_terms(plan: _Plan, wanted: np.ndarray, lowest: np.ndarray) -> _Terms:
+    """The `_Terms` of one level of a stack, for its plan's omitted rows:
+    their terms are counted a block of rows at a time
     (`_cancellation_terms`), and each block's are found in the level by one
-    lookup (`Level.rows_of`). A member is swapped for the lowest-indexed
-    leader of its file, read from one table over the stack's (demand, file)
-    slots."""
-    level, n = plan.level, len(wanted)
+    lookup (`Level.rows_of`). A member is swapped for its file's
+    lowest-indexed leader, read from the stack's leader table `lowest`
+    (`_stack`), which holds one for every requested file."""
+    level, rows, K = plan.level, plan.omitted, lowest.shape[1]
     n_T, m = level.members.shape
-    led = (np.tile(level.codes, n) & np.repeat(lead, n_T)) != 0
-    rows = (~led & np.logical_or.reduce(plan.nonempty, axis=0)).nonzero()[0]
     s, r = np.divmod(rows, n_T)
     members = level.members.take(r, axis=0)
     files = wanted.take((s * wanted.shape[1])[:, None] + members)  # each member's file, 0-based
-    # the lowest-indexed leader of each (demand, file) slot: `_stack` made
-    # sure that every requested file has one
-    N = int(wanted.max()) + 1
-    by, x = leaders.nonzero()
-    leader = np.full(n * N, len(bits), dtype=np.intp)
-    np.minimum.at(leader, by * N + wanted.take(by * wanted.shape[1] + x + 1), x + 1)
-    swaps = bits.take(members) | bits.take(leader.take((s * N)[:, None] + files))
-    codes, zero = level.codes.take(r), n * n_T
+    bits = _user_bits(K, level.codes.dtype)
+    swaps = bits.take(members) | bits.take(lowest.take((s * K - 1)[:, None] + members))
+    codes, zero = level.codes.take(r), len(wanted) * n_T
     parts = []
     # a block's terms are (rows, C) int64 arrays, and C, the most terms of a
     # row, grows about as the square of its width
@@ -539,12 +535,12 @@ def _plans(partition: LevelPartition, delivery, wanted: np.ndarray, lead: np.nda
         table = np.zeros((rows + 1, width), dtype=np.uint8)
         table[:-1] = payloads.reshape(-1, width)
         led = (np.tile(level.codes, len(wanted)) & np.repeat(lead, n_T)) != 0
+        chunked = np.logical_or.reduce(nonempty, axis=0)
         lost = np.full(rows + 1, rows)
-        lost[:-1] = np.where((lengths.reshape(-1) > 0) | ~np.logical_or.reduce(nonempty, axis=0), rows,
-                             np.where(led, np.arange(rows), -1))
+        lost[:-1] = np.where((lengths.reshape(-1) > 0) | ~chunked, rows, np.where(led, np.arange(rows), -1))
         # int32 where the cell numbers fit, as the index's groups: a plan is kept
         cells = cells.reshape(m, -1).astype(np.int32 if len(level.sizes) <= 2**31 else np.intp)
-        plans.append(_Plan(level, cells, nonempty, table, lost))
+        plans.append(_Plan(level, cells, nonempty, table, lost, (~led & chunked).nonzero()[0]))
     if isinstance(delivery, Broadcast):
         delivery._plan = (key, plans)
     return plans
@@ -581,7 +577,7 @@ def decode_stack(
     """
     _check_shape(db, partition=partition.order.shape, placement=placement.codes.shape)
     N, F = db.N, partition.F
-    wanted, leaders, lead, bits = _stack(partition, demands, leaders)
+    wanted, leaders, lead, lowest = _stack(partition, demands, leaders)
     n, K = len(wanted), partition.K
     users = [operator.index(k) for k in users]
     seen = set()
@@ -620,7 +616,7 @@ def decode_stack(
                     terms.clear()
                     terms["key"] = key
                 if i not in terms:
-                    terms[i] = _level_terms(plan, wanted, leaders, lead, bits)
+                    terms[i] = _level_terms(plan, wanted, lowest)
                 plan.lost[fresh] = _rebuild(plan, terms[i], fresh)
             first = plan.lost.take(missing).min()
             if first < R:

@@ -71,7 +71,9 @@ class Placement:
         return self.caches([user])[0]
 
     def caches(self, users: Sequence[int]) -> np.ndarray:
-        """(len(users), N, F) booleans: what each user (1-based) caches."""
+        """(len(users), N, F) booleans: what each user (1-based, 1..K) caches."""
+        if len(users) and not 1 <= min(users) <= max(users) <= self.K:
+            raise ValueError(f"user {min(users) if min(users) < 1 else max(users)} is not in 1..{self.K}")
         bits = np.array([1 << (k - 1) for k in users], dtype=self.codes.dtype)
         return (self.codes & bits[:, None, None]) != 0
 

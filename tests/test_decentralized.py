@@ -1,6 +1,7 @@
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -143,6 +144,14 @@ class TestLevelPartition:
         part = decentralized.level_partition(placement, N=2, F=5)
         assert part.codes.tolist() == [0] and part.sizes.tolist() == [[5], [5]]
         assert np.array_equal(part.positions((), 1), np.arange(5))
+
+    def test_positions_refuse_a_file_outside_1_to_n(self):
+        # an index <= 0 read another file's row, one past N raised IndexError
+        part = decentralized.random_placement(3, 4, 1, 40, seed=1).partition
+        for members, i in [((), 0), ((1,), -2), ((1,), 4), ((2, 3), 10)]:
+            with pytest.raises(ValueError, match=re.escape(f"file {i} is not in 1..3")):
+                part.positions(members, i)
+        assert sum(len(part.positions((1,), i)) for i in (1, 2, 3)) == part.sizes[:, part.codes == 1].sum()
 
     def test_partition_is_exact_cover(self):
         placement = decentralized.random_placement(N=2, K=4, M=1, F=500, seed=3)

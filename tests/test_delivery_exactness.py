@@ -455,6 +455,37 @@ def test_decode_users_refuses_bad_users(canonical_instance, users, message):
         decentralized.decode_stack(users, db, placement, placement.partition, delivery, demands)
 
 
+ONE_DEMAND_ENTRIES = {
+    "encode_delivery": lambda db, placement, messages, d, leaders: decentralized.encode_delivery(
+        db, placement.partition, d, leaders),
+    "decode_users": lambda db, placement, messages, d, leaders: decentralized.decode_users(
+        [1, 2], db, placement, placement.partition, messages, d, leaders),
+    "decode_user": lambda db, placement, messages, d, leaders: decentralized.decode_user(
+        1, db, placement, placement.partition, messages, d, leaders),
+    "centralized.encode_delivery": lambda db, placement, messages, d, leaders: centralized.encode_delivery(
+        db, placement, d, leaders),
+    "centralized.decode_user": lambda db, placement, messages, d, leaders: centralized.decode_user(
+        1, db, placement, messages, d, leaders),
+}
+
+
+@pytest.mark.parametrize("entry", ONE_DEMAND_ENTRIES)
+@pytest.mark.parametrize("entries, leaders, message", [
+    ({1: 1.5}, None, "demand entries must be"),
+    ({1: "1"}, None, "demand entries must be"),
+    ({4: 0}, None, "demand entries must be"),
+    ({5: 4}, None, "demand entries must be"),  # N + 1
+    ({}, frozenset({0, 1, 3, 5}), "leader 0 is not in 1..6"),
+    ({}, frozenset({1, 3, 5, 7}), "leader 7 is not in 1..6"),
+])
+def test_one_demand_entries_refuse_bad_entries_and_leaders(canonical_instance, entry, entries, leaders, message):
+    db, placement, d = canonical_instance
+    messages = centralized.encode_delivery(db, placement, d)
+    bad = tuple(entries.get(i, f) for i, f in enumerate(d))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ONE_DEMAND_ENTRIES[entry](db, placement, messages, bad, leaders)
+
+
 @pytest.mark.parametrize("d", [(1, 1, 2, 2, 3), (1, 1, 2, 2, 3, 3, 1)])
 def test_decode_users_refuses_demand_of_wrong_length(canonical_instance, d):
     db, placement, demand = canonical_instance

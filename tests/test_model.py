@@ -216,6 +216,19 @@ class TestPlacementFile:
             assert "line 1" in str(err.value)
 
 
+def test_cache_views_refuse_users_outside_1_to_k():
+    # uint8 codes have spare bits: user 7 of 5 used to cache nothing, user 0
+    # raised a negative shift count and user 9 an OverflowError
+    placement = random_placement(2, 5, 1, 20, seed=1)
+    for bad in (0, 6, 7, 9, -1):
+        for call in (lambda: placement.cached(bad), lambda: placement.cached_bits(bad),
+                     lambda: placement.caches([1, bad, 2])):
+            with pytest.raises(ValueError, match=f"user {bad} is not in 1..5"):
+                call()
+    assert placement.caches([]).shape == (0, 2, 20)
+    assert sum(placement.cached_bits(k) for k in range(1, 6)) == 5 * 2 * 10
+
+
 def test_cached_pairs_sorted_and_consistent():
     placement = random_placement(N=2, K=2, M=1, F=16, seed=9)
     for k in (1, 2):

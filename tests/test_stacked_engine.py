@@ -11,6 +11,7 @@ demand only; a cleared cache bit must spoil only its user.
 """
 
 import itertools
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -245,6 +246,42 @@ def test_stack_refuses_bad_demands():
             decentralized.decode_stack([1], db, placement, part, [], demands)
     with pytest.raises(ValueError, match=r"leader flags have shape \(1, 3\)"):
         decentralized.encode_stack(db, part, np.ones((1, 4), dtype=int), np.ones((1, 3), dtype=bool))
+
+
+def lowest_flagged_oracle(demands, flags):
+    """Per demand and user, the lowest-indexed flagged user requesting the
+    same file, K + 1 if there is none."""
+    K = len(flags[0])
+    return [[min((y for y in range(1, K + 1) if row[y - 1] and d[y - 1] == f), default=K + 1) for f in d]
+            for d, row in zip(demands, flags)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacks(), st.integers(0, 2**16))
+@example(("batch", 3, 6, 2, 15, [(1, 1, 2, 2, 3, 3), (3, 1, 1, 2, 2, 3)], [frozenset({1, 3, 5}), frozenset({1, 4})],
+          1), 0)  # the second demand's flags miss file 1
+def test_stack_leader_table_matches_the_oracles(instance, pick):
+    # default flags are `select_leaders`; the table is each user's lowest
+    # flagged fellow requester; given flags pass iff they cover every file
+    kind, N, K, param, F, demands, leader_sets, seed = instance
+    part = placement_of(kind, N, K, param, F, seed + 1).partition
+    _, flags, _, lowest = decentralized._stack(part, np.array(demands), None)
+    assert [set((np.flatnonzero(row) + 1).tolist()) for row in flags] == [
+        decentralized.select_leaders(d) for d in demands]
+    assert lowest.tolist() == lowest_flagged_oracle(demands, flags.tolist())
+    given = flags if leader_sets is None else flags_of(leader_sets, K)
+    if pick % 2:  # clear some flags, which may leave a file without a leader
+        given = given & (np.random.default_rng(pick).random(given.shape) < 0.6)
+    table = lowest_flagged_oracle(demands, given.tolist())
+    uncovered = [(s, x) for s, row in enumerate(table) for x in range(K) if row[x] > K]
+    if not uncovered:
+        _, got, _, lowest = decentralized._stack(part, np.array(demands), given)
+        assert np.array_equal(got, given) and lowest.tolist() == table
+    else:
+        s, x = uncovered[0]
+        with pytest.raises(ValueError, match=re.escape(f"demand {demands[s]} hold no requester of file "
+                                                       f"{demands[s][x]}")):
+            decentralized._stack(part, np.array(demands), given)
 
 
 def test_each_omitted_message_of_a_stack_is_rebuilt_once(monkeypatch):

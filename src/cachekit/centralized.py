@@ -82,11 +82,12 @@ def verify_message_cancellation(
     """Check that XORing, over every one-requester-per-file selection V inside
     `group`, the directly computed message of `group` minus V gives zero.
 
-    `group` must be users in 1..K that contain every leader, one requester
-    of each requested file, and its size must be e + t + 1 for e leaders
-    and a t with C(K, t) | F: the messages are those of the batch placement
-    of that t. This identity is what makes the omitted leaderless messages
-    reconstructable. It is checked apart from the engine's rebuild: the
+    `group` and `leaders` must be integer users in 1..K, `group` must
+    contain every leader, one requester of each requested file, and its
+    size must be e + t + 1 for e leaders and a t with C(K, t) | F: the
+    messages are those of the batch placement of that t. This identity is
+    what makes the omitted leaderless messages reconstructable. It is
+    checked apart from the engine's rebuild: the
     selections V come from `itertools.product`, and each message of
     `group` minus V, as the engine sends it with every user a leader, must
     equal the XOR of its members' chunks read straight from the batch
@@ -94,11 +95,8 @@ def verify_message_cancellation(
     """
     d = validate_demand(d, db.N)
     K = len(d)
-    leaders = frozenset(leaders)
-    members = tuple(sorted(set(group)))
-    for x in members:
-        if not 1 <= x <= K:
-            raise ValueError(f"group member {x} is not in 1..{K}")
+    members = tuple(sorted({decentralized._user(x, K, "group member") for x in group}))
+    leaders = frozenset(decentralized._user(x, K, "leader") for x in leaders)
     if not leaders.issubset(members):
         raise ValueError(f"group {members} must contain all leaders {sorted(leaders)}")
     if sorted(d[x - 1] for x in leaders) != sorted(set(d)):

@@ -93,9 +93,11 @@ BYTES_PER_SUBFILE = 4096
 # j + 1 members, so a group costs about 2 to 25 KB as K and its level grow,
 # which no per-group figure fits. Peak RSS of encode plus all-user decode,
 # less the 37-44 MB the imported package takes, at N=3-5, M=1, F=10^4 and
-# K=20, 24, 30, 40, 48 and 64 is 18-27 bytes per bound pair, and 30 at K=66
-# and 80 (F=3000 and 2000, with the codes' int objects counted apart). At
-# 32, K=64 (N=3, M=1, F=10^4: 28 M pairs, 765 MB) runs and K=70 is refused.
+# K=20, 24, 30, 40, 48 and 64 was 18-27 bytes per bound pair, and 30 at K=66
+# and 80 (F=3000 and 2000, with the codes' int objects counted apart), while
+# the term tables held an entry for every term; holding only the terms their
+# level has, K=40 and 64 (seed 3) take 14 and 13. At 32, K=64 (N=3, M=1,
+# F=10^4: 28 M pairs, estimated 902 MB, 394 MB peak) runs and K=70 is refused.
 BYTES_PER_PAIR = 32
 # Most demand types `bound` prints a line for, counted before any is built.
 # A type costs about 40 µs (14,888 types of a K=N=35 placement took 0.57 s),

@@ -28,7 +28,7 @@ XOR-reduce runs over the leading axis: (members, rows, L) to encode,
 over a middle axis of length 2-10 costs tens to hundreds of times as
 much. The one-demand functions (`encode_delivery`, `decode_users`,
 `decode_user`) are calls with a stack of one. Each input is checked at one
-door: a one-demand call's length and leader range in `_one`, a stack's
+door: a one-demand call's length and leaders in `_one`, a stack's
 entries and leaders in `_stack`, which builds the stack's one leader table,
 the users in `decode_stack`. A delivery has one representation, those
 arrays: `encode_delivery` returns them as a `Broadcast`, a sequence whose
@@ -198,8 +198,11 @@ class LevelPartition:
     @cached_property
     def term_cache(self) -> dict:
         """The decoder's cancellation terms for the last stack of demands: its
-        key, and a `_Terms` for each level, built the first time a decode of
-        the stack rebuilds a row of that level; every delivery shares them."""
+        key, and each level's table of the terms it has (`_level_terms`), row
+        for row with the level's omitted rows, which depend on the stack alone,
+        built the first time a decode of the stack rebuilds a row of the level;
+        every delivery shares them. A `simulate` at N=3, K=64, M=1 (seed 3)
+        keeps 0.5 MB of them, where an entry for every term took 267 MB."""
         return {}
 
     @cached_property
@@ -304,6 +307,17 @@ def _user_bits(K: int, dtype: np.dtype) -> np.ndarray:
     return bits
 
 
+def _user(x, K: int, role: str) -> int:
+    """`x` as an integer user in 1..K (a bool is the int it is), or a `ValueError` naming it as a `role`."""
+    try:
+        k = operator.index(x)
+    except TypeError:
+        raise ValueError(f"{role} {x!r} is not an integer") from None
+    if not 1 <= k <= K:
+        raise ValueError(f"{role} {k} is not in 1..{K}")
+    return k
+
+
 def _one(d, partition: LevelPartition, leaders) -> tuple[np.ndarray, np.ndarray | None]:
     """A stack of the one demand `d` of length K, and the flags of the given
     `leaders` (None if None); `_stack` checks the entries and the flags."""
@@ -314,9 +328,7 @@ def _one(d, partition: LevelPartition, leaders) -> tuple[np.ndarray, np.ndarray 
         return np.array([d]), None
     flags = np.zeros((1, K), dtype=bool)
     for x in leaders:
-        if not 1 <= x <= K:
-            raise ValueError(f"leader {x} is not in 1..{K}")
-        flags[0, x - 1] = True
+        flags[0, _user(x, K, "leader") - 1] = True
     return np.array([d]), flags
 
 
@@ -370,7 +382,6 @@ def encode_delivery(
     """Leader-based delivery over every level of the partition: `encode_stack`
     for the one demand. Messages that would be empty are not sent; the rest
     go by subset size, then lexicographic."""
-    _check_shape(db, partition=partition.order.shape)
     return Broadcast(partition, encode_stack(db, partition, *_one(d, partition, leaders)))
 
 
@@ -409,7 +420,7 @@ def _as_delivery(partition: LevelPartition, messages) -> Broadcast | list[tuple[
     return delivery
 
 
-def _cancellation_terms(codes: np.ndarray, files: np.ndarray, swaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cancellation_terms(codes: np.ndarray, files: np.ndarray, swaps: np.ndarray) -> np.ndarray:
     """The cancellation identity's terms for R leaderless subsets A of one
     level, from each A's code (R,), its members' requested files (R, m) and
     each member's swap bits (its own code bit and its file's leader's, (R, m)).
@@ -421,24 +432,25 @@ def _cancellation_terms(codes: np.ndarray, files: np.ndarray, swaps: np.ndarray)
     its members requesting file f, each in A's level and holding a leader.
     Term k = 1, 2, ... is k in mixed radix, one digit per file (0 for no
     swap, i for the file's i-th member). Returns the terms' codes, (R, C)
-    for the most terms C of any A, and which of them are terms."""
+    for the most terms C of any A, a row's entries past its own terms being
+    code 0: the empty set, which no level holds."""
     R, m = files.shape
-    at = np.arange(R)[:, None]
-    order = files.argsort(axis=1, kind="stable")
-    ranked, swaps = files[at, order], swaps[at, order]
+    at = np.arange(0, R * m, m)[:, None]  # each row's start in a flat (R, m) array
+    order = files.argsort(axis=1, kind="stable") + at
+    ranked, swaps = files.take(order), swaps.take(order)
     head = np.ones((R, m), dtype=bool)
     head[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
     group = head.cumsum(axis=1) - 1  # each member's file, numbered within A
-    size = np.bincount((at * m + group).reshape(-1), minlength=R * m).reshape(R, m)
+    size = np.bincount((at + group).reshape(-1), minlength=R * m).reshape(R, m)
     first = size.cumsum(axis=1) - size
     count = (size + 1).prod(axis=1) - 1
     k = np.arange(1, count.max(initial=0) + 1)[None, :]
-    valid = k <= count[:, None]
-    terms = np.repeat(codes[:, None], valid.shape[1], axis=1)
+    terms = np.repeat(codes[:, None], k.shape[1], axis=1)
     for g in range(np.count_nonzero(size, axis=1).max(initial=0)):
         k, digit = np.divmod(k, size[:, g, None] + 1)
-        terms ^= np.where(digit > 0, swaps[at, np.maximum(first[:, g, None] + digit - 1, 0)], 0)
-    return terms, valid
+        terms ^= np.where(digit > 0, swaps.take(at + np.maximum(first[:, g, None] + digit - 1, 0)), 0)
+    terms[k > 0] = 0  # k is left over past the last digit exactly beyond a row's own terms
+    return terms
 
 
 class _Plan(NamedTuple):
@@ -461,24 +473,15 @@ class _Plan(NamedTuple):
     omitted: np.ndarray
 
 
-class _Terms(NamedTuple):
-    """One level's omitted rows for a stack of demands: the rows with no
-    leader and a non-empty chunk (numbered demand * n_T + row, ascending),
-    and per row the rows of its cancellation terms (R, C). A term absent
-    from the level has no chunk, so its message is empty: it and the
-    padding of a row with fewer than C terms are the zero row n * n_T."""
-
-    rows: np.ndarray
-    term_rows: np.ndarray
-
-
-def _level_terms(plan: _Plan, wanted: np.ndarray, lowest: np.ndarray) -> _Terms:
-    """The `_Terms` of one level of a stack, for its plan's omitted rows:
-    their terms are counted a block of rows at a time
-    (`_cancellation_terms`), and each block's are found in the level by one
-    lookup (`Level.rows_of`). A member is swapped for its file's
-    lowest-indexed leader, read from the stack's leader table `lowest`
-    (`_stack`), which holds one for every requested file."""
+def _level_terms(plan: _Plan, wanted: np.ndarray, lowest: np.ndarray) -> np.ndarray:
+    """One level's term table for a stack, row for row with its plan's
+    omitted rows: the rows of each one's cancellation terms that the level
+    has (a term it lacks has no chunk, so its message is empty), leftmost,
+    then the zero row n * n_T up to the most any row has. The terms are
+    counted a block of rows at a time (`_cancellation_terms`) and found by
+    one lookup per block (`Level.rows_of`), which drops absent terms and
+    non-terms alike. A member is swapped for its file's lowest-indexed
+    leader, read from the stack's leader table `lowest` (`_stack`)."""
     level, rows, K = plan.level, plan.omitted, lowest.shape[1]
     n_T, m = level.members.shape
     s, r = np.divmod(rows, n_T)
@@ -487,31 +490,33 @@ def _level_terms(plan: _Plan, wanted: np.ndarray, lowest: np.ndarray) -> _Terms:
     bits = _user_bits(K, level.codes.dtype)
     swaps = bits.take(members) | bits.take(lowest.take((s * K - 1)[:, None] + members))
     codes, zero = level.codes.take(r), len(wanted) * n_T
+    small = np.int32 if zero < 2**31 else np.intp  # the table is kept: halve it
     parts = []
     # a block's terms are (rows, C) int64 arrays, and C, the most terms of a
     # row, grows about as the square of its width
     for block in _blocks(len(rows), 4 * m * m):
-        terms, valid = _cancellation_terms(codes[block], files[block], swaps[block])
-        found = level.rows_of(terms.reshape(-1)).reshape(terms.shape)
-        found = np.where(valid & (found >= 0), (s[block] * n_T)[:, None] + found, zero)
-        parts.append(found.astype(np.int32) if zero < 2**31 else found)  # the table is kept: halve it
+        found = level.rows_of(_cancellation_terms(codes[block], files[block], swaps[block]))
+        held = found >= 0
+        count = np.count_nonzero(held, axis=1)
+        part = np.full((len(count), count.max()), zero, dtype=small)
+        part[np.arange(part.shape[1]) < count[:, None]] = found[held] + np.repeat(s[block] * n_T, count)
+        parts.append(part)
     C = max(part.shape[1] for part in parts)  # blocks count up to their own most terms
-    return _Terms(rows, np.concatenate([np.pad(part, ((0, 0), (0, C - part.shape[1])), constant_values=zero)
-                                        for part in parts]))
+    return np.concatenate([np.pad(part, ((0, 0), (0, C - part.shape[1])), constant_values=zero) for part in parts])
 
 
-def _rebuild(plan: _Plan, terms: _Terms, rows: np.ndarray) -> np.ndarray:
+def _rebuild(plan: _Plan, terms: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Write the message of each of the plan's omitted `rows` into its
-    payloads: per block of rows, one gather of their terms' payloads laid
-    out (terms, rows, L), a missing term being the zero row, and one
-    XOR-reduce over the leading axis. Returns each row's first term that was
-    sent but not received (the zero row if none), read from the terms'
-    states in `plan.lost`: a term holds a leader, so its state is itself or
-    the zero row."""
-    at = np.searchsorted(terms.rows, rows)
+    payloads from the level's term table (`_level_terms`): per block of
+    rows, one gather of their terms' payloads laid out (terms, rows, L),
+    padding being the zero row, and one XOR-reduce over the leading axis.
+    Returns each row's first term that was sent but not received (the zero
+    row if none), read from the terms' states in `plan.lost`: a term holds
+    a leader, so its state is itself or the zero row."""
+    at = np.searchsorted(plan.omitted, rows)
     lost = []
-    for block in _blocks(len(rows), terms.term_rows.shape[1] * plan.payloads.shape[1]):
-        term_rows = terms.term_rows.take(at[block], axis=0).T
+    for block in _blocks(len(rows), terms.shape[1] * plan.payloads.shape[1]):
+        term_rows = terms.take(at[block], axis=0).T
         plan.payloads[rows[block]] = np.bitwise_xor.reduce(plan.payloads.take(term_rows, axis=0), axis=0)
         lost.append(np.minimum.reduce(plan.lost.take(term_rows), axis=0))
     return np.concatenate(lost)
@@ -559,8 +564,8 @@ def decode_stack(
     ((n, K), leader flags `leaders` as for `encode_stack`) from its cache
     plus the delivery: (n, len(users), F). `delivery` is `encode_stack`'s
     arrays, or a one-demand `Broadcast` of this partition; a row of length 0
-    was not received. `users` must be distinct and in 1..K, and the stack
-    as `_stack` checks it, or a `ValueError` says why.
+    was not received. `users` must be distinct integers in 1..K, and the
+    stack as `_stack` checks it, or a `ValueError` says why.
 
     The users' cache views and each user's copy of its file in each demand
     (row s * U + u, for any n and U) are built first; the plan (`_plans`)
@@ -579,14 +584,9 @@ def decode_stack(
     N, F = db.N, partition.F
     wanted, leaders, lead, lowest = _stack(partition, demands, leaders)
     n, K = len(wanted), partition.K
-    users = [operator.index(k) for k in users]
-    seen = set()
-    for k in users:
-        if not 1 <= k <= K:
-            raise ValueError(f"user {k} is not in 1..{K}")
-        if k in seen:
-            raise ValueError(f"user {k} is requested twice")
-        seen.add(k)
+    users = [_user(k, K, "user") for k in users]
+    if len(set(users)) < len(users):
+        raise ValueError(f"user {next(k for i, k in enumerate(users) if k in users[:i])} is requested twice")
     U = len(users)
     requested = np.zeros(K + 1, dtype=bool)
     requested[users] = True
@@ -663,7 +663,6 @@ def decode_users(
     share it; any other sequence of `BroadcastMessage`s is placed into
     arrays first (see `_as_delivery`), for this call alone.
     """
-    _check_shape(db, partition=partition.order.shape, placement=placement.codes.shape)
     demands, flags = _one(d, partition, leaders)
     return decode_stack(users, db, placement, partition, _as_delivery(partition, messages), demands, flags)[0]
 

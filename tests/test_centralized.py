@@ -1,4 +1,5 @@
 import itertools
+import re
 from collections import defaultdict
 from fractions import Fraction
 
@@ -357,6 +358,20 @@ class TestCancellationIdentity:
         for outside in (0, 7):
             with pytest.raises(ValueError, match=f"group member {outside} is not in 1..6"):
                 verify_message_cancellation(db, d, leaders, (*sorted(leaders), 2, outside))
+
+    @pytest.mark.parametrize("group, leaders, message", [
+        ((1, 2, 3, 4, 5, 6.5), None, "group member 6.5 is not an integer"),
+        ((1, 2, 3, 4, 5, "6"), None, "group member '6' is not an integer"),
+        (range(1, 7), {1.5, 3, 5}, "leader 1.5 is not an integer"),
+        (range(1, 7), {"1", 3, 5}, "leader '1' is not an integer"),
+        (range(1, 7), {1, 3, 7}, "leader 7 is not in 1..6"),
+    ])
+    def test_rejects_members_and_leaders_that_are_not_users(self, canonical_instance, group, leaders, message):
+        db, _, d = canonical_instance
+        with pytest.raises(ValueError, match=re.escape(message)):
+            verify_message_cancellation(db, d, select_leaders(d) if leaders is None else leaders, group)
+        # a bool is the int it is, as in a demand
+        assert verify_message_cancellation(db, d, {True, 3, 5}, (True, 2, 3, 4, 5, 6))
 
     def test_rejects_a_group_size_whose_t_does_not_divide_F(self, monkeypatch):
         K = 65

@@ -477,6 +477,8 @@ ONE_DEMAND_ENTRIES = {
     ({5: 4}, None, "demand entries must be"),  # N + 1
     ({}, frozenset({0, 1, 3, 5}), "leader 0 is not in 1..6"),
     ({}, frozenset({1, 3, 5, 7}), "leader 7 is not in 1..6"),
+    ({}, frozenset({1.5, 3, 5}), "leader 1.5 is not an integer"),
+    ({}, frozenset({"1", 3, 5}), "leader '1' is not an integer"),
 ])
 def test_one_demand_entries_refuse_bad_entries_and_leaders(canonical_instance, entry, entries, leaders, message):
     db, placement, d = canonical_instance

@@ -471,6 +471,57 @@ def test_sparse_level_rebuilds_are_bit_exact():
     assert np.array_equal(decoded, db.bits[np.subtract(d, 1)])
 
 
+@pytest.mark.parametrize("kind, N, K, param, F, demands, leader_sets, seed", [
+    ("random", 3, 12, 1, 2000, [(1, 2, 3, 1, 2, 3, 1, 1, 2, 3, 3, 2)], None, 0),  # the sparse levels above
+    ("batch", 2, 6, 2, 15, [(1, 1, 2, 2, 1, 2), (2, 2, 2, 2, 2, 1)], [frozenset({2, 6}), frozenset({3, 6})], 7),
+])
+def test_each_term_table_holds_exactly_its_levels_terms(kind, N, K, param, F, demands, leader_sets, seed):
+    # row for row with the omitted rows (demand * n_T + row, ascending): the
+    # rows of the terms the level holds, leftmost, then the zero row up to
+    # the table's width, the most terms any row has
+    placement = placement_of(kind, N, K, param, F, seed)
+    part = placement.partition
+    db = make_database(N, F, seed=1)
+    flags = flags_of(leader_sets, K)
+    delivery = decentralized.encode_stack(db, part, np.array(demands), flags)
+    decentralized.decode_stack(range(1, K + 1), db, placement, part, delivery, np.array(demands), flags)
+    tables = 0
+    for i, level in enumerate(part.levels):
+        n_T = len(level.members)
+        zero = len(demands) * n_T
+        present = {tuple(row) for row in level.members.tolist()}
+        expected = []
+        for s, d in enumerate(demands):
+            leaders = decentralized.select_leaders(d) if leader_sets is None else leader_sets[s]
+            for A in level.members.tolist():
+                if leaders.isdisjoint(A) and any(len(part.positions([y for y in A if y != x], d[x - 1])) for x in A):
+                    expected.append({(s, T) for T in terms_oracle(A, d, leaders) if T in present})
+        if not expected:
+            continue
+        table = part.term_cache[i]
+        assert table.shape == (len(expected), max(map(len, expected)))
+        for row, terms in zip(table.tolist(), expected):
+            assert row == sorted(row, key=lambda e: e == zero)  # the terms leftmost
+            held = [(e // n_T, tuple(level.members[e % n_T].tolist())) for e in row if e != zero]
+            assert len(held) == len(terms) and set(held) == terms
+        tables += 1
+    assert tables
+
+
+def test_term_tables_of_a_sparse_partition_stay_small():
+    # at K=32 almost none of an omitted row's terms are rows of its level;
+    # tables with a zero-row entry for each of them took 6.4 MB
+    N, K, F = 3, 32, 3000
+    placement = decentralized.random_placement(N, K, 1, F, seed=1)
+    part = placement.partition
+    d = tuple(np.random.default_rng(3).integers(1, 4, size=K).tolist())
+    db = make_database(N, F, seed=1)
+    messages = decentralized.encode_delivery(db, part, d)
+    decoded = decentralized.decode_users(range(1, K + 1), db, placement, part, messages, d)
+    assert np.array_equal(decoded, db.bits[np.subtract(d, 1)])
+    assert sum(table.nbytes for i, table in part.term_cache.items() if i != "key") < 1 << 20
+
+
 # the temporaries budget `decentralized.stack_size` documents
 STACK_BUDGET = 2 << 20
 

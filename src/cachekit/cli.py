@@ -34,6 +34,7 @@ from .model import (
     enumerate_types,
     load_placement,
     make_database,
+    parse_placement_header,
     type_representative,
     validate_demand,
 )
@@ -271,6 +272,14 @@ def _batch_file_size(args, K: int, t: int) -> int:
     return F
 
 
+def _open_out(path: str):
+    """--out opened for writing, or a usage error saying why it cannot be."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from None
+
+
 def _check_sizes(args) -> None:
     """--n, --k and --f, where the subcommand takes them and they are given,
     must be positive."""
@@ -290,7 +299,7 @@ def cmd_rates(args) -> int:
     grid = _grid(args)
     curves = [rate_curve(label, args.n, args.k, grid) for label in labels]
     if args.out:
-        with open(args.out, "w") as fh:
+        with _open_out(args.out) as fh:
             write_curves_csv(curves, fh)
         print(f"wrote {len(grid) * len(curves)} rows to {args.out}")
     else:
@@ -313,7 +322,7 @@ def cmd_compare(args) -> int:
     for i, m in enumerate(grid):
         lines.append(",".join([_fmt(m)] + [_fmt(c.points[i][1]) for c in curves]))
     if args.out:
-        with open(args.out, "w") as fh:
+        with _open_out(args.out) as fh:
             fh.write("\n".join(lines) + "\n")
         print(f"wrote {len(grid)} rows to {args.out}")
     else:
@@ -523,12 +532,23 @@ def _batch_achieved_level(profile: CacheProfile, partition, F: int) -> int | Non
 
 
 def cmd_bound(args) -> int:
+    path = args.placement
     try:
-        placement, N, F, M = load_placement(args.placement)
+        with open(path) as fh:
+            K, N, F, _ = parse_placement_header(fh.readline().splitlines())
+            size = os.fstat(fh.fileno()).st_size
+        # the header's codes and sort order, refused before `load_placement`
+        # allocates them; `_bytes_per_bit` builds a K-bit int, so a file with
+        # no room for K user lines (a byte each at least) is left to it
+        estimate = N * F * _bytes_per_bit(K) if K <= size else 0
+        if estimate > MAX_BATCH_BYTES:
+            raise UsageError(f"N={N} K={K} F={F} needs an estimated {estimate} bytes (placement codes and "
+                             f"their sort order), more than the limit of {MAX_BATCH_BYTES}")
+        placement, N, F, M = load_placement(path)
     except PlacementParseError as exc:
-        raise UsageError(f"cannot parse {args.placement}: {exc}") from None
-    except OSError as exc:
-        raise UsageError(f"cannot read {args.placement}: {exc}") from None
+        raise UsageError(f"cannot parse {path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from None
     K = placement.K
     types = count_types(N, K)
     if types > MAX_BOUND_TYPES:

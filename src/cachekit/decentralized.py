@@ -17,8 +17,8 @@ its members, one gather of their terms, then gathers each requested user's
 partner chunks from its own cache view, XOR-reduces them with the payloads
 and scatters the result into a copy of the user's file, one layout for
 every stack; padding lands in a zero sentinel column. One array per level
-of the plan says which rows were received, and a `Broadcast` keeps its
-plan, so that its one-user calls share it. Two rules keep the
+of the plan says which rows were received; the partition's decode cache
+keeps the last stack's term tables and plans (`_plans`). Two rules keep the
 kernels fast on the short rows of small instances, where numpy's cost per
 call and per row, not the bits moved, sets the time. Every gather is an
 `ndarray.take` over a flat index: fancy indexing with a 2-D or paired
@@ -30,19 +30,20 @@ much. The one-demand functions (`encode_delivery`, `decode_users`,
 `decode_user`) are calls with a stack of one. Each input is checked at one
 door: a one-demand call's length and leaders in `_one`, a stack's
 entries and leaders in `_stack`, which builds the stack's one leader table,
-the users in `decode_stack`. A delivery has one representation, those
-arrays: `encode_delivery` returns them as a `Broadcast`, a sequence whose
-`BroadcastMessage`s are built only when it is read as one, and the
-decoders read a `Broadcast` of their partition from its arrays, placing
-any other message list into arrays first, one message at a time, each at
-the row of its members' code. Batch (centralized) delivery is the
-one-level, equal-chunk case: `centralized` hands its subfiles to this
-engine.
+the users in `decode_stack`, a delivery's levels and shapes in `_plans`. A
+delivery has one representation, those arrays: `encode_delivery` returns
+them as a `Broadcast`, a sequence whose `BroadcastMessage`s are built only
+when it is read as one, and the decoders read a `Broadcast` of their
+partition from its arrays, placing any other message list into arrays
+first, one message at a time, each at the row of its members' code. Batch
+(centralized) delivery is the one-level, equal-chunk case: `centralized`
+hands its subfiles to this engine.
 """
 
 from __future__ import annotations
 
 import operator
+import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,7 +93,7 @@ class Broadcast(Sequence):
     the sent `BroadcastMessage`s in send order, each built only when it is
     indexed or iterated, its payload a view of the arrays. Its length and
     payload bits are read from the lengths, and the decoders read the arrays
-    themselves, keeping with it the decode plan of its last stack (`_plans`)."""
+    themselves; it keeps nothing of a decode (see `_plans`)."""
 
     def __init__(self, partition: LevelPartition, delivery: list[tuple[np.ndarray, np.ndarray]]):
         for arrays in delivery:
@@ -100,7 +101,6 @@ class Broadcast(Sequence):
                 array.setflags(write=False)
         self.partition = partition
         self.delivery = delivery
-        self._plan = None  # (key, plans): see `_plans`
 
     @cached_property
     def _sent(self) -> list[np.ndarray]:
@@ -196,13 +196,12 @@ class LevelPartition:
         return np.empty(0, dtype=np.int64)
 
     @cached_property
-    def term_cache(self) -> dict:
-        """The decoder's cancellation terms for the last stack of demands: its
-        key, and each level's table of the terms it has (`_level_terms`), row
-        for row with the level's omitted rows, which depend on the stack alone,
-        built the first time a decode of the stack rebuilds a row of the level;
-        every delivery shares them. A `simulate` at N=3, K=64, M=1 (seed 3)
-        keeps 0.5 MB of them, where an entry for every term took 267 MB."""
+    def decode_cache(self) -> dict:
+        """The decoder's only state, for the last stack decoded (`_plans`):
+        its "key", each level i's table of the terms it has (`_level_terms`,
+        0.5 MB at N=3, K=64, M=1, seed 3), shared by every delivery, and as
+        "plans" a weak reference to the last `Broadcast` decoded with its
+        plans: calls alternating between two broadcasts plan at each switch."""
         return {}
 
     @cached_property
@@ -524,22 +523,39 @@ def _rebuild(plan: _Plan, terms: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def _plans(partition: LevelPartition, delivery, wanted: np.ndarray, lead: np.ndarray, key: tuple) -> list[_Plan]:
     """The `_Plan`s for decoding the stack `key` (wanted files and leader
-    flags) from `delivery`, `encode_stack`'s arrays or a `Broadcast`, which
-    keeps the plans of its last stack. Each row's state is set here from the
-    delivery's lengths, the decode's only read of them, and the chunk sizes."""
-    kept = delivery._plan if isinstance(delivery, Broadcast) else None
-    if kept is not None and kept[0] == key:
-        return kept[1]
-    plans = []
-    arrays = delivery.delivery if isinstance(delivery, Broadcast) else delivery
-    for level, (payloads, lengths) in zip(partition.levels, arrays):
+    flags) from `delivery`, `encode_stack`'s arrays (writable, so planned
+    anew) or a `Broadcast`, whose plans `decode_cache` keeps for the key
+    until another is decoded. A `Broadcast` of another partition or with a
+    stack of n != 1, and a level count or array shape that does not fit the
+    partition and the stack, are refused with a `ValueError`. Each row's
+    state is set here from the delivery's lengths, the decode's only read of
+    them, and the chunk sizes."""
+    cache = partition.decode_cache
+    if cache.get("key") != key:
+        cache.clear()
+        cache["key"] = key
+    elif "plans" in cache and cache["plans"][0]() is delivery:
+        return cache["plans"][1]
+    plans, arrays, n = [], delivery, len(wanted)
+    if isinstance(delivery, Broadcast):
+        if delivery.partition is not partition:
+            raise ValueError("the broadcast is of another partition")
+        if n != 1:
+            raise ValueError(f"a broadcast holds one demand, not a stack of {n}")
+        arrays = delivery.delivery
+    if len(arrays) != len(partition.levels):
+        raise ValueError(f"the delivery has {len(arrays)} levels, the partition {len(partition.levels)}")
+    for i, (level, (payloads, lengths)) in enumerate(zip(partition.levels, arrays)):
         (n_T, m), width = level.members.shape, level.positions.shape[1]
-        rows = len(wanted) * n_T
+        if np.shape(payloads) != (n, n_T, width) or np.shape(lengths) != (n, n_T):
+            raise ValueError(f"level {i} of the delivery has payloads {np.shape(payloads)} and lengths "
+                             f"{np.shape(lengths)}, expected {(n, n_T, width)} and {(n, n_T)}")
+        rows = n * n_T
         cells, sizes = level.chunks(wanted)
         nonempty = (sizes > 0).reshape(m, -1)
         table = np.zeros((rows + 1, width), dtype=np.uint8)
         table[:-1] = payloads.reshape(-1, width)
-        led = (np.tile(level.codes, len(wanted)) & np.repeat(lead, n_T)) != 0
+        led = (np.tile(level.codes, n) & np.repeat(lead, n_T)) != 0
         chunked = np.logical_or.reduce(nonempty, axis=0)
         lost = np.full(rows + 1, rows)
         lost[:-1] = np.where((lengths.reshape(-1) > 0) | ~chunked, rows, np.where(led, np.arange(rows), -1))
@@ -547,7 +563,7 @@ def _plans(partition: LevelPartition, delivery, wanted: np.ndarray, lead: np.nda
         cells = cells.reshape(m, -1).astype(np.int32 if len(level.sizes) <= 2**31 else np.intp)
         plans.append(_Plan(level, cells, nonempty, table, lost, (~led & chunked).nonzero()[0]))
     if isinstance(delivery, Broadcast):
-        delivery._plan = (key, plans)
+        cache["plans"] = (weakref.ref(delivery), plans)
     return plans
 
 
@@ -564,8 +580,9 @@ def decode_stack(
     ((n, K), leader flags `leaders` as for `encode_stack`) from its cache
     plus the delivery: (n, len(users), F). `delivery` is `encode_stack`'s
     arrays, or a one-demand `Broadcast` of this partition; a row of length 0
-    was not received. `users` must be distinct integers in 1..K, and the
-    stack as `_stack` checks it, or a `ValueError` says why.
+    was not received. `users` must be distinct integers in 1..K, the stack
+    as `_stack` checks it and the delivery as `_plans` does, or a
+    `ValueError` says why.
 
     The users' cache views and each user's copy of its file in each demand
     (row s * U + u, for any n and U) are built first; the plan (`_plans`)
@@ -590,9 +607,8 @@ def decode_stack(
     U = len(users)
     requested = np.zeros(K + 1, dtype=bool)
     requested[users] = True
-    key = (wanted.tobytes(), leaders.tobytes())
-    plans = _plans(partition, delivery, wanted, lead, key)
-    terms = partition.term_cache
+    plans = _plans(partition, delivery, wanted, lead, (wanted.tobytes(), leaders.tobytes()))
+    terms = partition.decode_cache
     # every user's cache view, flat per user; column F of each file stays zero
     views = _cache_views(db, placement, users, F)
     flat = views.reshape(-1)
@@ -612,9 +628,6 @@ def decode_stack(
         if len(missing):
             fresh = missing[plan.lost.take(missing) < 0]  # omitted, and no earlier call rebuilt them
             if len(fresh):
-                if terms.get("key") != key:
-                    terms.clear()
-                    terms["key"] = key
                 if i not in terms:
                     terms[i] = _level_terms(plan, wanted, lowest)
                 plan.lost[fresh] = _rebuild(plan, terms[i], fresh)
@@ -659,9 +672,9 @@ def decode_users(
     """Recover file d_k for each user k of `users` from its cache plus the
     broadcast `messages`: a (len(users), F) array, one row per user in that
     order; `decode_stack` for the one demand. A `Broadcast` of this partition
-    is read from its arrays and keeps the decode plan, so one-user calls
-    share it; any other sequence of `BroadcastMessage`s is placed into
-    arrays first (see `_as_delivery`), for this call alone.
+    is read from its arrays, its plans kept until another is decoded, so
+    its one-user calls share them; any other sequence of `BroadcastMessage`s
+    is placed into arrays first (see `_as_delivery`), for this call alone.
     """
     demands, flags = _one(d, partition, leaders)
     return decode_stack(users, db, placement, partition, _as_delivery(partition, messages), demands, flags)[0]

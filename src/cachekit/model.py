@@ -153,8 +153,6 @@ def enumerate_types(N: int, K: int) -> list[DemandStats]:
             counts = tuple(prefix) + (0,) * (N - len(prefix))
             out.append(DemandStats(counts, len(prefix)))
             return
-        if slots == 0:
-            return
         for part in range(min(cap, remaining), 0, -1):
             if part * slots < remaining:
                 break
@@ -263,10 +261,9 @@ class PlacementParseError(ValueError):
         self.line_no = line_no
 
 
-def load_placement(path) -> tuple[Placement, int, int, Fraction]:
-    """Parse a placement file; returns (placement, N, F, M)."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+def parse_placement_header(lines: list[str]) -> tuple[int, int, int, Fraction]:
+    """The checked `K N F M` header of a placement file, from its first line
+    (`lines` may hold that one alone)."""
     if not lines:
         raise PlacementParseError(1, "empty file")
     header = lines[0].split()
@@ -279,6 +276,14 @@ def load_placement(path) -> tuple[Placement, int, int, Fraction]:
         raise PlacementParseError(1, str(exc)) from None
     if K < 1 or N < 1 or F < 1 or not 0 <= M <= N:
         raise PlacementParseError(1, f"invalid parameters K={K} N={N} F={F} M={M}")
+    return K, N, F, M
+
+
+def load_placement(path) -> tuple[Placement, int, int, Fraction]:
+    """Parse a placement file; returns (placement, N, F, M)."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    K, N, F, M = parse_placement_header(lines)
     if len(lines) < 1 + K:
         raise PlacementParseError(len(lines), f"expected {K} user lines, got {len(lines) - 1}")
     codes = np.zeros((N, F), dtype=code_dtype(K))

@@ -10,12 +10,15 @@ foreign subset or an over-long payload, with wrong ranks (a message is
 placed by its members), after messages whose members are not distinct users
 in 1..K, or with one message missing.
 
-A `Broadcast`'s arrays are read-only, and it keeps the decode plan of the
-last demand and leaders it was decoded for, so that one-user calls share
-it. Whatever the calls before, a call must decode what the same call on
-the message list (which keeps nothing) decodes: in any user order, for
-another demand or leader set, with a forgetful placement, or with a lost
-row, which every user that needs it must name.
+A `Broadcast`'s arrays are read-only, and it keeps nothing of a decode:
+its partition keeps the plans of the last broadcast decoded, for the last
+demand and leaders, so that one-user calls share them. Whatever the calls
+before, a call must decode what the same call on the message list (which
+keeps nothing) decodes: in any user order, alternating between two
+broadcasts, for another demand or leader set, with a forgetful placement,
+or with a lost row, which every user that needs it must name. The engine
+refuses a `Broadcast` of another partition or of a stack of one demand
+decoded as a larger stack.
 """
 
 import random
@@ -149,7 +152,7 @@ def test_a_broadcast_of_another_partition_is_read_as_messages():
     assert np.array_equal(got, db.bits[np.subtract(d, 1)])
 
 
-# --- the decode plan a broadcast keeps ---------------------------------------
+# --- the decode plans the partition keeps -------------------------------------
 
 
 def test_a_broadcasts_arrays_are_read_only():
@@ -168,6 +171,69 @@ def test_a_broadcasts_arrays_are_read_only():
     # the engine's own arrays stay writable
     delivery = decentralized.encode_stack(db, placement.partition, np.array([d]))
     assert all(payloads.flags.writeable and lengths.flags.writeable for payloads, lengths in delivery)
+
+
+def test_a_broadcast_is_only_its_arrays():
+    # decoded user by user, then all at once, a broadcast holds its partition,
+    # its arrays and its sent rows, and no plan
+    N, K, F = 3, 6, 300
+    db = make_database(N, F, seed=3)
+    placement = decentralized.random_placement(N, K, 1, F, seed=4)
+    d = (1, 2, 3, 1, 2, 3)
+    broadcast = decentralized.encode_delivery(db, placement.partition, d)
+    assert len(broadcast) > 0
+    for users in [[k] for k in range(1, K + 1)] + [range(1, K + 1)]:
+        got = decode(db, placement, broadcast, d, None, users)
+        assert np.array_equal(got, db.bits[np.subtract(d, 1)][np.subtract(users, 1)])
+    assert set(vars(broadcast)) == {"partition", "delivery", "_sent"}
+
+
+def test_two_broadcasts_of_one_partition_decode_alternately():
+    # one-user calls switching between two broadcasts of one stack (the second
+    # of another database) and of another demand: each call decodes its own
+    N, K, F = 3, 5, 240
+    placement = decentralized.random_placement(N, K, 1, F, seed=5)
+    part = placement.partition
+    first, second = make_database(N, F, seed=6), make_database(N, F, seed=7)
+    d, other = (1, 2, 3, 1, 2), (3, 3, 1, 2, 1)
+    sent = [(first, d, decentralized.encode_delivery(first, part, d)),
+            (second, d, decentralized.encode_delivery(second, part, d)),
+            (first, other, decentralized.encode_delivery(first, part, other))]
+    for k in [1, 2, 3, 4, 5, 5, 3, 1]:
+        for db, demand, broadcast in sent:
+            got = decentralized.decode_user(k, db, placement, part, broadcast, demand)
+            assert np.array_equal(got, db.file(demand[k - 1]))
+
+
+def test_a_broadcast_of_another_partition_is_refused_by_the_engine():
+    # decode_stack reads a broadcast's arrays, which only its own partition
+    # lays out: a foreign one used to fail deep in numpy, and once its own
+    # partition had decoded it, to decode 4 wrong files without a word
+    N, K, F = 3, 4, 600
+    d = np.array([(1, 2, 3, 1)])
+    db = make_database(N, F, seed=1)
+    own = decentralized.random_placement(N, K, 1, F, seed=1)
+    other = decentralized.random_placement(N, K, 1, F, seed=2)
+    broadcast = decentralized.encode_delivery(db, own.partition, d[0])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="another partition"):
+            decentralized.decode_stack(range(1, K + 1), db, other, other.partition, broadcast, d)
+        decoded = decentralized.decode_stack(range(1, K + 1), db, own, own.partition, broadcast, d)
+        assert np.array_equal(decoded[0], db.bits[d[0] - 1])
+    # decode_users places a foreign broadcast's messages by members
+    got = decentralized.decode_users(range(1, K + 1), db, other, other.partition, broadcast, d[0])
+    assert got.shape == (K, F)
+
+
+def test_a_broadcast_decoded_as_a_larger_stack_is_refused():
+    N, K, t = 3, 5, 2
+    F = 2 * binomial(K, t)
+    db = make_database(N, F, seed=2)
+    placement = batch_placement(N, K, t, F)
+    d = (1, 2, 2, 3, 1)
+    broadcast = decentralized.encode_delivery(db, placement.partition, d)
+    with pytest.raises(ValueError, match="a broadcast holds one demand, not a stack of 2"):
+        decentralized.decode_stack([1], db, placement, placement.partition, broadcast, np.array([d, d]))
 
 
 @settings(max_examples=60, deadline=None)

@@ -225,6 +225,21 @@ class TestUsageErrors:
         assert code == 2
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--n", "3", "--k", "4", "--t", "2", "--demand", "1,x,2,3"],
+         "bad demand '1,x,2,3'; expected comma-separated file indices"),
+        (["simulate", "--n", "3", "--k", "4", "--t", "2", "--demand", "1,2,3"], "demand has 3 entries, expected K=4"),
+        (["verify", "--n", "2", "--k", "3"], "need --t or --m"),
+        (["simulate", "--n", "2", "--k", "3"], "need --t or --m"),
+        (["verify", "--n", "2", "--k", "3", "--t", "4"], "t must be in 0..3"),
+        (["simulate", "--n", "2", "--k", "3", "--t", "-1"], "t must be in 0..3"),
+        (["rates", "--n", "2", "--k", "2", "--schemes", ","], "empty scheme list"),
+        (["simulate", "--n", "2", "--k", "3", "--t", "1", "--schemes", "centralized,decentralized"],
+         "simulate takes one scheme: centralized or decentralized"),
+    ])
+    def test_usage_error_messages(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
     def test_internal_value_error_is_not_a_usage_error(self, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise ValueError("internal fault")
@@ -701,6 +716,90 @@ class TestBound:
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "bound", str(tmp_path / "nope"))
         assert code == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "line 1: empty file"),
+        ("0 2 4 1\n", "line 1: invalid parameters K=0 N=2 F=4 M=1"),
+        ("2 2 4 3\n1\n2\n", "line 1: invalid parameters K=2 N=2 F=4 M=3"),
+        ("2 2 4 1\n1 1:0\n", "line 2: expected 2 user lines, got 1"),
+        ("2 2 4 1\n\n2\n", "line 2: missing user index"),
+        ("2 2 4 1\nx 1:0\n2\n", "line 2: bad user index 'x'"),
+        ("2 2 4 1\n2\n1\n", "line 2: expected user 1, got 2"),
+    ])
+    def test_placement_file_faults(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.placement"
+        path.write_text(text)
+        assert run_cli(capsys, "bound", str(path)) == (2, "", f"error: cannot parse {path}: {message}\n")
+
+    def test_a_file_that_is_not_text(self, capsys, tmp_path):
+        path = tmp_path / "image.placement"
+        path.write_bytes(b"\x89PNG\r\n\x1a\n\x00\x00\x00\rIHDR")
+        code, out, err = run_cli(capsys, "bound", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0x89")
+
+    def test_a_directory(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "bound", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {tmp_path}: ")
+
+    def test_a_placement_is_bounded_before_it_is_built(self, capsys, tmp_path, monkeypatch):
+        # the header's N*F codes are estimated before `load_placement` runs:
+        # this file asks for 10^10 bits, 90 GB with their sort order
+        path = tmp_path / "huge.placement"
+        path.write_text("1 1 10000000000 0\n1\n")
+        monkeypatch.setattr(cli, "load_placement", never)
+        code, out, err = run_cli(capsys, "bound", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"error: N=1 K=1 F=10000000000 needs an estimated {9 * 10**10} bytes (placement codes "
+                       f"and their sort order), more than the limit of {cli.MAX_BATCH_BYTES}\n")
+        # at the limit the file is loaded; one byte below it, it is refused
+        N, K, t, F = 3, 4, 2, 12
+        save_placement(path, batch_placement(N, K, t, F), N, F, M=Fraction(t * N, K))
+        monkeypatch.setattr(cli, "MAX_BATCH_BYTES", N * F * 9 - 1)
+        code, out, err = run_cli(capsys, "bound", str(path))
+        assert (code, out) == (2, "")
+        assert f"needs an estimated {N * F * 9} bytes" in err
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "MAX_BATCH_BYTES", N * F * 9)
+        code, out, _ = run_cli(capsys, "bound", str(path))
+        assert code == 0 and "batch-structured with t=2" in out
+
+    def test_more_users_than_the_file_has_room_for(self, capsys, tmp_path, monkeypatch):
+        # a K-bit code's size is not computed for a header whose K user lines
+        # cannot fit in the file: `load_placement` refuses it by line count
+        path = tmp_path / "users.placement"
+        path.write_text("10000000000 1 1 0\n1\n")
+        monkeypatch.setattr(cli, "_bytes_per_bit", never)
+        assert run_cli(capsys, "bound", str(path)) == (
+            2, "", f"error: cannot parse {path}: line 2: expected 10000000000 user lines, got 1\n")
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("command", ["rates", "compare"])
+    def test_an_unwritable_out_path_is_a_usage_error(self, capsys, tmp_path, command):
+        for path, reason in [(tmp_path / "missing" / "x.csv", "No such file or directory"),
+                             (tmp_path, "Is a directory")]:
+            code, out, err = run_cli(capsys, command, "--n", "2", "--k", "2", "--schemes", "dec-avg",
+                                     "--out", str(path))
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: cannot write {path}: ") and reason in err
+
+
+class TestFailureOutput:
+    def test_verify_reports_a_failed_cancellation_identity(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "verify_message_cancellation", lambda *args: False)
+        code, out, _ = run_cli(capsys, "verify", "--n", "2", "--k", "3", "--t", "1")
+        assert code == 1
+        assert out.splitlines()[-2:] == ["cancellation identity: 1 checks",
+                                         "FAIL: demand=1,1,1: cancellation identity failed on group (1, 2, 3)"]
+
+    def test_simulate_reports_a_rate_mismatch(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "delivery_rate_value", lambda *args: Fraction(1))
+        code, out, _ = run_cli(capsys, "simulate", "--n", "3", "--k", "4", "--t", "2", "--seed", "5")
+        assert code == 1
+        assert out.splitlines()[-3:] == ["messages: 4, rate: 2/3 = 0.666667, predicted: 1",
+                                         "decode: all users OK", "rate mismatch: measured 2/3 vs predicted 1"]
 
 
 class TestCompare:

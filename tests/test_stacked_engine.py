@@ -248,6 +248,48 @@ def test_stack_refuses_bad_demands():
         decentralized.encode_stack(db, part, np.ones((1, 4), dtype=int), np.ones((1, 3), dtype=bool))
 
 
+def test_a_delivery_missing_levels_is_refused():
+    # an empty list, and encode_stack's list short of its last two levels,
+    # used to decode every file wrong without a word
+    N, K, t, F = 3, 5, 2, 20
+    db = make_database(N, F, seed=1)
+    placement = batch_placement(N, K, t, F)
+    d = np.array([(1, 2, 3, 1, 2)])
+    with pytest.raises(ValueError, match="the delivery has 0 levels, the partition 1"):
+        decentralized.decode_stack(range(1, K + 1), db, placement, placement.partition, [], d)
+    F = 40
+    db = make_database(N, F, seed=2)
+    placement = decentralized.random_placement(N, K, 1, F, seed=4)
+    part = placement.partition
+    delivery = decentralized.encode_stack(db, part, d)
+    levels = len(part.levels)
+    assert levels > 2
+    with pytest.raises(ValueError, match=f"the delivery has {levels - 2} levels, the partition {levels}"):
+        decentralized.decode_stack(range(1, K + 1), db, placement, part, delivery[:-2], d)
+    decoded = decentralized.decode_stack(range(1, K + 1), db, placement, part, delivery, d)
+    assert np.array_equal(decoded[0], db.bits[d[0] - 1])
+
+
+def test_a_level_of_the_wrong_shape_is_refused():
+    # each level's payloads must be (n, n_T, L) and its lengths (n, n_T)
+    N, K, F = 3, 5, 60
+    db = make_database(N, F, seed=1)
+    placement = decentralized.random_placement(N, K, 1, F, seed=2)
+    part = placement.partition
+    demands = np.array([(1, 2, 3, 1, 2), (2, 2, 1, 3, 3)])
+    delivery = decentralized.encode_stack(db, part, demands)
+    (n_T, _), width = part.levels[1].members.shape, part.levels[1].positions.shape[1]
+    payloads, lengths = delivery[1]
+    expected = f"expected {(2, n_T, width)} and {(2, n_T)}"
+    for bad in [(payloads[:, :, :-1], lengths), (payloads, lengths[:, :-1]), (payloads[:1], lengths[:1])]:
+        message = f"level 1 of the delivery has payloads {bad[0].shape} and lengths {bad[1].shape}, {expected}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            decentralized.decode_stack([1, 2], db, placement, part, [delivery[0], bad, *delivery[2:]], demands)
+    # one demand's arrays decoded as a stack of two
+    with pytest.raises(ValueError, match=re.escape("level 0 of the delivery has payloads (1, ")):
+        decentralized.decode_stack([1], db, placement, part, [(p[:1], n[:1]) for p, n in delivery], demands)
+
+
 def lowest_flagged_oracle(demands, flags):
     """Per demand and user, the lowest-indexed flagged user requesting the
     same file, K + 1 if there is none."""
@@ -498,7 +540,7 @@ def test_each_term_table_holds_exactly_its_levels_terms(kind, N, K, param, F, de
                     expected.append({(s, T) for T in terms_oracle(A, d, leaders) if T in present})
         if not expected:
             continue
-        table = part.term_cache[i]
+        table = part.decode_cache[i]
         assert table.shape == (len(expected), max(map(len, expected)))
         for row, terms in zip(table.tolist(), expected):
             assert row == sorted(row, key=lambda e: e == zero)  # the terms leftmost
@@ -519,7 +561,7 @@ def test_term_tables_of_a_sparse_partition_stay_small():
     messages = decentralized.encode_delivery(db, part, d)
     decoded = decentralized.decode_users(range(1, K + 1), db, placement, part, messages, d)
     assert np.array_equal(decoded, db.bits[np.subtract(d, 1)])
-    assert sum(table.nbytes for i, table in part.term_cache.items() if i != "key") < 1 << 20
+    assert sum(table.nbytes for i, table in part.decode_cache.items() if isinstance(i, int)) < 1 << 20
 
 
 # the temporaries budget `decentralized.stack_size` documents
@@ -534,7 +576,7 @@ def test_a_stack_stays_within_the_temporaries_budget(N, K, t):
     size = decentralized.stack_size(placement.partition, K)
     demands = demand_range(0, min(size, N**K), N, K)
     cli._check_block(db, placement, t, demands)  # builds the delivery index
-    placement.partition.term_cache.clear()  # each new stack counts its terms anew
+    placement.partition.decode_cache.clear()  # each new stack counts its terms anew
     tracemalloc.start()
     try:
         reasons = cli._check_block(db, placement, t, demands)

@@ -9,6 +9,8 @@ else 0), so identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
 import functools
 import os
 import sys
@@ -73,32 +75,24 @@ MAX_RATE_USERS = 1000
 # `compare` runs take 2.4 to 5.7 s (41 points at N=1000, 21 at N=10^6, one
 # point with a 10^100 denominator).
 MAX_RATE_WORK = 5 * 10**8
-# Largest estimated allocation of a batch (centralized) `verify`/`simulate`
-# run, see `batch_bytes_estimate`, or of a decentralized `simulate` run, see
-# `decentralized_bytes_estimate`; a larger instance is refused before any of
-# it (or, decentralized, of its delivery index) is allocated.
-MAX_BATCH_BYTES = 2**30
-# Peak memory per subfile group beyond its bits' codes and sort order: its
-# run in the partition, its message and its share of the engine's index, of
-# the K cache views one decode call holds (K·N·(F+1) bytes) and of the
-# omitted messages' cancellation terms. Peak RSS of `simulate --n 2` is 48,
-# 84 and 232 MB at (K, t) = (16, 8), (18, 9) and (20, 10); less the 30 MB
-# the imported package takes, that is 1.4, 1.1 and 1.1 KB per group over
-# 12,870 to 184,756 groups. Kept at 4 KB: a smaller
-# figure would admit larger instances, whose run time nothing bounds yet.
-BYTES_PER_SUBFILE = 4096
-# Peak memory of a decentralized run per (subset, member) pair its delivery
-# index may hold, beyond its bits' codes and sort order: the index, the
-# encode's chunk cells, the decode plan and the omitted messages'
-# cancellation terms. A group of j users serves at most K - j subsets of
-# j + 1 members, so a group costs about 2 to 25 KB as K and its level grow,
-# which no per-group figure fits. Peak RSS of encode plus all-user decode,
-# less the 37-44 MB the imported package takes, at N=3-5, M=1, F=10^4 and
-# K=20, 24, 30, 40, 48 and 64 was 18-27 bytes per bound pair, and 30 at K=66
-# and 80 (F=3000 and 2000, with the codes' int objects counted apart), while
-# the term tables held an entry for every term; holding only the terms their
-# level has, K=40 and 64 (seed 3) take 14 and 13. At 32, K=64 (N=3, M=1,
-# F=10^4: 28 M pairs, estimated 902 MB, 394 MB peak) runs and K=70 is refused.
+# Largest estimated peak memory of a `verify`, `simulate` or `bound` run, see
+# `bytes_estimate`; a larger run is refused before any of it is allocated.
+MAX_BYTES = 2**30
+# Peak memory of a run per (subset, member) pair its delivery index may hold,
+# beyond its bits' codes and sort order: the index, the encode's chunk cells,
+# the decode plan and the omitted messages' cancellation terms. A group of j
+# users serves at most K - j subsets of j + 1 members, so a group costs about
+# 2 to 25 KB as K and its level grow, which no per-group figure fits. Peak RSS
+# of a decentralized encode plus all-user decode, less the 37-44 MB the
+# imported package takes, at N=3-5, M=1, F=10^4 and K=20 to 64 was 18-27
+# bytes per bound pair (30 at K=66 and 80, int objects apart) while the term
+# tables held every term; holding their level's terms, K=40 and 64 (seed 3)
+# take 14 and 13. Batch runs, whose (t+1)-subsets are counted once per member,
+# trace 8.6 MB at (N, K, t) = (2, 16, 8), estimated 30 MB, and past 64 users
+# 28 and 240 MB at (1, 400, 1) and (1, 1000, 1), estimated 36 and 384 MB (23
+# and 224 with one int per subset: the decode builds omitted codes again). At
+# 32, K=64 (N=3, M=1, F=10^4: 28 M pairs, estimated 902 MB, 394 MB peak) runs
+# and K=70 is refused.
 BYTES_PER_PAIR = 32
 # Most demand types `bound` prints a line for, counted before any is built.
 # A type costs about 40 µs (14,888 types of a K=N=35 placement took 0.57 s),
@@ -227,53 +221,52 @@ def _resolve_t(args, N: int, K: int) -> int:
     return int(t)
 
 
-def _bytes_per_bit(K: int) -> int:
-    """A bit's placement code (past 64 users a pointer plus a Python int of
-    its own) and its entry in the partition's sort order."""
-    code = code_dtype(K)
-    return code.itemsize + np.dtype(np.intp).itemsize + (sys.getsizeof(1 << K) if code == object else 0)
-
-
-def batch_bytes_estimate(N: int, K: int, t: int, F: int) -> int:
-    """Estimated bytes a batch run allocates: `_bytes_per_bit` for each bit,
-    plus BYTES_PER_SUBFILE for each of the C(K,t) subfile groups. Computed
-    from the parameters alone, before anything is built."""
-    return N * F * _bytes_per_bit(K) + BYTES_PER_SUBFILE * binomial(K, t)
-
-
-def decentralized_bytes_estimate(N: int, K: int, F: int, counts) -> int:
-    """Estimated peak bytes of a decentralized run, from its partition's
-    group count per level (`counts[j]` groups cached by exactly j users),
-    before its delivery index is built: `_bytes_per_bit` for each bit, plus
-    BYTES_PER_PAIR for each (subset, member) pair, level j serving at most
-    counts[j] * (K - j) subsets of j + 1 members, plus each subset's Python
-    int code past 64 users."""
+def bytes_estimate(N: int, K: int, F: int, counts) -> int:
+    """Estimated peak bytes of a run, from its partition's group count per
+    level (`counts[j]` groups cached by exactly j users, a mapping), before
+    anything is built. Each bit costs its placement code and its entry in
+    the partition's sort order; each (subset, member) pair BYTES_PER_PAIR,
+    level j serving at most counts[j] * (K - j) subsets of j + 1 members;
+    and past 64 users each code is a pointer to a Python int of its own,
+    two per subset (in the index and in the decode's cancellation terms).
+    A batch run has one level, C(K,t) groups at t; with no levels, this is
+    the placement's codes and sort order alone."""
     subsets = pairs = 0
-    for j, count in enumerate(counts):
-        subsets += int(count) * (K - j)
-        pairs += int(count) * (K - j) * (j + 1)
-    code = sys.getsizeof(1 << K) if code_dtype(K) == object else 0
-    return N * F * _bytes_per_bit(K) + BYTES_PER_PAIR * pairs + code * subsets
+    for j, count in counts.items():
+        subsets += count * (K - j)
+        pairs += count * (K - j) * (j + 1)
+    code = code_dtype(K)
+    # sys.getsizeof(1 << K), from its digit count, without building it
+    size = int.__basicsize__ + sys.int_info.sizeof_digit * (K // sys.int_info.bits_per_digit + 1)
+    held = size if code == object else 0
+    return N * F * (code.itemsize + np.dtype(np.intp).itemsize + held) + BYTES_PER_PAIR * pairs + 2 * held * subsets
+
+
+def _admit(N: int, K: int, F: int, counts, setting: str, holds: str) -> None:
+    """Refuse a run whose `bytes_estimate` passes MAX_BYTES, naming the
+    instance (`setting` after N and K) and what its memory `holds`."""
+    estimate = bytes_estimate(N, K, F, counts)
+    if estimate > MAX_BYTES:
+        raise UsageError(f"N={N} K={K} {setting} needs an estimated {estimate} bytes ({holds}), "
+                         f"more than the limit of {MAX_BYTES}")
 
 
 def _batch_file_size(args, K: int, t: int) -> int:
     """--f for a batch placement (default 2*C(K,t)); it must split into C(K,t)
-    subfiles, and the run's estimated memory must stay within MAX_BATCH_BYTES."""
+    subfiles, and the run must be admitted by `_admit`."""
     pieces = binomial(K, t)
     F = args.f if args.f is not None else 2 * pieces
     if F % pieces:
         raise UsageError(f"F must be a multiple of C({K},{t}) = {pieces}, got F={F}")
-    estimate = batch_bytes_estimate(args.n, K, t, F)
-    if estimate > MAX_BATCH_BYTES:
-        raise UsageError(
-            f"N={args.n} K={K} t={t} F={F} needs an estimated {estimate} bytes "
-            f"(placement codes plus {pieces} subfile groups), more than the limit of {MAX_BATCH_BYTES}"
-        )
+    _admit(args.n, K, F, {t: pieces}, f"t={t} F={F}", f"{pieces} subfile groups and the subsets they serve")
     return F
 
 
-def _open_out(path: str):
-    """--out opened for writing, or a usage error saying why it cannot be."""
+def _open_out(path: str | None):
+    """--out opened for writing (a null context without one), or a usage
+    error saying why it cannot be."""
+    if not path:
+        return contextlib.nullcontext()
     try:
         return open(path, "w")
     except OSError as exc:
@@ -297,18 +290,18 @@ def cmd_rates(args) -> int:
     if not labels:
         raise UsageError("rates requires --schemes")
     grid = _grid(args)
-    curves = [rate_curve(label, args.n, args.k, grid) for label in labels]
-    if args.out:
-        with _open_out(args.out) as fh:
+    with _open_out(args.out) as fh:
+        curves = [rate_curve(label, args.n, args.k, grid) for label in labels]
+        if fh:
             write_curves_csv(curves, fh)
-        print(f"wrote {len(grid) * len(curves)} rows to {args.out}")
-    else:
-        width = max(len(c.scheme) for c in curves) + 2
-        print("M".ljust(10) + "".join(c.scheme.rjust(width) for c in curves))
-        for i, m in enumerate(grid):
-            row = _fmt(m).ljust(10)
-            row += "".join(_fmt(c.points[i][1]).rjust(width) for c in curves)
-            print(row)
+            print(f"wrote {len(grid) * len(curves)} rows to {args.out}")
+        else:
+            width = max(len(c.scheme) for c in curves) + 2
+            print("M".ljust(10) + "".join(c.scheme.rjust(width) for c in curves))
+            for i, m in enumerate(grid):
+                row = _fmt(m).ljust(10)
+                row += "".join(_fmt(c.points[i][1]).rjust(width) for c in curves)
+                print(row)
     return 0
 
 
@@ -316,17 +309,16 @@ def cmd_compare(args) -> int:
     default = ["optimal-avg", "man-avg", "optimal-peak", "dec-avg", "man-dec-avg", "dec-peak"]
     labels = _rate_schemes(args.schemes, default)
     grid = _grid(args)
-    curves = [rate_curve(label, args.n, args.k, grid) for label in labels]
-    header = "M," + ",".join(labels)
-    lines = [header]
-    for i, m in enumerate(grid):
-        lines.append(",".join([_fmt(m)] + [_fmt(c.points[i][1]) for c in curves]))
-    if args.out:
-        with _open_out(args.out) as fh:
+    with _open_out(args.out) as fh:
+        curves = [rate_curve(label, args.n, args.k, grid) for label in labels]
+        lines = ["M," + ",".join(labels)]
+        for i, m in enumerate(grid):
+            lines.append(",".join([_fmt(m)] + [_fmt(c.points[i][1]) for c in curves]))
+        if fh:
             fh.write("\n".join(lines) + "\n")
-        print(f"wrote {len(grid)} rows to {args.out}")
-    else:
-        print("\n".join(lines))
+            print(f"wrote {len(grid)} rows to {args.out}")
+        else:
+            print("\n".join(lines))
     return 0
 
 
@@ -467,7 +459,6 @@ def cmd_simulate(args) -> int:
     if scheme == "centralized":
         t = _resolve_t(args, N, K)
         F = _batch_file_size(args, K, t)
-        placement = batch_placement(N, K, t, F)
         setting = f"t={t} F={F}"
     else:
         if args.m is None:
@@ -476,19 +467,22 @@ def cmd_simulate(args) -> int:
             raise UsageError("decentralized simulate takes --m, not --t")
         F = args.f if args.f is not None else 10_000
         M = parse_m(args.m, N)
-        placement = decentralized.random_placement(N, K, M, F, place_seed)
-        codes = placement.partition.codes
-        estimate = decentralized_bytes_estimate(N, K, F, np.bincount([c.bit_count() for c in codes.tolist()]))
-        if estimate > MAX_BATCH_BYTES:
-            raise UsageError(f"N={N} K={K} M={M} F={F} needs an estimated {estimate} bytes ({len(codes)} cache-set "
-                             f"groups and the subsets they serve), more than the limit of {MAX_BATCH_BYTES}")
         setting = f"M={M} F={F}"
-    db = make_database(N, F, db_seed)
+        _admit(N, K, F, {}, setting, "placement codes and their sort order")
     d = (
         parse_demand(args.demand, N, K)
         if args.demand
         else tuple(np.random.default_rng(demand_seed).integers(1, N + 1, size=K).tolist())
     )
+    if scheme == "centralized":
+        placement = batch_placement(N, K, t, F)
+    else:
+        placement = decentralized.random_placement(N, K, M, F, place_seed)
+        # its groups per level, counted before the delivery index is built
+        codes = placement.partition.codes
+        _admit(N, K, F, collections.Counter(c.bit_count() for c in codes.tolist()), setting,
+               f"{len(codes)} cache-set groups and the subsets they serve")
+    db = make_database(N, F, db_seed)
     leaders = select_leaders(d)
     stats = demand_stats(d, N)
     messages = decentralized.encode_delivery(db, placement.partition, d)
@@ -538,12 +532,10 @@ def cmd_bound(args) -> int:
             K, N, F, _ = parse_placement_header(fh.readline().splitlines())
             size = os.fstat(fh.fileno()).st_size
         # the header's codes and sort order, refused before `load_placement`
-        # allocates them; `_bytes_per_bit` builds a K-bit int, so a file with
-        # no room for K user lines (a byte each at least) is left to it
-        estimate = N * F * _bytes_per_bit(K) if K <= size else 0
-        if estimate > MAX_BATCH_BYTES:
-            raise UsageError(f"N={N} K={K} F={F} needs an estimated {estimate} bytes (placement codes and "
-                             f"their sort order), more than the limit of {MAX_BATCH_BYTES}")
+        # allocates them; a file with no room for K user lines (a byte each
+        # at least) is left to it, which refuses it by its line count
+        if K <= size:
+            _admit(N, K, F, {}, f"F={F}", "placement codes and their sort order")
         placement, N, F, M = load_placement(path)
     except PlacementParseError as exc:
         raise UsageError(f"cannot parse {path}: {exc}") from None

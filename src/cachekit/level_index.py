@@ -121,10 +121,16 @@ def build_levels(partition) -> list[Level]:
         fresh = np.ones(len(by), dtype=bool)
         fresh[1:] = candidates[by[1:]] != candidates[by[:-1]]
         subsets, row = candidates[by[fresh]], np.cumsum(fresh) - 1
+        column = np.cumsum(own_held, axis=1).take(g * K + x).take(by)
         groups = np.full((j + 1, len(subsets)), counts[j], dtype=small)
-        groups[np.cumsum(own_held, axis=1).take(g * K + x).take(by), row] = g.take(by)
-        members = (np.flatnonzero(_held(subsets, user_bits)) % K + 1).astype(np.min_scalar_type(K))
-        members = members.reshape(-1, j + 1)  # users ascending
+        groups[column, row] = g.take(by)
+        # T's users ascending: those of its first pair's group, and x at its column
+        pair = by[fresh]
+        at_x = np.zeros((len(subsets), j + 1), dtype=bool)
+        at_x[np.arange(len(subsets)), column[fresh]] = True
+        members = np.empty(at_x.shape, dtype=np.min_scalar_type(K))
+        members[at_x] = x.take(pair) + 1
+        members[~at_x] = (np.flatnonzero(own_held) % K + 1).reshape(len(own), j)[g.take(pair)].reshape(-1)
         send = np.lexsort(members.T[::-1])  # lexicographic: column 0 first
         by_code = np.empty_like(send)
         by_code[send] = np.arange(len(send))

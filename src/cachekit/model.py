@@ -52,7 +52,7 @@ def make_database(N: int, F: int, seed: int) -> Database:
 def code_dtype(K: int) -> np.dtype:
     """Smallest dtype holding a K-bit user set: uint8 up to K = 8, ..., uint64
     at K = 64, and object (Python ints) past 64 users."""
-    return np.min_scalar_type((1 << K) - 1)
+    return np.min_scalar_type((1 << K) - 1) if K <= 64 else np.dtype(object)
 
 
 @dataclass(frozen=True)

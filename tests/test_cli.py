@@ -1,4 +1,5 @@
 import argparse
+import collections
 import re
 import subprocess
 import sys
@@ -425,55 +426,93 @@ class TestBatchCost:
     def test_estimate_refuses_huge_instances(self, N, K, t, F):
         groups = binomial(K, t)
         F = 2 * groups if F is None else F
-        estimate = cli.batch_bytes_estimate(N, K, t, F)
-        # per bit a uint32 code (K <= 32) and its 8-byte sort-order entry, plus the groups
-        assert estimate == (4 + 8) * N * F + cli.BYTES_PER_SUBFILE * groups
-        assert estimate > cli.MAX_BATCH_BYTES
+        estimate = cli.bytes_estimate(N, K, F, {t: groups})
+        # per bit a uint32 code (K <= 32) and its 8-byte sort-order entry, plus
+        # the (t+1)-subsets' pairs, counted once per group they hold
+        assert estimate == (4 + 8) * N * F + cli.BYTES_PER_PAIR * groups * (K - t) * (t + 1)
+        assert estimate > cli.MAX_BYTES
 
     def test_estimate_counts_python_int_codes(self):
-        # past 64 users each code is a pointer to an int object of its own
-        per_bit = 8 + 8 + sys.getsizeof(1 << 65)
-        assert cli.batch_bytes_estimate(2, 65, 64, 130) == 2 * 130 * per_bit + cli.BYTES_PER_SUBFILE * 65
+        # past 64 users each code is a pointer to an int object of its own,
+        # and each subset's code is built twice
+        int_bytes = sys.getsizeof(1 << 65)
+        assert (cli.bytes_estimate(2, 65, 130, {64: 65})
+                == 2 * 130 * (8 + 8 + int_bytes) + cli.BYTES_PER_PAIR * 65 * 65 + 2 * int_bytes * 65)
+
+    def test_estimate_sizes_python_ints_without_building_them(self):
+        for K in [*range(1, 200), 400, 1000, 20000, 10**5]:
+            code = model.code_dtype(K)
+            per_bit = code.itemsize + 8 + (sys.getsizeof(1 << K) if code == object else 0)
+            assert cli.bytes_estimate(1, K, 1, {}) == per_bit
+        # K = 10^10 users: a code of 1.3 GB, sized by arithmetic alone
+        assert cli.bytes_estimate(1, 10**10, 1, {}) == 8 + 8 + 24 + 4 * (10**10 // 30 + 1)
 
     def test_estimate_admits_moderate_instances(self):
         for N, K, t in [(3, 6, 5), (2, 14, 13), (3, 9, 6), (2, 65, 64), (10, 6, 2), (2, 18, 9)]:
-            assert cli.batch_bytes_estimate(N, K, t, 2 * binomial(K, t)) <= cli.MAX_BATCH_BYTES
+            assert cli.bytes_estimate(N, K, 2 * binomial(K, t), {t: binomial(K, t)}) <= cli.MAX_BYTES
 
     @pytest.mark.parametrize("command", ["verify", "simulate"])
     def test_refused_with_the_estimate(self, capsys, monkeypatch, command):
-        estimate = cli.batch_bytes_estimate(2, 4, 2, 12)
-        monkeypatch.setattr(cli, "MAX_BATCH_BYTES", estimate - 1)
+        estimate = cli.bytes_estimate(2, 4, 12, {2: 6})
+        monkeypatch.setattr(cli, "MAX_BYTES", estimate - 1)
         monkeypatch.setattr(cli, "batch_placement", None)  # nothing may be built
         code, out, err = run_cli(capsys, command, "--n", "2", "--k", "4", "--t", "2")
         assert code == 2
         assert out == ""
-        assert str(estimate) in err and str(estimate - 1) in err
+        assert err == (f"error: N=2 K=4 t=2 F=12 needs an estimated {estimate} bytes (6 subfile groups and "
+                       f"the subsets they serve), more than the limit of {estimate - 1}\n")
 
     def test_at_the_limit_runs(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "MAX_BATCH_BYTES", cli.batch_bytes_estimate(2, 4, 2, 12))
+        monkeypatch.setattr(cli, "MAX_BYTES", cli.bytes_estimate(2, 4, 12, {2: 6}))
         code, out, _ = run_cli(capsys, "verify", "--n", "2", "--k", "4", "--t", "2")
         assert code == 0 and out.endswith("PASS\n")
+
+    @pytest.mark.parametrize("K", [100000, 10**10])
+    def test_many_users_are_refused_before_the_placement(self, capsys, monkeypatch, K):
+        # one demand of one file, but K codes of K bits: 1.3 GB at K=10^5
+        monkeypatch.setattr(cli, "batch_placement", never)
+        code, out, err = run_cli(capsys, "verify", "--n", "1", "--k", str(K), "--t", "0")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: N=1 K={K} t=0 F=2 needs an estimated ")
+
+    def test_many_users_run(self, capsys):
+        # within the limit, the index reads each subset's users from its group
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "verify", "--n", "1", "--k", "20000", "--t", "0")
+        assert code == 0 and out.endswith("PASS\n")
+        assert time.perf_counter() - start < 10
 
 
 class TestDecentralizedCost:
     def test_estimate_counts_the_pairs_each_level_may_serve(self):
         # K=3: one group of no user and three of one, serving up to 1*3
         # subsets of one user and 3*2 of two: 3 + 12 pairs; uint8 codes
-        assert cli.decentralized_bytes_estimate(2, 3, 10, [1, 3, 0, 0]) == 2 * 10 * (1 + 8) + cli.BYTES_PER_PAIR * 15
-        # past 64 users each subset's code is an int object of its own
-        per_bit = 8 + 8 + sys.getsizeof(1 << 65)
-        assert (cli.decentralized_bytes_estimate(2, 65, 10, [0, 2])
-                == 2 * 10 * per_bit + cli.BYTES_PER_PAIR * 2 * 64 * 2 + sys.getsizeof(1 << 65) * 2 * 64)
+        assert cli.bytes_estimate(2, 3, 10, {0: 1, 1: 3}) == 2 * 10 * (1 + 8) + cli.BYTES_PER_PAIR * 15
+        # past 64 users each subset's code is an int object of its own, built twice
+        int_bytes = sys.getsizeof(1 << 65)
+        assert (cli.bytes_estimate(2, 65, 10, {1: 2})
+                == 2 * 10 * (8 + 8 + int_bytes) + cli.BYTES_PER_PAIR * 2 * 64 * 2 + 2 * int_bytes * 2 * 64)
 
-    @pytest.mark.parametrize("N, K, M, F", [(3, 16, 1, 2000), (2, 18, 1, 2000), (3, 20, 1, 3000)])
-    def test_estimate_bounds_a_runs_allocations(self, N, K, M, F):
-        # the index build, the encode and an all-user decode, traced: 53-67 %
+    @pytest.mark.parametrize("N, K, M, F, t", [
+        pytest.param(3, 16, 1, 2000, None, id="3-16-1-2000"),
+        pytest.param(2, 18, 1, 2000, None, id="2-18-1-2000"),
+        pytest.param(3, 20, 1, 3000, None, id="3-20-1-3000"),
+        # batch, default F: one level, each subset counted once per group it holds
+        pytest.param(2, 16, None, 2 * binomial(16, 8), 8, id="batch-2-16-8"),
+        pytest.param(1, 400, None, 2 * 400, 1, id="batch-1-400-1"),
+        pytest.param(1, 1000, None, 2 * 1000, 1, id="batch-1-1000-1"),
+    ])
+    def test_estimate_bounds_a_runs_allocations(self, N, K, M, F, t):
+        # the index build, the encode and an all-user decode, traced: 28-77 %
         # of the estimate here. The gathers' blocks take about 1 MB whatever
         # the instance, which the estimate leaves out: it is for instances
         # whose index pairs outweigh them
-        placement = decentralized.random_placement(N, K, M, F, seed=1)
+        if t is None:
+            placement = decentralized.random_placement(N, K, M, F, seed=1)
+        else:
+            placement = batch_placement.__wrapped__(N, K, t, F)  # a fresh one, its index not yet built
         partition = placement.partition
-        counts = np.bincount([c.bit_count() for c in partition.codes.tolist()])
+        counts = collections.Counter(c.bit_count() for c in partition.codes.tolist())
         db = model.make_database(N, F, seed=2)
         d = tuple(np.random.default_rng(3).integers(1, N + 1, size=K).tolist())
         tracemalloc.start()
@@ -484,7 +523,7 @@ class TestDecentralizedCost:
         finally:
             tracemalloc.stop()
         assert np.array_equal(decoded, db.bits[np.subtract(d, 1)])
-        assert peak <= cli.decentralized_bytes_estimate(N, K, F, counts)
+        assert peak <= cli.bytes_estimate(N, K, F, counts)
 
     def test_k70_is_refused_before_the_index_is_built(self, capsys, monkeypatch):
         # the placement and its partition are small; the index would not be
@@ -496,10 +535,27 @@ class TestDecentralizedCost:
                                  "--m", "1", "--seed", "3")
         assert code == 2
         assert out == ""
-        assert "N=3 K=70 M=1 F=10000 needs an estimated" in err and str(cli.MAX_BATCH_BYTES) in err
+        assert "N=3 K=70 M=1 F=10000 needs an estimated" in err and str(cli.MAX_BYTES) in err
+
+    def test_many_users_are_refused_before_the_placement(self, capsys, monkeypatch):
+        # K=10^10 codes of 1.3 GB each: refused before any is drawn
+        monkeypatch.setattr(decentralized, "random_placement", never)
+        code, out, err = run_cli(capsys, "simulate", "--schemes", "decentralized", "--n", "1",
+                                 "--k", "10000000000", "--m", "0", "--f", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: N=1 K=10000000000 M=0 F=1 needs an estimated ")
+        assert err.endswith(f" bytes (placement codes and their sort order), more than the limit of {cli.MAX_BYTES}\n")
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("scheme", [["--t", "10"], ["--schemes", "decentralized", "--m", "1"]])
+    def test_a_wrong_demand_is_refused_before_anything_is_built(self, capsys, monkeypatch, scheme):
+        for name in ("batch_placement", "make_database"):
+            monkeypatch.setattr(cli, name, never)
+        monkeypatch.setattr(decentralized, "random_placement", never)
+        assert run_cli(capsys, "simulate", "--n", "2", "--k", "20", *scheme, "--demand", "1,2") == (
+            2, "", "error: demand has 2 entries, expected K=20\n")
+
     def test_canonical_demand(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -752,25 +808,25 @@ class TestBound:
         code, out, err = run_cli(capsys, "bound", str(path))
         assert (code, out) == (2, "")
         assert err == (f"error: N=1 K=1 F=10000000000 needs an estimated {9 * 10**10} bytes (placement codes "
-                       f"and their sort order), more than the limit of {cli.MAX_BATCH_BYTES}\n")
+                       f"and their sort order), more than the limit of {cli.MAX_BYTES}\n")
         # at the limit the file is loaded; one byte below it, it is refused
         N, K, t, F = 3, 4, 2, 12
         save_placement(path, batch_placement(N, K, t, F), N, F, M=Fraction(t * N, K))
-        monkeypatch.setattr(cli, "MAX_BATCH_BYTES", N * F * 9 - 1)
+        monkeypatch.setattr(cli, "MAX_BYTES", N * F * 9 - 1)
         code, out, err = run_cli(capsys, "bound", str(path))
         assert (code, out) == (2, "")
         assert f"needs an estimated {N * F * 9} bytes" in err
         monkeypatch.undo()
-        monkeypatch.setattr(cli, "MAX_BATCH_BYTES", N * F * 9)
+        monkeypatch.setattr(cli, "MAX_BYTES", N * F * 9)
         code, out, _ = run_cli(capsys, "bound", str(path))
         assert code == 0 and "batch-structured with t=2" in out
 
     def test_more_users_than_the_file_has_room_for(self, capsys, tmp_path, monkeypatch):
-        # a K-bit code's size is not computed for a header whose K user lines
-        # cannot fit in the file: `load_placement` refuses it by line count
+        # a header whose K user lines cannot fit in the file is not
+        # estimated: `load_placement` refuses it by line count
         path = tmp_path / "users.placement"
         path.write_text("10000000000 1 1 0\n1\n")
-        monkeypatch.setattr(cli, "_bytes_per_bit", never)
+        monkeypatch.setattr(cli, "bytes_estimate", never)
         assert run_cli(capsys, "bound", str(path)) == (
             2, "", f"error: cannot parse {path}: line 2: expected 10000000000 user lines, got 1\n")
 
@@ -784,6 +840,18 @@ class TestOutputFiles:
                                      "--out", str(path))
             assert (code, out) == (2, "")
             assert err.startswith(f"error: cannot write {path}: ") and reason in err
+
+    @pytest.mark.parametrize("command", ["rates", "compare"])
+    def test_the_out_path_is_opened_before_any_curve(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.setattr(cli, "rate_curve", never)
+        path = tmp_path / "missing" / "x.csv"
+        args = [command, "--n", "1000", "--k", "1000", "--schemes", "dec-avg", "--out", str(path)]
+        code, out, err = run_cli(capsys, *args, "--grid", "0:1000:25")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {path}: ")
+        # and after the grid's own checks
+        code, out, err = run_cli(capsys, *args, "--grid", "0:1000:0")
+        assert (code, out, err) == (2, "", "error: bad grid '0:1000:0'; need step > 0 and stop >= start\n")
 
 
 class TestFailureOutput:

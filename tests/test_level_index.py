@@ -107,12 +107,14 @@ def test_engine_on_degenerate_corners(instance):
 
 
 def test_engine_past_64_users():
-    # K = 65 users: object (Python int) codes through the same engine
-    N, K, F = 3, 65, 40
-    placement = decentralized.random_placement(N, K, Fraction(1, 2), F, seed=11)
-    assert placement.codes.dtype == object
-    d = tuple(np.random.default_rng(12).integers(1, N + 1, size=K).tolist())
-    assert_delivers(make_database(N, F, seed=13), placement, d, oracle=False)
+    # K = 65 users: object (Python int) codes through the same engine; and a
+    # K = 100 batch placement at t = 1, whose subsets' users the index reads
+    # from their groups' users, not from the subsets' own codes
+    for N, K, F, placement in [(3, 65, 40, decentralized.random_placement(3, 65, Fraction(1, 2), 40, seed=11)),
+                               (2, 100, 200, batch_placement(2, 100, 1, 200))]:
+        assert placement.codes.dtype == object
+        d = tuple(np.random.default_rng(12).integers(1, N + 1, size=K).tolist())
+        assert_delivers(make_database(N, F, seed=13), placement, d, oracle=False)
 
 
 @pytest.mark.parametrize("K", [4, 65])

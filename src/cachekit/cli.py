@@ -12,6 +12,7 @@ import argparse
 import collections
 import contextlib
 import functools
+import math
 import os
 import sys
 from fractions import Fraction
@@ -50,33 +51,20 @@ from .rate_analysis import (
     write_curves_csv,
 )
 
-EXHAUSTION_GUARD = 10**6
-# Full bit-exact decoding of every demand is done while the estimated work
-# stays under this many subfile operations; beyond that, verify bit-checks
-# one representative per demand type plus a random sample. Checked a block
-# of demands at a time, the largest full-mode runs take about 5 s on a
-# 2-vCPU x86-64 VM: `verify --n 10 --k 6 --t 0` (10^6 demands) 4.7 s,
-# `--n 3 --k 9 --t 2` 3.3 s (20 s when each demand was checked alone).
+# Most work of a `verify` run (`verify_work_estimate`), which also picks its
+# mode. The largest admitted runs take 1-5 s on a 2-vCPU x86-64 VM: in full
+# mode `--n 10 --k 6 --t 0` 2.4-4.7 s, `--n 1000 --k 2 --t 0` 3.8 s and `--n 1
+# --k 100 --t 2` 2.3 s, per type `--n 150000 --k 2 --t 0` 2.3 s.
 FULL_WORK_LIMIT = 4 * 10**7
+# Demands per-type `verify` draws besides the types: `--n 2 --k 40 --t 1` 0.3 s.
 DEFAULT_SAMPLE = 200
-# Largest M grid `rates` and `compare` evaluate; every point costs exact
-# integer work per scheme, so a larger grid is refused, not built. At K=16
-# the six default schemes take about 65 µs a point, stdout included
-# (`compare --n 16 --k 16` on a 10^5-point grid: 6.5 s on a 2-vCPU x86-64 VM).
-MAX_GRID_POINTS = 10**5
-# Largest N and K `rates` and `compare` take, checked before anything is
-# built. The curves' setup (the N_e weights, the optimal-avg points and their
-# hull) grows about as K^3 in time: `compare` on a 3-point grid takes 0.9 s
-# at N=K=1000, 1.2 s at N=10^6, K=1000 and 7.2 s at N=K=2000.
-MAX_RATE_FILES = 10**6
-MAX_RATE_USERS = 1000
-# Most work of the per-point exact sums, in `rate_work_estimate` units. At
-# K=1000, where a `dec-avg` point takes 50 to 130 ms, the largest admitted
-# `compare` runs take 2.4 to 5.7 s (41 points at N=1000, 21 at N=10^6, one
-# point with a 10^100 denominator).
-MAX_RATE_WORK = 5 * 10**8
-# Largest estimated peak memory of a `verify`, `simulate` or `bound` run, see
-# `bytes_estimate`; a larger run is refused before any of it is allocated.
+# Most work of a `rates`/`compare` run (`rate_work_estimate`): 1.5-2.5 s for
+# `compare` on 3 points at N=K=1400, 41 at N=K=1000 or 40,001 at K=16; one
+# point with a 10^100 denominator at N=10^6, K=1000 (2.4 s) is refused.
+MAX_RATE_WORK = 4 * 10**11
+# Largest estimated peak memory of a `verify`, `simulate` or `bound` run
+# (`bytes_estimate`), refused before any of it is allocated: `simulate
+# --schemes decentralized --n 3 --k 64 --m 1` is estimated 0.90 GB, peaks 0.39.
 MAX_BYTES = 2**30
 # Peak memory of a run per (subset, member) pair its delivery index may hold,
 # beyond its bits' codes and sort order: the index, the encode's chunk cells,
@@ -120,7 +108,8 @@ def child_seeds(seed: int, n: int) -> list[int]:
     return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
-def parse_grid(spec: str) -> list[Fraction]:
+def parse_grid(spec: str) -> tuple[Fraction, Fraction, int]:
+    """A --grid start:stop:step as (start, step, point count); no point is built."""
     try:
         parts = [Fraction(p) for p in spec.split(":")]
     except (ValueError, ZeroDivisionError):
@@ -130,38 +119,33 @@ def parse_grid(spec: str) -> list[Fraction]:
     start, stop, step = parts
     if step <= 0 or stop < start:
         raise UsageError(f"bad grid {spec!r}; need step > 0 and stop >= start")
-    count = (stop - start) // step + 1
-    if count > MAX_GRID_POINTS:
-        raise UsageError(f"grid {spec!r} has {count} points, more than the limit of {MAX_GRID_POINTS}")
-    # start + i*step over one integer numerator: one Fraction per point
-    a, b, c, e = start.numerator, start.denominator, step.numerator, step.denominator
-    return [Fraction(a * e + i * c * b, b * e) for i in range(count)]
+    return start, step, (stop - start) // step + 1
 
 
-def rate_work_estimate(N: int, K: int, grid: list[Fraction]) -> int:
-    """Bit operations of the exact `dec-avg` sums, the per-point work of
-    `rates`/`compare` that grows with the instance: at each M = p/r, min(N, K)
-    Horner steps, each on integers of about K * bitlen(N*r) bits. Every point
-    is counted at the grid's largest r."""
-    r = max(M.denominator for M in grid)
-    return len(grid) * min(N, K) * K * (N * r).bit_length()
+def rate_work_estimate(N: int, K: int, points: int, r: int) -> int:
+    """Work of `rates`/`compare` on `points` grid points of denominators at
+    most r, in units of about 10 ps: the curves' setup, K^3 * (bitlen(N) + 1)
+    bit additions at 10 each, and per point, on sums of up to S = K *
+    bitlen(N*r) bits, min(N, K) Horner steps at 500 a bit, S^2 for products
+    and gcds, and 7*10^6 for six schemes' values and the output line."""
+    S = K * (N * r).bit_length()
+    return 10 * K**3 * (N.bit_length() + 1) + points * (S * (500 * min(N, K) + S) + 7 * 10**6)
 
 
 def _grid(args) -> list[Fraction]:
     """The --grid of `rates`/`compare` (default 0:N:1), every M within [0, N],
-    once N and K are within MAX_RATE_FILES and MAX_RATE_USERS and before the
-    grid's work passes MAX_RATE_WORK: nothing is built for a refused run."""
-    if args.n > MAX_RATE_FILES or args.k > MAX_RATE_USERS:
-        raise UsageError(f"N={args.n} files and K={args.k} users are more than the limits of "
-                         f"{MAX_RATE_FILES} files and {MAX_RATE_USERS} users")
-    grid = parse_grid(args.grid if args.grid else f"0:{args.n}:1")
-    if grid[0] < 0 or grid[-1] > args.n:
-        raise UsageError(f"grid M values must be in [0, {args.n}], got {grid[0]}..{grid[-1]}")
-    work = rate_work_estimate(args.n, args.k, grid)
-    if work > MAX_RATE_WORK:
-        raise UsageError(f"{len(grid)} grid points at N={args.n} K={args.k} need an estimated {work} "
-                         f"bit operations of exact arithmetic, more than the limit of {MAX_RATE_WORK}")
-    return grid
+    built only once its `rate_work_estimate`, read from the spec, is admitted."""
+    start, step, count = parse_grid(args.grid if args.grid else f"0:{args.n}:1")
+    last = start + (count - 1) * step
+    if start < 0 or last > args.n:
+        raise UsageError(f"grid M values must be in [0, {args.n}], got {start}..{last}")
+    # every point's denominator divides lcm(b, e), and a single point's is b
+    a, b, c, e = start.numerator, start.denominator, step.numerator, step.denominator
+    r = math.lcm(b, e) if count > 1 else b
+    _admit(f"N={args.n} K={args.k}", rate_work_estimate(args.n, args.k, count, r), MAX_RATE_WORK,
+           "units of work", "the curves' setup and the exact sums at every grid point")
+    # start + i*step over one integer numerator: one Fraction per point
+    return [Fraction(a * e + i * c * b, b * e) for i in range(count)]
 
 
 def parse_m(spec: str, N: int) -> Fraction:
@@ -242,23 +226,25 @@ def bytes_estimate(N: int, K: int, F: int, counts) -> int:
     return N * F * (code.itemsize + np.dtype(np.intp).itemsize + held) + BYTES_PER_PAIR * pairs + 2 * held * subsets
 
 
-def _admit(N: int, K: int, F: int, counts, setting: str, holds: str) -> None:
-    """Refuse a run whose `bytes_estimate` passes MAX_BYTES, naming the
-    instance (`setting` after N and K) and what its memory `holds`."""
-    estimate = bytes_estimate(N, K, F, counts)
-    if estimate > MAX_BYTES:
-        raise UsageError(f"N={N} K={K} {setting} needs an estimated {estimate} bytes ({holds}), "
-                         f"more than the limit of {MAX_BYTES}")
+def _admit(setting: str, estimate: int, limit: int, unit: str, holds: str) -> None:
+    """Refuse a run whose `estimate` passes `limit`, naming the instance
+    and what the estimate `holds`; Python prints no int of over 4300 digits."""
+    if estimate > limit:
+        shown = estimate if estimate < 10**100 else "over 10^100"
+        raise UsageError(f"{setting} needs an estimated {shown} {unit} ({holds}), more than the limit of {limit}")
 
 
 def _batch_file_size(args, K: int, t: int) -> int:
     """--f for a batch placement (default 2*C(K,t)); it must split into C(K,t)
-    subfiles, and the run must be admitted by `_admit`."""
-    pieces = binomial(K, t)
+    subfiles, each a byte at least, and the run's memory must be admitted."""
+    # C(K,t) >= 2^min(t, K-t), so a large exponent is refused without C(K,t)
+    if min(t, K - t) > MAX_BYTES.bit_length() or (pieces := binomial(K, t)) > MAX_BYTES:
+        raise UsageError(f"N={args.n} K={K} t={t} needs C({K},{t}) > {MAX_BYTES} subfiles, past the byte limit")
     F = args.f if args.f is not None else 2 * pieces
     if F % pieces:
         raise UsageError(f"F must be a multiple of C({K},{t}) = {pieces}, got F={F}")
-    _admit(args.n, K, F, {t: pieces}, f"t={t} F={F}", f"{pieces} subfile groups and the subsets they serve")
+    _admit(f"N={args.n} K={K} t={t} F={F}", bytes_estimate(args.n, K, F, {t: pieces}), MAX_BYTES, "bytes",
+           f"{pieces} subfile groups and the subsets they serve")
     return F
 
 
@@ -378,24 +364,35 @@ def _sampled_demands(N: int, K: int, sample: int, seed: int) -> list[tuple[int, 
     return [demand_at(int(i), N, K) for i in picks]
 
 
+def verify_work_estimate(N: int, K: int, t: int, sample: int) -> tuple[int, bool]:
+    """Work of a `verify` run in subfile operations, and whether it decodes
+    every demand, which it does while their work fits FULL_WORK_LIMIT. A demand
+    costs K*C(K,t)*(t+2), 16 times that past 64 users (codes are Python ints);
+    otherwise a representative and a cancellation check per demand type and
+    min(sample, N^K) sampled demands are counted. The run adds 128 per file, and
+    each demand N/32 + N^2/2^18 for its stack's N-sized tables. Needs N^K < 2^63."""
+    demand = K * binomial(K, t) * (t + 2) * (16 if K > 64 else 1)
+    total = N**K
+    full = total * demand <= FULL_WORK_LIMIT
+    checked = total if full else 2 * count_types(N, K) + min(sample, total)
+    return 128 * N + checked * (demand + N // 32 + (N * N >> 18)), full
+
+
 def cmd_verify(args) -> int:
     N, K = args.n, args.k
     t = _resolve_t(args, N, K)
     F = _batch_file_size(args, K, t)
-    total = N**K
-    if total > EXHAUSTION_GUARD:
-        raise UsageError(
-            f"N^K = {total} exceeds the exhaustion guard {EXHAUSTION_GUARD}; "
-            "choose smaller N or K"
-        )
     if args.sample < 0:
         raise UsageError(f"--sample must be non-negative, got {args.sample}")
+    if N ** min(K, 63) >= 2**63:  # demands are drawn and built by an int64 index
+        raise UsageError(f"N={N} K={K} has N^K >= 2^63 demands, past the 2^63 limit of their int64 index")
+    work, full = verify_work_estimate(N, K, t, args.sample)
+    _admit(f"N={N} K={K} t={t} F={F}", work, FULL_WORK_LIMIT, "subfile operations", "the demands it checks")
+    total = N**K
     placement = batch_placement(N, K, t, F)
     seed = resolve_seed(args.seed)
     db_seed, sample_seed = child_seeds(seed, 2)
     db = make_database(N, F, db_seed)
-    work = total * K * binomial(K, t) * (t + 2)
-    full = work <= FULL_WORK_LIMIT
     mode = "full" if full else f"per-type + {args.sample} sampled"
     print(f"verify: N={N} K={K} t={t} F={F} ({total} demands, mode: {mode})")
 
@@ -403,8 +400,9 @@ def cmd_verify(args) -> int:
     reps = [type_representative(stats) for stats in enumerate_types(N, K)]
     # demands are checked a block at a time, in order: in full mode each block
     # is a run of consecutive indices, in per-type mode a run of the
-    # representatives, then of the sample
-    size = decentralized.stack_size(placement.partition, K)
+    # representatives, then of the sample; a block holds at most 2^18 int64
+    # leader slots, one per (demand, file), which `stack_size` leaves out
+    size = max(1, min(decentralized.stack_size(placement.partition, K), 2**18 // N))
     if full:
         blocks = (demand_range(lo, min(lo + size, total), N, K) for lo in range(0, total, size))
         checked = total
@@ -459,7 +457,7 @@ def cmd_simulate(args) -> int:
     if scheme == "centralized":
         t = _resolve_t(args, N, K)
         F = _batch_file_size(args, K, t)
-        setting = f"t={t} F={F}"
+        setting = f"N={N} K={K} t={t} F={F}"
     else:
         if args.m is None:
             raise UsageError("decentralized simulate requires --m")
@@ -467,8 +465,8 @@ def cmd_simulate(args) -> int:
             raise UsageError("decentralized simulate takes --m, not --t")
         F = args.f if args.f is not None else 10_000
         M = parse_m(args.m, N)
-        setting = f"M={M} F={F}"
-        _admit(N, K, F, {}, setting, "placement codes and their sort order")
+        setting = f"N={N} K={K} M={M} F={F}"
+        _admit(setting, bytes_estimate(N, K, F, {}), MAX_BYTES, "bytes", "placement codes and their sort order")
     d = (
         parse_demand(args.demand, N, K)
         if args.demand
@@ -480,15 +478,15 @@ def cmd_simulate(args) -> int:
         placement = decentralized.random_placement(N, K, M, F, place_seed)
         # its groups per level, counted before the delivery index is built
         codes = placement.partition.codes
-        _admit(N, K, F, collections.Counter(c.bit_count() for c in codes.tolist()), setting,
-               f"{len(codes)} cache-set groups and the subsets they serve")
+        _admit(setting, bytes_estimate(N, K, F, collections.Counter(c.bit_count() for c in codes.tolist())),
+               MAX_BYTES, "bytes", f"{len(codes)} cache-set groups and the subsets they serve")
     db = make_database(N, F, db_seed)
     leaders = select_leaders(d)
     stats = demand_stats(d, N)
     messages = decentralized.encode_delivery(db, placement.partition, d)
     rate = delivered_rate(messages, F)
     bad = _wrong_users(db, placement, messages, d)
-    print(f"{scheme} simulate: N={N} K={K} {setting} seed={seed}")
+    print(f"{scheme} simulate: {setting} seed={seed}")
     print(f"demand: {','.join(map(str, d))} ({stats.distinct} distinct), leaders: {sorted(leaders)}")
     if scheme == "centralized":
         predicted = delivery_rate_value(K, t, stats.distinct)
@@ -535,7 +533,8 @@ def cmd_bound(args) -> int:
         # allocates them; a file with no room for K user lines (a byte each
         # at least) is left to it, which refuses it by its line count
         if K <= size:
-            _admit(N, K, F, {}, f"F={F}", "placement codes and their sort order")
+            _admit(f"N={N} K={K} F={F}", bytes_estimate(N, K, F, {}), MAX_BYTES, "bytes",
+                   "placement codes and their sort order")
         placement, N, F, M = load_placement(path)
     except PlacementParseError as exc:
         raise UsageError(f"cannot parse {path}: {exc}") from None

@@ -12,7 +12,7 @@ import pytest
 
 from cachekit import CacheProfile, batch_placement, demand_stats, save_placement
 from cachekit import cli, decentralized, level_index, model
-from cachekit.cli import MAX_GRID_POINTS, main, parse_grid
+from cachekit.cli import main, parse_grid
 from cachekit.cli import UsageError
 from cachekit.combinatorics import binomial
 from cachekit.model import Placement
@@ -73,15 +73,20 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def grid(spec, n):
+    """The M grid `rates`/`compare` build from --grid `spec` at N=n, K=2."""
+    return cli._grid(argparse.Namespace(n=n, k=2, grid=spec))
+
+
 class TestGrid:
     def test_integer_grid(self):
-        assert parse_grid("0:30:1") == [Fraction(j) for j in range(31)]
+        assert grid("0:30:1", 30) == [Fraction(j) for j in range(31)]
 
     def test_fractional_grid_inclusive(self):
-        assert parse_grid("0:2:0.5") == [0, Fraction(1, 2), 1, Fraction(3, 2), 2]
+        assert grid("0:2:0.5", 2) == [0, Fraction(1, 2), 1, Fraction(3, 2), 2]
 
     def test_non_dividing_step_stops_inside(self):
-        assert parse_grid("0:1:0.4") == [0, Fraction(2, 5), Fraction(4, 5)]
+        assert grid("0:1:0.4", 1) == [0, Fraction(2, 5), Fraction(4, 5)]
 
     def test_bad_specs(self):
         for bad in ["0:2", "a:b:c", "0:2:0", "3:1:1"]:
@@ -89,10 +94,12 @@ class TestGrid:
                 parse_grid(bad)
 
     def test_point_limit(self, monkeypatch):
-        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 5)
-        assert len(parse_grid("0:1:1/4")) == 5
-        with pytest.raises(UsageError, match="limit of 5"):
-            parse_grid("0:1:1/5")
+        # the point count is read from the spec and priced by the work estimate
+        assert parse_grid("0:1:1/4") == (0, Fraction(1, 4), 5)
+        monkeypatch.setattr(cli, "MAX_RATE_WORK", cli.rate_work_estimate(1, 2, 5, 4))
+        assert len(grid("0:1:1/4", 1)) == 5
+        with pytest.raises(UsageError, match=f"limit of {cli.MAX_RATE_WORK}"):
+            grid("0:1:1/5", 1)
 
     def test_huge_grid_refused_fast(self, capsys):
         started = time.perf_counter()
@@ -100,7 +107,7 @@ class TestGrid:
                                "--schemes", "optimal-avg", "--grid", "0:2:1/100000000")
         assert time.perf_counter() - started < 1.0
         assert code == 2
-        assert str(MAX_GRID_POINTS) in err
+        assert "needs an estimated" in err and f"limit of {cli.MAX_RATE_WORK}" in err
 
     def test_grid_outside_cache_range(self, capsys):
         for grid in ("0:3:1", "-1:2:1"):
@@ -108,54 +115,88 @@ class TestGrid:
             assert code == 2
             assert "[0, 2]" in err
 
+    @pytest.mark.parametrize("spec, points, r", [
+        ("0:2:1/2", 5, 2),
+        # 1/2 and 4/3: every point's denominator divides lcm(2, 6)
+        ("1/2:2:5/6", 2, 6),
+        # one point: its own denominator, whatever the step's
+        ("0:0:1/" + "1" + "0" * 100, 1, 1),
+        ("1/3:1/3:1/" + "1" + "0" * 100, 1, 3),
+    ])
+    def test_estimate_reads_points_and_denominator_from_the_spec(self, monkeypatch, spec, points, r):
+        seen = []
+        monkeypatch.setattr(cli, "rate_work_estimate", lambda N, K, p, d: seen.append((N, K, p, d)) or 0)
+        assert len(grid(spec, 2)) == points
+        assert seen == [(2, 2, points, r)]
+
 
 def never(*args, **kwargs):
     raise AssertionError("a refused run built something")
 
 
 class TestRateLimits:
-    """N, K and the exact sums' work are checked before a grid or curve is built."""
+    """The curves' setup and the exact sums' work are estimated from N, K and
+    the grid spec, and checked before a grid or curve is built."""
 
     @pytest.mark.parametrize("command", ["rates", "compare"])
     @pytest.mark.parametrize("n, k, refused", [(4, 3, False), (5, 3, True), (4, 4, True)])
-    def test_files_and_users_limits(self, capsys, monkeypatch, command, n, k, refused):
-        monkeypatch.setattr(cli, "MAX_RATE_FILES", 4)
-        monkeypatch.setattr(cli, "MAX_RATE_USERS", 3)
+    def test_files_and_users_enter_the_estimate(self, capsys, monkeypatch, command, n, k, refused):
+        # the default grid 0:N:1 has N + 1 points
+        monkeypatch.setattr(cli, "MAX_RATE_WORK", cli.rate_work_estimate(4, 3, 5, 1))
         if refused:
-            monkeypatch.setattr(cli, "parse_grid", never)
             monkeypatch.setattr(cli, "rate_curve", never)
         code, out, err = run_cli(capsys, command, "--n", str(n), "--k", str(k), "--schemes", "dec-avg")
         assert code == (2 if refused else 0)
-        assert ("more than the limits of 4 files and 3 users" in err) == refused
+        assert (f"more than the limit of {cli.MAX_RATE_WORK}" in err) == refused
         assert (out == "") == refused
 
-    @pytest.mark.parametrize("argv", [["--n", "1001", "--k", "1001"], ["--n", "1000", "--k", "1001"],
-                                      ["--n", str(10**6 + 1), "--k", "2"]])
-    def test_real_limits_refuse_at_once(self, capsys, monkeypatch, argv):
-        monkeypatch.setattr(cli, "parse_grid", never)
+    @pytest.mark.parametrize("argv", [
+        ["--n", "2000", "--k", "2000", "--grid", "0:1:1"],  # the setup: 5.3-7.2 s
+        ["--n", "1", "--k", "3000", "--grid", "0:1:1"],  # the setup: 3.7 s
+        ["--n", "1000000", "--k", "1000", "--grid", "1/1" + "0" * 100 + ":1:1"],  # one point: 2.4-5.7 s
+        ["--n", "1000000", "--k", "1000", "--grid", "0:1000000:10000"],  # 101 points: 7 s
+        ["--n", "16", "--k", "16", "--grid", "0:16:16/100000"],  # 10^5 points: 7.4 s
+        ["--n", "2", "--k", str(10**12), "--grid", "0:1:1"],
+    ])
+    def test_real_limit_refuses_at_once(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "rate_curve", never)
         started = time.perf_counter()
-        code, _, err = run_cli(capsys, "compare", *argv, "--grid", "0:1:1")
+        code, out, err = run_cli(capsys, "compare", *argv)
         assert time.perf_counter() - started < 1.0
-        assert code == 2
-        assert "more than the limits of 1000000 files and 1000 users" in err
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert err.endswith(" units of work (the curves' setup and the exact sums at every grid point), "
+                            f"more than the limit of {cli.MAX_RATE_WORK}\n")
+
+    def test_many_users_and_few_files_are_admitted(self, capsys):
+        # many users and two files: the curves' setup is small at N = 2
+        code, out, _ = run_cli(capsys, "rates", "--n", "2", "--k", "1001", "--grid", "0:2:1",
+                               "--schemes", "dec-avg")
+        assert code == 0
+        assert out.splitlines()[-1].split() == ["2.000000", "0.000000"]
 
     def test_work_estimate(self):
-        # 3 points x min(N, K) = 2 Horner steps x K = 3 x bitlen(N * 2) = 3 bits
-        assert cli.rate_work_estimate(2, 3, [Fraction(0), Fraction(1, 2), Fraction(2)]) == 3 * 2 * 3 * 3
-        assert cli.rate_work_estimate(5, 2, [Fraction(5)]) == 1 * 2 * 2 * 3
+        # K^3 * (bitlen(N) + 1) setup at 10 units; S = K * bitlen(N * r) = 3 * 3 bits a point
+        assert cli.rate_work_estimate(2, 3, 3, 2) == 10 * 27 * 3 + 3 * (9 * (500 * 2 + 9) + 7 * 10**6)
+        assert cli.rate_work_estimate(5, 2, 1, 1) == 10 * 8 * 4 + 1 * (6 * (500 * 2 + 6) + 7 * 10**6)
+        # one point with a 10^100 denominator: S = 1000 * 353 bits, past the limit that r = 1 is within
+        S = 1000 * (10**106).bit_length()
+        assert cli.rate_work_estimate(10**6, 1000, 1, 10**100) == 10 * 10**9 * 21 + S * (500 * 1000 + S) + 7 * 10**6
+        assert (cli.rate_work_estimate(10**6, 1000, 1, 10**100) > cli.MAX_RATE_WORK
+                >= cli.rate_work_estimate(10**6, 1000, 1, 1))
 
     @pytest.mark.parametrize("command", ["rates", "compare"])
     def test_work_limit(self, capsys, monkeypatch, command):
         argv = [command, "--n", "2", "--k", "3", "--grid", "0:2:1/2", "--schemes", "dec-avg"]
-        work = cli.rate_work_estimate(2, 3, parse_grid("0:2:1/2"))
+        work = cli.rate_work_estimate(2, 3, 5, 2)
         monkeypatch.setattr(cli, "MAX_RATE_WORK", work)
         assert run_cli(capsys, *argv)[0] == 0
         monkeypatch.setattr(cli, "MAX_RATE_WORK", work - 1)
         monkeypatch.setattr(cli, "rate_curve", never)
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
-        assert f"need an estimated {work} bit operations" in err
-        assert f"limit of {work - 1}" in err
+        assert err == (f"error: N=2 K=3 needs an estimated {work} units of work (the curves' setup and the exact "
+                       f"sums at every grid point), more than the limit of {work - 1}\n")
 
 
 class TestRates:
@@ -267,10 +308,21 @@ class TestVerify:
         assert code == 0
         assert "PASS" in out
 
-    def test_guard_refuses_large_instance(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--n", "10", "--k", "8", "--t", "1")
-        assert code == 2
-        assert "guard" in err
+    def test_large_instance_is_priced_by_its_mode(self, capsys, monkeypatch):
+        # 10^8 demands: per-type mode checks 22 types and 200 samples
+        code, out, _ = run_cli(capsys, "verify", "--n", "10", "--k", "8", "--t", "1")
+        assert code == 0 and "(100000000 demands, mode: per-type + 200 sampled)" in out and out.endswith("PASS\n")
+        # 8 types and 200 samples of 196,196 subfile operations each are refused; without the sample they fit
+        work, full = cli.verify_work_estimate(2, 14, 5, 200)
+        assert (work, full) == (128 * 2 + (2 * 8 + 200) * 14 * binomial(14, 5) * 7, False)
+        assert work > cli.FULL_WORK_LIMIT
+        code, out, _ = run_cli(capsys, "verify", "--n", "2", "--k", "14", "--t", "5", "--sample", "0")
+        assert code == 0 and "mode: per-type + 0 sampled" in out and out.endswith("PASS\n")
+        monkeypatch.setattr(cli, "batch_placement", never)
+        code, out, err = run_cli(capsys, "verify", "--n", "2", "--k", "14", "--t", "5")
+        assert (code, out) == (2, "")
+        assert err == (f"error: N=2 K=14 t=5 F=4004 needs an estimated {work} subfile operations (the demands it "
+                       f"checks), more than the limit of {cli.FULL_WORK_LIMIT}\n")
 
     def test_divisibility_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--n", "3", "--k", "6", "--t", "2", "--f", "16")
@@ -414,6 +466,69 @@ class TestVerify:
         monkeypatch.setattr(cli, "binomial", lambda n, k, real=cli.binomial: real(n, k) + (n == K - 2))
         reasons = cli._check_block(ones, forgetful, t, demands)
         assert [why.startswith("message count") for why in reasons] == two
+
+
+class TestVerifyWork:
+    def test_estimate_per_mode(self):
+        # full: 128 per file, and N^K demands of K*C(K,t)*(t+2) operations each
+        assert cli.verify_work_estimate(2, 7, 2, 200) == (128 * 2 + 128 * 7 * 21 * 4, True)
+        # per-type: 12 representatives, their cancellation checks and 4 samples
+        assert cli.verify_work_estimate(3, 9, 7, 4) == (128 * 3 + (2 * 12 + 4) * 9 * 36 * 9, False)
+        # the sample is at most N^K
+        assert cli.verify_work_estimate(1, 30, 1, 200) == (128 + 30 * 30 * 3, True)
+
+    def test_estimate_counts_the_files(self):
+        # a stack holds a leader slot per demand and file, at most 2^18, and
+        # copies the database: at N = 10^5, K = 1 a full-mode run takes minutes
+        assert (cli.verify_work_estimate(10**5, 1, 0, 200)
+                == (128 * 10**5 + 10**5 * (2 + 3125 + (10**10 >> 18)), True))
+        for N, K in [(10**5, 1), (10**6, 1), (3 * 10**5, 2)]:
+            assert cli.verify_work_estimate(N, K, 0, 200)[0] > cli.FULL_WORK_LIMIT
+        # 3.8 s and 1.2 s in full mode, 2.3 s per type
+        for N, K in [(1000, 2), (18000, 1), (150000, 2)]:
+            assert cli.verify_work_estimate(N, K, 0, 200)[0] <= cli.FULL_WORK_LIMIT
+
+    def test_estimate_counts_python_int_codes(self):
+        # past 64 users every subset code is a Python int: 16 times the work
+        # (verify --n 1 --k 64 --t 3 takes 2.6 s, --k 65 15.6 s and --k 218 --t 2 18-28 s)
+        assert cli.verify_work_estimate(1, 64, 3, 200) == (128 + 64 * binomial(64, 3) * 5, True)
+        assert cli.verify_work_estimate(1, 65, 3, 0) == (128 + 2 * 16 * 65 * binomial(65, 3) * 5, False)
+        for K, t in [(65, 3), (218, 2), (1000, 1)]:
+            assert cli.verify_work_estimate(1, K, t, 200)[0] > cli.FULL_WORK_LIMIT
+        for K, t in [(65, 2), (100, 2), (400, 1), (20000, 0)]:
+            assert cli.verify_work_estimate(1, K, t, 200)[0] <= cli.FULL_WORK_LIMIT
+
+    def test_many_user_decode_is_refused_before_anything_is_built(self, capsys, monkeypatch):
+        # within the memory limit (0.78 GB), past the work limit
+        monkeypatch.setattr(cli, "batch_placement", never)
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "--n", "1", "--k", "218", "--t", "2")
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error: N=1 K=218 t=2 F=47306 needs an estimated ") and "subfile operations" in err
+
+    def test_per_type_run_at_the_limit(self, capsys, monkeypatch):
+        argv = ["verify", "--n", "3", "--k", "9", "--t", "7", "--seed", "7", "--sample", "4"]
+        work, full = cli.verify_work_estimate(3, 9, 7, 4)
+        monkeypatch.setattr(cli, "FULL_WORK_LIMIT", work)
+        assert run_cli(capsys, *argv) == (0, VERIFY_PER_TYPE_GOLDEN, "")
+        monkeypatch.setattr(cli, "FULL_WORK_LIMIT", work - 1)
+        monkeypatch.setattr(cli, "batch_placement", never)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and f"needs an estimated {work} subfile operations" in err
+
+    @pytest.mark.parametrize("argv", [["--n", "1", "--k", "20000", "--t", "10000"],
+                                      ["--n", "1", "--k", "1000000", "--t", "500000"],
+                                      ["--n", "2", "--k", "1000000", "--t", "999960", "--f", "7"]])
+    def test_huge_binomial_is_refused_before_it_is_computed(self, capsys, monkeypatch, argv):
+        # C(K,t) subfiles, a byte each at least, are more than the memory limit holds
+        monkeypatch.setattr(cli, "binomial", never)
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (2, "")
+        N, K, t = argv[1], argv[3], argv[5]
+        assert err == f"error: N={N} K={K} t={t} needs C({K},{t}) > {cli.MAX_BYTES} subfiles, past the byte limit\n"
 
 
 class TestBatchCost:

@@ -73,13 +73,13 @@ def test_converse_experiment_refuses_bad_input(capsys, argv, message):
     assert "bound violations" not in captured.out
 
 
-def test_converse_experiment_exhaustion_guard_is_the_cli_one(capsys, monkeypatch):
+def test_converse_experiment_exhaustion_guard(capsys, monkeypatch):
     script = load_script("converse_experiment")
-    monkeypatch.setattr(script.cli, "EXHAUSTION_GUARD", 2**2 - 1)
+    monkeypatch.setattr(script, "EXHAUSTION_GUARD", 2**2 - 1)
     with pytest.raises(SystemExit) as exc:
         script.main(ARGS)
     assert exc.value.code == 2
-    monkeypatch.setattr(script.cli, "EXHAUSTION_GUARD", 2**2)
+    monkeypatch.setattr(script, "EXHAUSTION_GUARD", 2**2)
     assert script.main(ARGS) == 0
 
 

@@ -77,3 +77,33 @@ def test_demand_range_is_the_list_slice():
 def test_sample_matches_list_index(case, sample, seed):
     N, K = case
     assert cli._sampled_demands(N, K, sample, seed) == oracle_sample(N, K, sample, seed)
+
+
+@pytest.mark.parametrize("N, K", [(2, 62), (3, 39), (7, 22)])
+def test_sample_draws_up_to_the_int64_index_limit(N, K):
+    # the largest N^K below 2^63 that verify admits: the same seeded int64 draw
+    assert N**K < 2**63 <= N ** (K + 1)
+    picks = np.random.default_rng(5).integers(0, N**K, size=4)
+    assert cli._sampled_demands(N, K, 4, 5) == [demand_at(int(i), N, K) for i in picks]
+
+
+@pytest.mark.parametrize("N, K", [(2, 63), (2, 64), (3, 40), (10**6, 4)])
+def test_verify_refuses_demands_past_the_int64_index(capsys, monkeypatch, N, K):
+    # the demand index is int64, and so is numpy's draw of the sample
+    with pytest.raises(ValueError, match="int64"):
+        demand_range(0, 1, N, K)
+    monkeypatch.setattr(cli, "batch_placement", None)  # nothing may be built
+    assert cli.main(["verify", "--n", str(N), "--k", str(K), "--t", "1"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: N={N} K={K} has N^K >= 2^63 demands, past the 2^63 limit "
+                                                "of their int64 index\n")
+
+
+def test_verify_checks_the_sample_of_the_largest_admitted_instances(capsys):
+    # 2^62 and 2^21 demands, checked per type
+    for argv, checked in [(["--n", "2", "--k", "62", "--sample", "5"], 32 + 5),
+                          (["--n", "2", "--k", "21"], 11 + 200)]:
+        assert cli.main(["verify", *argv, "--t", "1", "--seed", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "mode: per-type" in out and f"demands checked bit-exactly: {checked}\n" in out
+        assert out.endswith("PASS\n")

@@ -16,25 +16,26 @@ messages by the cancellation identity, each once per decode plan for all
 its members, one gather of their terms, then gathers each requested user's
 partner chunks from its own cache view, XOR-reduces them with the payloads
 and scatters the result into a copy of the user's file, one layout for
-every stack; padding lands in a zero sentinel column. One array per level
-of the plan says which rows were received; the partition's decode cache
-keeps the last stack's term tables and plans (`_plans`). Two rules keep the
-kernels fast on the short rows of small instances, where numpy's cost per
-call and per row, not the bits moved, sets the time. Every gather is an
-`ndarray.take` over a flat index: fancy indexing with a 2-D or paired
-index costs about 15 times as much. Each gather is laid out so that its
-XOR-reduce runs over the leading axis: (members, rows, L) to encode,
-(partners, pairs, L) to decode and (terms, rows, L) to rebuild; reducing
-over a middle axis of length 2-10 costs tens to hundreds of times as
-much. The one-demand functions (`encode_delivery`, `decode_users`,
-`decode_user`) are calls with a stack of one. Each input is checked at one
-door: a one-demand call's length and leaders in `_one`, a stack's
-entries and leaders in `_stack`, which builds the stack's one leader table,
-the users in `decode_stack`, a delivery's levels and shapes in `_plans`. A
-delivery has one representation, those arrays: `encode_delivery` returns
-them as a `Broadcast`, a sequence whose `BroadcastMessage`s are built only
-when it is read as one, and the decoders read a `Broadcast` of their
-partition from its arrays, placing any other message list into arrays
+every stack; padding lands in a zero sentinel column. One array per level of
+the plan says which rows were received, and a call for fewer than K users
+takes its users' pairs from the plan's grouping by user (`_pairs`); the
+partition's decode cache keeps the last stack, checked, and its term tables
+and plans. Two rules keep the kernels fast on the short rows of small
+instances, where numpy's cost per call and per row, not the bits moved, sets
+the time. Every gather is an `ndarray.take` over a flat index: fancy
+indexing with a 2-D or paired index costs about 15 times as much. Each
+gather is laid out so that its XOR-reduce runs over the leading axis:
+(members, rows, L) to encode, (partners, pairs, L) to decode and (terms,
+rows, L) to rebuild; reducing over a middle axis of length 2-10 costs tens
+to hundreds of times as much. The one-demand functions (`encode_delivery`,
+`decode_users`, `decode_user`) are calls with a stack of one. Each input is
+checked at one door: a one-demand call's length and leaders in `_one`, a
+stack's entries and leaders in `_stack`, which builds the stack's one leader
+table, the users in `decode_stack`, a delivery's levels and shapes in
+`_plans`. A delivery has one representation, those arrays: `encode_delivery`
+returns them as a `Broadcast`, a sequence whose `BroadcastMessage`s are
+built only when it is read as one, and the decoders read a `Broadcast` of
+their partition from its arrays, placing any other message list into arrays
 first, one message at a time, each at the row of its members' code. Batch
 (centralized) delivery is the one-level, equal-chunk case: `centralized`
 hands its subfiles to this engine.
@@ -197,9 +198,9 @@ class LevelPartition:
 
     @cached_property
     def decode_cache(self) -> dict:
-        """The decoder's only state, for the last stack decoded (`_plans`):
-        its "key", each level i's table of the terms it has (`_level_terms`,
-        0.5 MB at N=3, K=64, M=1, seed 3), shared by every delivery, and as
+        """The decoder's only state, for the last stack decoded: its "key"
+        and "stack" (`decode_stack`), each level i's table of the terms it
+        has (`_level_terms`, 0.5 MB at N=3, K=64, M=1, seed 3), and as
         "plans" a weak reference to the last `Broadcast` decoded with its
         plans: calls alternating between two broadcasts plan at each switch."""
         return {}
@@ -218,7 +219,7 @@ def level_partition(placement: Placement, N: int, F: int) -> LevelPartition:
 
     One stable sort of the placement's codes per file puts equal codes next
     to each other with their positions ascending; each group's bit count in
-    a file is where its code's run ends less where the previous one does.
+    a file is the length of its code's run, from its head to the next.
     """
     K, codes = placement.K, placement.codes
     if codes.shape != (N, F):
@@ -232,12 +233,15 @@ def level_partition(placement: Placement, N: int, F: int) -> LevelPartition:
     heads[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
     # the codes present in any file, ascending: one sort and a neighbour
     # comparison (np.unique would import numpy.ma on first use)
-    present = np.sort(ranked[heads])
+    at = np.flatnonzero(heads)  # every run's head, file by file
+    run = ranked.reshape(-1).take(at)
+    present = np.sort(run)
     firsts = np.ones(len(present), dtype=bool)
     firsts[1:] = present[1:] != present[:-1]
     present = present[firsts]
-    stops = np.array([np.searchsorted(row, present, side="right") for row in ranked])
-    return LevelPartition(K, N, F, present, order, np.diff(stops, axis=1, prepend=0))
+    sizes = np.zeros((N, len(present)), dtype=np.intp)
+    sizes[at // F, present.searchsorted(run)] = np.diff(at, append=N * F)
+    return LevelPartition(K, N, F, present, order, sizes)
 
 
 def _blocks(count: int, per_item: int) -> list[slice]:
@@ -461,8 +465,11 @@ class _Plan(NamedTuple):
     ((n * n_T + 1,)): the first row it needs that was sent but not
     received, n * n_T (none) for the zero row and for a row received or
     with only empty chunks, the row itself if it holds a leader, and for an
-    omitted row -1 until it is rebuilt, then its first such term; and the
-    omitted rows (no leader, a non-empty chunk; received or not), ascending."""
+    omitted row -1 until it is rebuilt, then its first such term; the
+    omitted rows (no leader, a non-empty chunk; received or not), ascending;
+    and, once a call for fewer than K users needs them (`_pairs`), the pairs
+    (member c, row r) with a non-empty chunk, c * n * n_T + r (int32 where
+    they fit), by user and row, with K + 2 offsets, user k's from the k-th."""
 
     level: Level
     cells: np.ndarray
@@ -470,6 +477,7 @@ class _Plan(NamedTuple):
     payloads: np.ndarray
     lost: np.ndarray
     omitted: np.ndarray
+    by_user: list
 
 
 def _level_terms(plan: _Plan, wanted: np.ndarray, lowest: np.ndarray) -> np.ndarray:
@@ -490,18 +498,18 @@ def _level_terms(plan: _Plan, wanted: np.ndarray, lowest: np.ndarray) -> np.ndar
     swaps = bits.take(members) | bits.take(lowest.take((s * K - 1)[:, None] + members))
     codes, zero = level.codes.take(r), len(wanted) * n_T
     small = np.int32 if zero < 2**31 else np.intp  # the table is kept: halve it
-    parts = []
+    counts, held_rows = [], []
     # a block's terms are (rows, C) int64 arrays, and C, the most terms of a
     # row, grows about as the square of its width
     for block in _blocks(len(rows), 4 * m * m):
         found = level.rows_of(_cancellation_terms(codes[block], files[block], swaps[block]))
         held = found >= 0
-        count = np.count_nonzero(held, axis=1)
-        part = np.full((len(count), count.max()), zero, dtype=small)
-        part[np.arange(part.shape[1]) < count[:, None]] = found[held] + np.repeat(s[block] * n_T, count)
-        parts.append(part)
-    C = max(part.shape[1] for part in parts)  # blocks count up to their own most terms
-    return np.concatenate([np.pad(part, ((0, 0), (0, C - part.shape[1])), constant_values=zero) for part in parts])
+        counts.append(np.count_nonzero(held, axis=1))
+        held_rows.append((found[held] + np.repeat(s[block] * n_T, counts[-1])).astype(small))
+    count = np.concatenate(counts)
+    table = np.full((len(count), count.max()), zero, dtype=small)
+    table[np.arange(table.shape[1]) < count[:, None]] = np.concatenate(held_rows)
+    return table
 
 
 def _rebuild(plan: _Plan, terms: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -521,20 +529,40 @@ def _rebuild(plan: _Plan, terms: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.concatenate(lost)
 
 
-def _plans(partition: LevelPartition, delivery, wanted: np.ndarray, lead: np.ndarray, key: tuple) -> list[_Plan]:
-    """The `_Plan`s for decoding the stack `key` (wanted files and leader
-    flags) from `delivery`, `encode_stack`'s arrays (writable, so planned
-    anew) or a `Broadcast`, whose plans `decode_cache` keeps for the key
-    until another is decoded. A `Broadcast` of another partition or with a
-    stack of n != 1, and a level count or array shape that does not fit the
-    partition and the stack, are refused with a `ValueError`. Each row's
-    state is set here from the delivery's lengths, the decode's only read of
-    them, and the chunk sizes."""
+def _pairs(plan: _Plan, users: list[int], K: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs of the plan's level that `users` decode and, ascending, the
+    rows they need not received but for those rebuilt from received terms:
+    for all K users every pair and such row, else the users' slices of
+    `by_user` (filled by a counting sort of the pairs, row-major, by user)."""
+    R = len(plan.lost) - 1
+    if len(users) == K:
+        return np.flatnonzero(plan.nonempty), np.flatnonzero(plan.lost[:-1] < R)
+    if not plan.by_user:
+        members, m = plan.level.members, len(plan.nonempty)
+        at = np.flatnonzero(plan.nonempty.T)  # row * m + member
+        owner = members.take(at % members.size)
+        r, c = np.divmod(at.take(owner.argsort(kind="stable")), m)  # a radix sort of small integers
+        offsets = [0, *np.cumsum(np.bincount(owner, minlength=K + 1)).tolist()]
+        plan.by_user[:] = (c * R + r).astype(np.int32 if m * R < 2**31 else np.intp), offsets
+    pairs, offsets = plan.by_user
+    mine = [pairs[offsets[k] : offsets[k + 1]] for k in users]
+    pairs = mine[0] if len(mine) == 1 else np.concatenate([pairs[:0], *mine])
+    needed = pairs % R  # ascending for one user; two may share a row
+    missing = needed[plan.lost.take(needed) < R]
+    return pairs, missing if len(users) == 1 else np.flatnonzero(np.bincount(missing))
+
+
+def _plans(partition: LevelPartition, delivery, wanted: np.ndarray, lead: np.ndarray) -> list[_Plan]:
+    """The `_Plan`s for decoding a stack (wanted files and leader codes) from
+    `delivery`, `encode_stack`'s arrays (writable, so planned anew) or a
+    `Broadcast`, whose plans `decode_cache` keeps until another is decoded.
+    A `Broadcast` of another partition or with a stack of n != 1, and a
+    level count or array shape that does not fit the partition and the
+    stack, are refused with a `ValueError`. Each row's state is set here
+    from the delivery's lengths, the decode's only read of them, and the
+    chunk sizes."""
     cache = partition.decode_cache
-    if cache.get("key") != key:
-        cache.clear()
-        cache["key"] = key
-    elif "plans" in cache and cache["plans"][0]() is delivery:
+    if "plans" in cache and cache["plans"][0]() is delivery:
         return cache["plans"][1]
     plans, arrays, n = [], delivery, len(wanted)
     if isinstance(delivery, Broadcast):
@@ -561,7 +589,7 @@ def _plans(partition: LevelPartition, delivery, wanted: np.ndarray, lead: np.nda
         lost[:-1] = np.where((lengths.reshape(-1) > 0) | ~chunked, rows, np.where(led, np.arange(rows), -1))
         # int32 where the cell numbers fit, as the index's groups: a plan is kept
         cells = cells.reshape(m, -1).astype(np.int32 if len(level.sizes) <= 2**31 else np.intp)
-        plans.append(_Plan(level, cells, nonempty, table, lost, (~led & chunked).nonzero()[0]))
+        plans.append(_Plan(level, cells, nonempty, table, lost, (~led & chunked).nonzero()[0], []))
     if isinstance(delivery, Broadcast):
         cache["plans"] = (weakref.ref(delivery), plans)
     return plans
@@ -584,31 +612,37 @@ def decode_stack(
     as `_stack` checks it and the delivery as `_plans` does, or a
     `ValueError` says why.
 
-    The users' cache views and each user's copy of its file in each demand
-    (row s * U + u, for any n and U) are built first; the plan (`_plans`)
-    does not depend on the users. Then one pass over the levels, in send
-    order, checks, rebuilds and decodes each. A needed leaderless row that
-    was not received is rebuilt once per plan by the cancellation identity;
-    a needed row that holds a leader, directly or as a term, but was not
-    received is lost: `DecodeError` names the first such in send order.
-    Every (demand, row, member) with a requested member and a non-empty own
-    chunk is decoded by one gather from the views, one XOR-reduce over the
-    partners and one scatter into the copies. Each user's bits are read
-    from the database only through its own cache (the rest are zeroed), so
-    any decoding gap shows up as a bit mismatch.
+    A repeat call with the same stack skips `_stack`. The users' cache
+    views and each user's copy of its file in each demand (row s * U + u,
+    for any n and U) are built first; the plan (`_plans`) does not depend
+    on the users. Then one pass over the levels, in send order, checks,
+    rebuilds and decodes each, from its pairs (`_pairs`): each (demand,
+    row, member) with a requested member and a non-empty own chunk. A
+    needed leaderless row that was not received is rebuilt once per plan by
+    the cancellation identity; a needed row that holds a leader, directly
+    or as a term, but was not received is lost: `DecodeError` names the
+    first such in send order. The pairs are decoded by one gather from the
+    views, one XOR-reduce over the partners and one scatter into the copies.
+    Each user's bits are read from the database only through its own cache
+    (the rest are zeroed), so any decoding gap shows up as a bit mismatch.
     """
     _check_shape(db, partition=partition.order.shape, placement=placement.codes.shape)
     N, F = db.N, partition.F
-    wanted, leaders, lead, lowest = _stack(partition, demands, leaders)
+    # the stack is kept for a repeat call on the same arrays (dtype, shape, bytes)
+    demands, flags = np.asarray(demands), None if leaders is None else np.asarray(leaders, dtype=bool)
+    key = tuple((a.dtype.str, a.shape, a.tobytes()) for a in (demands, flags) if a is not None)
+    cache = partition.decode_cache
+    if cache.get("key") != key:
+        wanted, _, lead, lowest = _stack(partition, demands, flags)
+        cache.clear()
+        cache.update(key=key, stack=(wanted, lead, lowest))
+    wanted, lead, lowest = cache["stack"]
     n, K = len(wanted), partition.K
     users = [_user(k, K, "user") for k in users]
     if len(set(users)) < len(users):
         raise ValueError(f"user {next(k for i, k in enumerate(users) if k in users[:i])} is requested twice")
     U = len(users)
-    requested = np.zeros(K + 1, dtype=bool)
-    requested[users] = True
-    plans = _plans(partition, delivery, wanted, lead, (wanted.tobytes(), leaders.tobytes()))
-    terms = partition.decode_cache
+    plans = _plans(partition, delivery, wanted, lead)
     # every user's cache view, flat per user; column F of each file stays zero
     views = _cache_views(db, placement, users, F)
     flat = views.reshape(-1)
@@ -621,20 +655,16 @@ def decode_stack(
     for i, plan in enumerate(plans):
         level, cells, payloads = plan.level, plan.cells, plan.payloads
         (n_T, m), width, R = level.members.shape, level.positions.shape[1], len(plan.lost) - 1
-        # (member, row) of a requested member and its non-empty chunk
-        mine = (requested.take(level.members.T)[:, None, :] & plan.nonempty.reshape(m, n, n_T)).reshape(m, -1)
-        # the needed rows not received, but for those rebuilt from received terms
-        missing = np.flatnonzero(np.logical_or.reduce(mine, axis=0) & (plan.lost[:-1] < R))
+        pairs, missing = _pairs(plan, users, K)
         if len(missing):
             fresh = missing[plan.lost.take(missing) < 0]  # omitted, and no earlier call rebuilt them
             if len(fresh):
-                if i not in terms:
-                    terms[i] = _level_terms(plan, wanted, lowest)
-                plan.lost[fresh] = _rebuild(plan, terms[i], fresh)
+                if i not in cache:
+                    cache[i] = _level_terms(plan, wanted, lowest)
+                plan.lost[fresh] = _rebuild(plan, cache[i], fresh)
             first = plan.lost.take(missing).min()
             if first < R:
                 raise DecodeError(tuple(level.members[first % n_T].tolist()))
-        pairs = np.flatnonzero(mine)  # member * n * n_T + row, by member
         # a pair gathers m * width elements and holds about 16 entries of
         # int64 index arrays besides, which bound a block of short chunks
         for block in _blocks(len(pairs), m * width + 16):

@@ -77,6 +77,7 @@ def assert_runs_match_oracle(part, placement):
     assert part.codes.dtype == placement.codes.dtype and part.codes.tolist() == want.codes.tolist()
     assert [members_of(code, K) for code in part.codes.tolist()] == list(groups)
     assert np.array_equal(part.order, want.order) and np.array_equal(part.sizes, want.sizes)
+    assert part.sizes.dtype == np.intp
     assert part.order.dtype == np.int64 and not part.order.flags.writeable
     for members, per_file in groups.items():
         assert len(per_file) == N
@@ -126,6 +127,7 @@ def random_instances(draw):
 @example((2, 1, 17, Fraction(1, 2), (2,), 3))
 @example((4, 6, 1, Fraction(2), (1, 2, 3, 4, 4, 1), 4))
 @example((1, 1, 1, Fraction(1, 3), (1,), 5))
+@example((2000, 3, 2, Fraction(1000), (1, 2000, 7), 6))  # many files of two bits: one bit each cached per user
 def test_random_placement_matches_oracle(instance):
     N, K, F, M, d, seed = instance
     db = make_database(N, F, seed)
@@ -414,6 +416,14 @@ def test_each_omitted_message_is_rebuilt_once(monkeypatch, N, K, t, d):
         rebuilt.clear()
         assert np.array_equal(centralized.decode_user(k, db, placement, fresh, d, leaders), db.file(d[k - 1]))
         assert rebuilt == [A for A in omitted if k in A and not set(order[:at]) & set(A)]
+    # and over calls of two users each, who may share a row: once, in send order
+    fresh = centralized.encode_delivery(db, placement, d, leaders)
+    for at in range(0, K, 2):
+        rebuilt.clear()
+        pair = order[at : at + 2]
+        got = decentralized.decode_users(pair, db, placement, placement.partition, fresh, d, leaders)
+        assert np.array_equal(got, db.bits[[d[k - 1] - 1 for k in pair]])
+        assert rebuilt == [A for A in omitted if set(pair) & set(A) and not set(order[:at]) & set(A)]
 
 
 @pytest.mark.parametrize("forgetter", [1, 2, 5])

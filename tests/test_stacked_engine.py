@@ -227,6 +227,122 @@ def test_cleared_cache_bit_spoils_only_its_user(instance):
         assert np.array_equal(one, decoded[t, user - 1])
 
 
+# --- some of the users -------------------------------------------------------------
+
+
+@st.composite
+def user_subsets(draw):
+    """A drawn stack and some of its users, in any order: all but one at most."""
+    instance = draw(stacks())
+    K = instance[2]
+    users = draw(st.permutations(range(1, K + 1)))
+    return instance, tuple(users[: draw(st.integers(1, max(K - 1, 1)))])
+
+
+@settings(max_examples=80, deadline=None)
+@given(user_subsets())
+@example((("batch", 2, 6, 2, 15, [(1, 1, 2, 2, 1, 2), (2, 2, 2, 2, 2, 1)],
+           [frozenset({2, 6}), frozenset({3, 6})], 7), (5, 2)))
+@example((("random", 3, 6, Fraction(3, 2), 1, [(3, 1, 2, 3, 3, 1), (1, 1, 1, 2, 2, 2)], None, 4), (5, 2)))  # F = 1
+@example((("batch", 3, K65, 64, K65, K65_DEMANDS, None, 5), (65, 1, 33)))  # K = 65: Python-int codes
+@example((("random", 3, K65, Fraction(1), 12, K65_DEMANDS, None, 6), (64, 2)))
+def test_some_users_decode_as_their_rows_of_the_all_user_decode(instance):
+    # a call for some users takes their slices of the plan's pairs grouped
+    # by user: on raw stacked arrays, planned per call, and on a broadcast,
+    # whose plans (and grouping) the following calls share
+    (kind, N, K, param, F, demands, leader_sets, seed), users = instance
+    db = make_database(N, F, seed)
+    placement = placement_of(kind, N, K, param, F, seed + 1)
+    part, demands, flags = placement.partition, np.array(demands), flags_of(leader_sets, K)
+    delivery = decentralized.encode_stack(db, part, demands, flags)
+    every = decentralized.decode_stack(range(1, K + 1), db, placement, part, delivery, demands, flags)
+    assert np.array_equal(every, db.bits[demands - 1])
+    columns = np.subtract(users, 1)
+    got = decentralized.decode_stack(users, db, placement, part, delivery, demands, flags)
+    assert np.array_equal(got, every[:, columns])
+    for s, d in enumerate(demands.tolist()):
+        leaders = None if leader_sets is None else leader_sets[s]
+        broadcast = decentralized.encode_delivery(db, part, d, leaders)
+        for call in (users, users[::-1], *([k] for k in users), users):
+            got = decentralized.decode_users(call, db, placement, part, broadcast, d, leaders)
+            assert np.array_equal(got, every[s, np.subtract(call, 1)])
+
+
+@pytest.mark.parametrize("kind, N, K, param, F, d", [
+    ("batch", 3, 6, 2, 15, (1, 1, 2, 2, 3, 3)),
+    ("random", 3, 5, Fraction(1), 20, (1, 2, 1, 3, 2)),
+    ("random", 2, 6, Fraction(1, 2), 30, (1, 2, 2, 1, 1, 2)),
+])
+def test_a_lost_row_is_named_for_exactly_the_users_that_read_it(kind, N, K, param, F, d):
+    # two sent rows dropped: in every call order, each user alone (and a
+    # pair of users) is told the first of them in send order that it reads,
+    # directly or as a term of an omitted row it needs, and decodes if none
+    db = make_database(N, F, seed=K)
+    placement = placement_of(kind, N, K, param, F, K + 1)
+    part = placement.partition
+    leaders = decentralized.select_leaders(d)
+    delivery = decentralized.encode_stack(db, part, np.array([d]))
+    sent = [(i, r) for i, (_, lengths) in enumerate(delivery) for r in lengths[0].nonzero()[0].tolist()]
+    rng = np.random.default_rng(K)
+    outcomes = set()
+    for _ in range(6):
+        dropped = sorted(sent[j] for j in rng.choice(len(sent), size=2, replace=False))
+        members = [tuple(part.levels[i].members[r].tolist()) for i, r in dropped]
+        read = [readers_oracle(part, d, leaders, T, 0) for T in members]
+        arrays = [(payloads.copy(), lengths.copy()) for payloads, lengths in delivery]
+        for i, r in dropped:
+            arrays[i][1][0, r] = 0
+        broadcast = decentralized.Broadcast(part, arrays)
+        order = rng.permutation(np.arange(1, K + 1)).tolist()
+        for users in [[k] for k in order] + [order[:2]]:
+            named = next((T for T, readers in zip(members, read) if readers & set(users)), None)
+            outcomes.add(named is None)
+            if named is None:
+                got = decentralized.decode_users(users, db, placement, part, broadcast, d)
+                assert np.array_equal(got, db.bits[np.subtract(d, 1)][np.subtract(users, 1)])
+            else:
+                with pytest.raises(decentralized.DecodeError) as lost:
+                    decentralized.decode_users(users, db, placement, part, broadcast, d)
+                assert lost.value.subset == named
+    assert outcomes == {True, False}  # some calls are told of a lost row, some decode
+
+
+def test_a_repeat_decode_keeps_the_stack_only_for_the_same_arrays(monkeypatch):
+    # the checked stack and its leader table are kept for a repeat call; a
+    # call that changes only the leaders, only one demand entry or only the
+    # demands' integer type checks its stack anew, and every call decodes
+    N, K, t = 3, 6, 2
+    F = 2 * binomial(K, t)
+    db = make_database(N, F, seed=2)
+    placement = batch_placement(N, K, t, F)
+    part = placement.partition
+    checked = []
+    stack = decentralized._stack
+
+    def counting(*args):
+        checked.append(args[1].tolist())
+        return stack(*args)
+
+    monkeypatch.setattr(decentralized, "_stack", counting)
+    d, other = (1, 1, 2, 2, 3, 3), (2, 1, 2, 2, 3, 3)
+    for demand, leaders, anew in [(d, None, True), (d, None, False), (d, frozenset({2, 4, 6}), True),
+                                  (d, frozenset({2, 4, 6}), False), (other, frozenset({2, 4, 6}), True),
+                                  (other, frozenset({2, 4, 6}), False), (d, None, True)]:
+        broadcast = decentralized.encode_delivery(db, part, demand, leaders)
+        checked.clear()
+        for k in range(1, K + 1):
+            got = decentralized.decode_user(k, db, placement, part, broadcast, demand, leaders)
+            assert np.array_equal(got, db.file(demand[k - 1]))
+        assert checked == ([[list(demand)]] if anew else [])
+    demands = np.array([d, other])
+    delivery = decentralized.encode_stack(db, part, demands)
+    for typed, anew in [(demands, True), (demands.copy(), False), (demands.astype(np.uint8), True)]:
+        checked.clear()
+        got = decentralized.decode_stack([3, 1], db, placement, part, delivery, typed)
+        assert np.array_equal(got, db.bits[demands[:, [2, 0]] - 1])
+        assert len(checked) == anew
+
+
 def test_stack_refuses_bad_demands():
     N, K, t = 3, 4, 2
     F = binomial(K, t)
